@@ -487,38 +487,78 @@ class _Completion:
                 self._add_element(diff)
 
 
+def _lead_automaton(quiver: Quiver, rules) -> list[list[tuple[int, int]]]:
+    """The automaton reading exactly the paths that contain no rule lead.
+
+    A state is (vertex, s), where s is the longest suffix read so far that is
+    a proper prefix of some lead; an arrow that would complete a lead has no
+    transition.  States 0..n_vertices-1 are the vertices with nothing read,
+    and only states reachable from them are built.  Returns, per state, the
+    (arrow, next state) transitions in arrow order.
+    """
+    leads = {lead.arrows for lead, _ in rules}
+    prefixes = {la[:k] for la in leads for k in range(1, len(la))}
+    states = [(v, ()) for v in range(quiver.n_vertices)]
+    index = {s: i for i, s in enumerate(states)}
+    delta = []
+    while len(delta) < len(states):
+        v, s = states[len(delta)]
+        out = []
+        for a in quiver.arrows_from[v]:
+            t = s + (a,)
+            # every lead ending here, and the next state's suffix, is a suffix
+            # of t: s already holds the longest candidate before this arrow
+            if any(t[k:] in leads for k in range(len(t))):
+                continue
+            nxt = next((t[k:] for k in range(len(t)) if t[k:] in prefixes), ())
+            key = (quiver.a_tgt[a], nxt)
+            if key not in index:
+                index[key] = len(states)
+                states.append(key)
+            out.append((a, index[key]))
+        delta.append(out)
+    return delta
+
+
 def _enumerate_basis(quiver: Quiver, rules, degree_bound: int, count_cap: int = 200000):
-    by_last: dict[int, list[tuple[int, ...]]] = {}
-    for lead, _ in rules:
-        by_last.setdefault(lead.arrows[-1], []).append(lead.arrows)
-    levels = [[trivial_path(v) for v in range(quiver.n_vertices)]]
-    total = quiver.n_vertices
+    """The normal paths, sorted by word_key.
+
+    The paths of each length are counted on the lead automaton before any is
+    listed, so an unresolved dimension costs no path lists.
+    """
+    delta = _lead_automaton(quiver, rules)
+    n = quiver.n_vertices
+    counts = [1] * n + [0] * (len(delta) - n)
+    total = n
     for ell in range(1, degree_bound + 1):
-        nxt = []
-        for w in levels[-1]:
-            for a in quiver.arrows_from[w.target]:
-                cand = w.arrows + (a,)
-                ok = True
-                for la in by_last.get(a, ()):
-                    t = len(la)
-                    if t <= len(cand) and cand[len(cand) - t :] == la:
-                        ok = False
-                        break
-                if ok:
-                    nxt.append(Path(w.source, quiver.a_tgt[a], cand))
-        if not nxt:
-            basis = [p for level in levels for p in sorted(level, key=word_key)]
-            return basis
-        nxt.sort(key=word_key)
-        total += len(nxt)
+        nxt = [0] * len(delta)
+        for i, c in enumerate(counts):
+            if c:
+                for _, j in delta[i]:
+                    nxt[j] += c
+        level_count = sum(nxt)
+        if not level_count:
+            break
+        total += level_count
         if total > count_cap:
             raise DimensionNotResolved(
                 f"dimension not resolved within bound: {total} irreducible paths and growing"
             )
-        levels.append(nxt)
-    raise DimensionNotResolved(
-        f"dimension not resolved within bound {degree_bound}: irreducible paths persist"
-    )
+        counts = nxt
+    else:
+        raise DimensionNotResolved(
+            f"dimension not resolved within bound {degree_bound}: irreducible paths persist"
+        )
+    level = [(trivial_path(v), v) for v in range(n)]
+    basis = [p for p, _ in level]
+    for _ in range(1, ell):
+        level = [
+            (Path(p.source, quiver.a_tgt[a], p.arrows + (a,)), j)
+            for p, i in level
+            for a, j in delta[i]
+        ]
+        basis.extend(sorted((p for p, _ in level), key=word_key))
+    return basis
 
 
 def _check_radical_nilpotent(handle: AlgebraHandle):
@@ -565,8 +605,15 @@ def _check_radical_nilpotent(handle: AlgebraHandle):
 def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
     """Complete a presentation into a confluent system and certify finiteness.
 
+    degree_bound caps the degree of rewriting rules and the length of normal
+    paths.  The normal paths of each length are counted on the automaton of
+    paths that avoid every rule lead, and are listed only once the count of
+    some length up to the bound is zero and the basis holds at most 200000
+    paths.
+
     Raises InvalidPresentation on inadmissible input and DimensionNotResolved
-    when irreducible paths persist at the bound.
+    when a rule exceeds the bound, when normal paths of length degree_bound
+    exist, or when more than 200000 normal paths are found.
     """
     diags = [d for d in validate(pres) if d.code != "zero-coeff"]
     if diags:

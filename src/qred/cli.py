@@ -55,15 +55,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_algebra(path: str, bound: int) -> AlgebraHandle:
+def _read_text(path: str) -> str:
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
         raise CliError(f"{path}: {e.strerror or e}")
+
+
+def _load_algebra(path: str, bound: int) -> AlgebraHandle:
+    text = sys.stdin.read() if path == "-" else _read_text(path)
     try:
         pres = parse_algebra(text)
         return complete(pres, bound)
@@ -265,15 +266,16 @@ def _resolve_module(A, selector: str):
         if vertex not in A.quiver.v_index:
             raise CliError(f"unknown vertex {vertex!r}")
         return f"{kind}:{vertex}", standard_module(A, kind, vertex)
-    try:
-        with open(selector, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(f"{selector}: {e.strerror or e}")
+    return _load_module(selector, A)
+
+
+def _load_module(path: str, A: AlgebraHandle):
+    """(name, module) parsed from a module or bimodule file over A."""
+    text = _read_text(path)
     try:
         return parse_module(text, A)
     except ParseError as e:
-        raise CliError(f"{selector}:{e.line}:{e.col}: {e.message}")
+        raise CliError(f"{path}:{e.line}:{e.col}: {e.message}")
 
 
 def cmd_resolve(args, seed):
@@ -315,10 +317,8 @@ def cmd_witness(args, seed):
         pair_desc = "syzygy"
     elif args.pair:
         env_ab, env_ba = _product_handles(A, B)
-        with open(args.pair[0], encoding="utf-8") as fh:
-            _, M = parse_module(fh.read(), env_ab)
-        with open(args.pair[1], encoding="utf-8") as fh:
-            _, N = parse_module(fh.read(), env_ba)
+        _, M = _load_module(args.pair[0], env_ab)
+        _, N = _load_module(args.pair[1], env_ba)
         pair = WitnessPair(M, N, args.level if args.level is not None else 0)
         pair_desc = f"{args.pair[0]},{args.pair[1]}"
     else:
@@ -365,6 +365,13 @@ def _product_handles(A, B):
     return tensor_with_opposite(A, B), tensor_with_opposite(B, A)
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qred",
@@ -376,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("algebra", help="algebra file")
         if algebra2:
             p.add_argument("algebra2", nargs="?", help="second algebra file")
-        p.add_argument("--bound", type=int, default=20, help="resolution/Tor/completion bound")
+        p.add_argument(
+            "--bound", type=nonnegative_int, default=20, help="resolution/Tor/completion bound"
+        )
         p.add_argument("--seed", type=int, default=None, help="random seed (default QRED_SEED or 0)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--timing", action="store_true", help="record real elapsed time")
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="minimal resolution table of a module")
     common(p)
     p.add_argument("--module", required=True, help="simple:v | projective:v | injective:v | file")
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=nonnegative_int, default=8)
     p.add_argument("--side", choices=("projective", "injective"), default="projective")
     p.set_defaults(func=cmd_resolve)
 
@@ -424,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", action="store_true", help="use the pair (A, A)")
     p.add_argument("--syzygy", action="store_true", help="use (first bimodule syzygy, A)")
     p.add_argument("--pair", nargs=2, metavar=("M", "N"), help="bimodule files")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=nonnegative_int, default=None)
     p.add_argument("--search", action="store_true", help="scan levels 0..level-max")
-    p.add_argument("--level-max", type=int, default=None)
+    p.add_argument("--level-max", type=nonnegative_int, default=None)
     p.set_defaults(func=cmd_witness)
     return ap
 

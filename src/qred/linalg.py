@@ -95,9 +95,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return a / b if self.p is None else self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -180,9 +177,6 @@ class Matrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
@@ -444,9 +438,6 @@ class SubspaceReducer:
                     self.rows[j] = [(a - c * b) % p for a, b in zip(row, v)]
         self.rows[piv] = v
         return True
-
-    def pivot_indices(self) -> list[int]:
-        return sorted(self.rows)
 
     def complement_indices(self) -> list[int]:
         pivs = self.rows

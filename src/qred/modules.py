@@ -67,10 +67,6 @@ class BoundedDim:
     def AtLeast(cls, n: int, bound: int) -> "BoundedDim":
         return cls(False, n, bound)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.exact
-
     def __str__(self):
         return f"Exact({self.value})" if self.exact else f"AtLeast({self.value})"
 
@@ -279,14 +275,6 @@ def path_action(M: Rep, p: Path) -> Matrix:
     out = Matrix.identity(f, M.dims[p.source])
     for a in p.arrows:
         out = M.mats[a] @ out
-    return out
-
-
-def element_action(M: Rep, elem, source: int, target: int) -> Matrix:
-    f = M.algebra.field
-    out = Matrix.zero(f, M.dims[target], M.dims[source])
-    for p, c in elem.items():
-        out = out + path_action(M, p).scale(c)
     return out
 
 

@@ -1,14 +1,15 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the production code paths they certify: the tensor
-oracle builds the relator quotient with raw loops, and the cosyzygy oracle
+oracle builds the relator quotient with raw loops, the cosyzygy oracle
 computes injective dimension from explicit socles and injective envelopes
-instead of the duality route.
+instead of the duality route, and the normal-path oracle lists every path
+level by level with a suffix scan instead of counting on the lead automaton.
 """
 
 from __future__ import annotations
 
-from qred.algebra import Path
+from qred.algebra import DimensionNotResolved, Path, trivial_path, word_key
 from qred.linalg import Matrix, SubspaceReducer
 from qred.modules import (
     Rep,
@@ -139,3 +140,39 @@ def injective_dimension_direct(M: Rep, bound: int):
     if current.is_zero():
         return bound
     return None
+
+
+def enumerate_basis_by_suffix_scan(quiver, rules, degree_bound: int, count_cap: int = 200000):
+    """Normal paths by listing each level and rejecting a path whose suffix is
+    a rule lead; raises DimensionNotResolved exactly as ``complete`` does."""
+    by_last: dict[int, list[tuple[int, ...]]] = {}
+    for lead, _ in rules:
+        by_last.setdefault(lead.arrows[-1], []).append(lead.arrows)
+    levels = [[trivial_path(v) for v in range(quiver.n_vertices)]]
+    total = quiver.n_vertices
+    for ell in range(1, degree_bound + 1):
+        nxt = []
+        for w in levels[-1]:
+            for a in quiver.arrows_from[w.target]:
+                cand = w.arrows + (a,)
+                ok = True
+                for la in by_last.get(a, ()):
+                    t = len(la)
+                    if t <= len(cand) and cand[len(cand) - t :] == la:
+                        ok = False
+                        break
+                if ok:
+                    nxt.append(Path(w.source, quiver.a_tgt[a], cand))
+        if not nxt:
+            basis = [p for level in levels for p in sorted(level, key=word_key)]
+            return basis
+        nxt.sort(key=word_key)
+        total += len(nxt)
+        if total > count_cap:
+            raise DimensionNotResolved(
+                f"dimension not resolved within bound: {total} irreducible paths and growing"
+            )
+        levels.append(nxt)
+    raise DimensionNotResolved(
+        f"dimension not resolved within bound {degree_bound}: irreducible paths persist"
+    )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qred.algebra import (
@@ -6,15 +8,18 @@ from qred.algebra import (
     Path,
     Presentation,
     Quiver,
+    _Completion,
+    _enumerate_basis,
     complete,
     corner_basis,
     opposite_presentation,
     tensor_with_opposite,
     validate,
 )
-from qred.linalg import QQ
+from qred.linalg import QQ, FieldSpec
 
-from corpus import completed_corpus
+from corpus import completed_corpus, random_presentation
+from oracles import enumerate_basis_by_suffix_scan
 
 
 def mk(vertices, arrows, relations, name="A", field=QQ):
@@ -124,6 +129,64 @@ def test_dimension_not_resolved():
     p.relations = []
     with pytest.raises(DimensionNotResolved):
         complete(p, 6)
+
+
+def _basis_outcome(enumerate_basis, quiver, rules, bound, count_cap):
+    try:
+        return enumerate_basis(quiver, rules, bound, count_cap)
+    except DimensionNotResolved as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumerate_basis_matches_suffix_scan_oracle(p):
+    # the same basis, or the same DimensionNotResolved message, on every draw
+    field = FieldSpec(p)
+    outcomes = set()
+    for bound in (6, 10):
+        rng = random.Random(7100 + 10 * p + bound)
+        for _ in range(100):
+            pres = random_presentation(rng, field)
+            if validate(pres):
+                continue
+            try:
+                rules = _Completion(pres, bound).run()
+            except DimensionNotResolved:
+                continue
+            got = _basis_outcome(_enumerate_basis, pres.quiver, rules, bound, 2000)
+            want = _basis_outcome(enumerate_basis_by_suffix_scan, pres.quiver, rules, bound, 2000)
+            assert got == want
+            outcomes.add("finite" if isinstance(got, list) else got.split(": ")[1].split()[-1])
+    assert outcomes == {"finite", "growing", "persist"}
+
+
+def test_enumerate_basis_finite(line2):
+    basis = _enumerate_basis(line2.quiver, line2.rules, 12)
+    assert basis == [Path(0, 0, ()), Path(1, 1, ()), Path(0, 1, (0,))]
+    assert line2.normal_basis == basis
+
+
+def test_enumerate_basis_cap_message_total():
+    # only x*x is a lead, so the normal words of length 0, 1, 2, 3 number
+    # 1, 2, 3, 5: the running total passes 10 at 11, after length 3
+    p = mk(["1"], [("x", "1", "1"), ("y", "1", "1")], [[(("x", "x"), 1)]])
+    rules = _Completion(p, 6).run()
+    msg = r"^dimension not resolved within bound: 11 irreducible paths and growing$"
+    with pytest.raises(DimensionNotResolved, match=msg):
+        _enumerate_basis(p.quiver, rules, 6, count_cap=10)
+    # lengths 0..24 hold F(28) - 2 = 317809 words, the first total past 200000
+    with pytest.raises(DimensionNotResolved, match=r": 317809 irreducible paths and growing$"):
+        complete(p, 30)
+
+
+def test_enumerate_basis_persists_past_bound_on_finite_algebra():
+    # A_5 is finite dimensional, but its longest path has length 4 > 3
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, 5)]
+    p = mk([str(i) for i in range(1, 6)], arrows, [])
+    msg = r"^dimension not resolved within bound 3: irreducible paths persist$"
+    with pytest.raises(DimensionNotResolved, match=msg):
+        complete(p, 3)
+    assert complete(p, 5).dim == 15
 
 
 def test_non_nilpotent_rejected():

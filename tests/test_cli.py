@@ -282,6 +282,32 @@ def test_cli_missing_file(capsys):
     assert code == 2
 
 
+def test_cli_witness_pair_missing_file(capsys, tmp_path):
+    code, out = run(
+        capsys,
+        "witness", fixture("dual_numbers"),
+        "--pair", str(tmp_path / "m.bim"), str(tmp_path / "n.bim"),
+    )
+    assert code == 2
+    assert out.err == f"qred: {tmp_path / 'm.bim'}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--bound", "-3"),
+        ("resolve", "--module", "simple:1", "--steps", "-2"),
+        ("witness", "--identity", "--level", "-1"),
+        ("witness", "--syzygy", "--search", "--level-max", "-1"),
+    ],
+)
+def test_cli_rejects_negative_counts(capsys, argv):
+    code, out = run(capsys, argv[0], fixture("line2"), *argv[1:])
+    assert code == 2
+    assert out.out == ""
+    assert "must be non-negative" in out.err
+
+
 def test_cli_reports_byte_identical(capsys):
     outputs = []
     for _ in range(2):
