@@ -5,7 +5,8 @@ emits a JSON report with a fixed key layout (or a text summary with
 ``--format text``); reports are byte-identical across runs for a fixed seed.
 
 Exit codes: 0 verdict holds / report produced, 1 verdict fails or a step was
-refuted, 2 usage or parse error, 3 inconclusive or conditional.
+refuted, 2 usage or parse error, 3 inconclusive or conditional, 4 internal
+error (a broken internal invariant).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 
 from .algebra import (
     AlgebraHandle,
+    ConsistencyError,
     DimensionNotResolved,
     InvalidPresentation,
     complete,
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -458,6 +461,9 @@ def main(argv=None) -> int:
     except (InvalidPresentation, DimensionNotResolved, ValueError) as e:
         sys.stderr.write(f"qred: {e}\n")
         return EXIT_USAGE
+    except ConsistencyError as e:
+        sys.stderr.write(f"qred: internal error: {e}\n")
+        return EXIT_INTERNAL
     if A is None:  # corner default emitted raw text already
         return code
     elapsed = int((time.monotonic() - t0) * 1000) if args.timing else 0

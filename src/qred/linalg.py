@@ -4,12 +4,20 @@ Everything downstream (normal forms, resolutions, Tor, isomorphism tests)
 reduces to rank/kernel/solve questions over an exact field, so this module
 deliberately avoids floating point: scalars are `fractions.Fraction` over the
 rationals and plain ints in ``[0, p)`` over GF(p).
+
+Gauss-Jordan elimination over Q is fraction-free inside: each row is scaled to
+a primitive integer vector (denominators cleared, content divided out), rows
+are combined by integer cross-multiplication and divided by their content
+again, and only the reduced rows are turned back into `Fraction` entries, by
+dividing each by its pivot.  The reduced row echelon form is unique, so the
+results are the same Fractions a Fraction elimination gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "FieldSpec",
@@ -110,6 +118,18 @@ class FieldSpec:
 
 
 QQ = FieldSpec()
+
+
+def _primitive_row(row: list) -> list[int]:
+    """The integer row with coprime entries on the same line as a rational row."""
+    nz = [(k, x.numerator, x.denominator) for k, x in enumerate(row) if x]
+    den = lcm(*(d for _, _, d in nz))
+    vals = [n * (den // d) for _, n, d in nz]
+    g = gcd(*vals)
+    ints = [0] * len(row)
+    for (k, _, _), x in zip(nz, vals):
+        ints[k] = x // g
+    return ints
 
 
 class Matrix:
@@ -239,21 +259,19 @@ class Matrix:
         return out
 
     def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
+        """Matrix times column vector, skipping the zero entries of vec."""
+        # zero tests by truth value: a Fraction's __bool__ is cheaper than __eq__
         p = self.field.p
+        zero = self.field.zero()
+        nz = [(k, b) for k, b in enumerate(vec) if b]
         out = []
         for row in self.data:
-            if p is None:
-                s = Fraction(0)
-                for a, b in zip(row, vec):
-                    if a != 0 and b != 0:
-                        s += a * b
-            else:
-                s = 0
-                for a, b in zip(row, vec):
+            s = zero
+            for k, b in nz:
+                a = row[k]
+                if a:
                     s += a * b
-                s %= p
-            out.append(s)
+            out.append(s if p is None else s % p)
         return out
 
     def transpose(self) -> "Matrix":
@@ -275,10 +293,17 @@ class Matrix:
         )
 
     def _rref_inplace(self, m: list[list]) -> tuple[int, list[int]]:
-        """Reduce ``m`` to reduced row echelon form; return (rank, pivot columns)."""
-        p = self.field.p
+        """Reduce ``m`` to reduced row echelon form; return (rank, pivot columns).
+
+        Over Q the rows are eliminated as primitive integer vectors and turned
+        back into Fractions once, at the end.
+        """
         nrows = len(m)
         ncols = len(m[0]) if m else 0
+        p = self.field.p
+        if p is None:
+            for i, row in enumerate(m):
+                m[i] = _primitive_row(row)
         pivots: list[int] = []
         r = 0
         for c in range(ncols):
@@ -294,16 +319,18 @@ class Matrix:
             row = m[r]
             piv = row[c]
             if p is None:
-                if piv != 1:
-                    inv = Fraction(1) / piv
-                    m[r] = row = [x * inv for x in row]
                 for i in range(nrows):
                     if i == r:
                         continue
                     f = m[i][c]
                     if f != 0:
-                        mi = m[i]
-                        m[i] = [a - f * b for a, b in zip(mi, row)]
+                        g = gcd(piv, f)
+                        a, b = piv // g, f // g
+                        new = [a * x - b * y for x, y in zip(m[i], row)]
+                        g = gcd(*new)
+                        if g > 1:
+                            new = [x // g for x in new]
+                        m[i] = new
             else:
                 if piv != 1:
                     inv = pow(piv, p - 2, p)
@@ -319,6 +346,11 @@ class Matrix:
             r += 1
             if r == nrows:
                 break
+        if p is None:
+            zero = Fraction(0)
+            for i in range(nrows):
+                piv = m[i][pivots[i]] if i < r else 1
+                m[i] = [Fraction(x, piv) if x else zero for x in m[i]]
         return r, pivots
 
     def rref(self) -> tuple["Matrix", int, list[int]]:
@@ -358,8 +390,7 @@ class Matrix:
         """Some x with self @ x = rhs, or None; free variables are set to zero."""
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        aug = self.hstack(rhs)
-        m = [row[:] for row in aug.data]
+        m = self.hstack(rhs).data
         rank, pivots = self._rref_inplace(m)
         f = self.field
         for pc in pivots:
@@ -398,16 +429,16 @@ class SubspaceReducer:
         v = list(vec)
         for j in sorted(self.rows):
             c = v[j]
-            if c != 0:
+            if c:
                 row = self.rows[j]
                 if p is None:
-                    v = [a - c * b for a, b in zip(v, row)]
+                    v = [a - c * b if b else a for a, b in zip(v, row)]
                 else:
                     v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
     def contains(self, vec: list) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def insert(self, vec: list) -> bool:
         """Add vec to the span; True if the rank grew."""
@@ -416,7 +447,7 @@ class SubspaceReducer:
         v = self.reduce(vec)
         piv = None
         for j, c in enumerate(v):
-            if c != 0:
+            if c:
                 piv = j
                 break
         if piv is None:
@@ -425,15 +456,15 @@ class SubspaceReducer:
         if c != f.one():
             inv = f.inv(c)
             if p is None:
-                v = [x * inv for x in v]
+                v = [x * inv if x else x for x in v]
             else:
                 v = [x * inv % p for x in v]
         # keep existing rows reduced against the new one
         for j, row in self.rows.items():
             c = row[piv]
-            if c != 0:
+            if c:
                 if p is None:
-                    self.rows[j] = [a - c * b for a, b in zip(row, v)]
+                    self.rows[j] = [a - c * b if b else a for a, b in zip(row, v)]
                 else:
                     self.rows[j] = [(a - c * b) % p for a, b in zip(row, v)]
         self.rows[piv] = v

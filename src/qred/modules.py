@@ -353,23 +353,44 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
     return out
 
 
+def _map_from_projective(P: Rep, info: ProjectiveInfo, M: Rep, images) -> RepMap:
+    """The map P -> M sending the generator of summand j to images[j].
+
+    The column of a basis path p of summand j is p acting on images[j]; it is
+    propagated along the arrows, column(p.a) = M_a column(p), and memoized by
+    (summand, arrows) for this call only.
+    """
+    columns = {}
+
+    def column(j, arrows):
+        key = (j, arrows)
+        col = columns.get(key)
+        if col is None:
+            col = images[j] if not arrows else M.mats[arrows[-1]].apply(column(j, arrows[:-1]))
+            columns[key] = col
+        return col
+
+    f = M.algebra.field
+    mats = [
+        Matrix.from_columns(f, [column(j, p.arrows) for j, p in info.basis[u]], nrows=M.dims[u])
+        for u in range(len(M.dims))
+    ]
+    return RepMap(P, M, mats)
+
+
+def _unit_vector(f, n: int, i: int) -> list:
+    vec = [f.zero()] * n
+    vec[i] = f.one()
+    return vec
+
+
 def hom_from_projective(A: AlgebraHandle, v: int, M: Rep) -> list[RepMap]:
     """Basis of Hom(P_v, M) via Hom(Ae_v, M) = e_v M; no linear solve."""
     P, info = projective(A, v)
-    f = A.field
-    q = A.quiver
-    out = []
-    for t in range(M.dims[v]):
-        mats = []
-        for u in range(q.n_vertices):
-            m = Matrix.zero(f, M.dims[u], P.dims[u])
-            for col, (_, p) in enumerate(info.basis[u]):
-                col_vec = path_action(M, p).column(t)
-                for i in range(M.dims[u]):
-                    m.data[i][col] = col_vec[i]
-            mats.append(m)
-        out.append(RepMap(P, M, mats))
-    return out
+    return [
+        _map_from_projective(P, info, M, [_unit_vector(A.field, M.dims[v], t)])
+        for t in range(M.dims[v])
+    ]
 
 
 # -- radical, socle, covers -------------------------------------------------
@@ -452,23 +473,28 @@ def socle_reducers(M: Rep) -> list[SubspaceReducer]:
 
 
 def sub_rep(M: Rep, vectors_per_vertex):
-    """Subrepresentation spanned by the given vectors; (rep, inclusion)."""
+    """Subrepresentation spanned by the given vectors; (rep, inclusion).
+
+    The basis at each vertex is the reduced echelon basis of the span, so the
+    coordinates of a vector of the span are its entries at the pivots.
+    Raises ValueError when the span is not stable under the arrow actions.
+    """
     A = M.algebra
     f = A.field
     q = A.quiver
-    bases = []
-    for u in range(q.n_vertices):
-        red = SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
-        bases.append(Matrix.from_columns(f, red.basis_rows(), nrows=M.dims[u]))
-    dims = [b.cols for b in bases]
+    reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
+    basis_rows = [red.basis_rows() for red in reducers]
+    dims = [len(rows) for rows in basis_rows]
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        image = M.mats[a] @ bases[src]
-        coords = bases[tgt].solve(image)
-        if coords is None:
+        image = [M.mats[a].apply(row) for row in basis_rows[src]]
+        red = reducers[tgt]
+        if not all(red.contains(col) for col in image):
             raise ValueError("span is not stable under the arrow actions")
-        mats.append(coords)
+        pivots = sorted(red.rows)
+        mats.append(Matrix(f, dims[tgt], dims[src], [[col[j] for col in image] for j in pivots]))
+    bases = [Matrix.from_columns(f, rows, nrows=M.dims[u]) for u, rows in enumerate(basis_rows)]
     S = Rep(A, dims, mats)
     incl = RepMap(S, M, bases)
     return S, incl
@@ -518,27 +544,17 @@ def kernel_subrep(f_map: RepMap):
 
 
 def projective_cover(M: Rep):
-    """Minimal projective cover (P, pi, info); kernel of pi lies in rad P."""
+    """Minimal projective cover (P, pi, info); kernel of pi lies in rad P.
+
+    P has one summand P_u per basis vector e_i of M_u outside the echelon
+    pivots of rad M, and pi sends its generator to e_i.
+    """
     A = M.algebra
-    q = A.quiver
     red = radical_reducers(M)
-    gens = []
-    for u in range(q.n_vertices):
-        for idx in red[u].complement_indices():
-            gens.append((u, idx))
+    gens = [(u, idx) for u in range(A.quiver.n_vertices) for idx in red[u].complement_indices()]
     P, info = _projective_sum(A, [u for u, _ in gens])
-    f = A.field
-    mats = []
-    for u in range(q.n_vertices):
-        m = Matrix.zero(f, M.dims[u], P.dims[u])
-        for col, (j, p) in enumerate(info.basis[u]):
-            gv, gidx = gens[j]
-            colvec = path_action(M, p).column(gidx)
-            for i in range(M.dims[u]):
-                m.data[i][col] = colvec[i]
-        mats.append(m)
-    pi = RepMap(P, M, mats)
-    return P, pi, info
+    images = [_unit_vector(A.field, M.dims[u], idx) for u, idx in gens]
+    return P, _map_from_projective(P, info, M, images), info
 
 
 def is_projective(M: Rep) -> bool:
@@ -672,13 +688,13 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None, tries: int =
     for (name, a), (_, b) in zip(invM, invN):
         if a != b:
             return IsoResult("no", invariant=name)
-    endM = len(hom_basis(M, M))
-    endN = len(hom_basis(N, N))
-    if endM != endN:
+    endM = hom_basis(M, M)
+    endN = endM if N is M else hom_basis(N, N)
+    if len(endM) != len(endN):
         return IsoResult("no", invariant="dim End")
     if M.total_dim == 0:
         return IsoResult("yes", witness=identity_map(M))
-    homs = hom_basis(M, N)
+    homs = endM if N is M else hom_basis(M, N)
     d = len(homs)
     if d == 0:
         # equal dimensions but no homomorphisms at all: rigorous rejection

@@ -3,11 +3,17 @@
 These deliberately avoid the production code paths they certify: the tensor
 oracle builds the relator quotient with raw loops, the cosyzygy oracle
 computes injective dimension from explicit socles and injective envelopes
-instead of the duality route, and the normal-path oracle lists every path
-level by level with a suffix scan instead of counting on the lead automaton.
+instead of the duality route, the normal-path oracle lists every path level
+by level with a suffix scan instead of counting on the lead automaton, the
+rref oracle eliminates on Fraction rows instead of primitive integer rows,
+the cover oracles take one product of arrow matrices per basis path instead
+of propagating columns along arrows, and the subrepresentation oracle solves
+for coordinates instead of reading them at the echelon pivots.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from qred.algebra import DimensionNotResolved, Path, trivial_path, word_key
 from qred.linalg import Matrix, SubspaceReducer
@@ -16,7 +22,9 @@ from qred.modules import (
     RepMap,
     injective,
     path_action,
+    projective,
     quotient_rep,
+    radical_reducers,
     socle_reducers,
     validate_rep,
 )
@@ -176,3 +184,106 @@ def enumerate_basis_by_suffix_scan(quiver, rules, degree_bound: int, count_cap: 
     raise DimensionNotResolved(
         f"dimension not resolved within bound {degree_bound}: irreducible paths persist"
     )
+
+
+def rref_by_fractions(rows: list[list]) -> tuple[list[list], int, list[int]]:
+    """Gauss-Jordan over Q on Fraction rows: (reduced rows, rank, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        piv = row[c]
+        if piv != 1:
+            inv = Fraction(1) / piv
+            m[r] = row = [x * inv for x in row]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, r, pivots
+
+
+def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:
+    """Per vertex, the matrix whose column for the basis path (j, p) is
+    path_action(M, p) applied to images[j]."""
+    f = M.algebra.field
+    mats = []
+    for u, paths in enumerate(basis):
+        m = Matrix.zero(f, M.dims[u], len(paths))
+        for col, (j, p) in enumerate(paths):
+            act = path_action(M, p)
+            for i in range(M.dims[u]):
+                m.data[i][col] = sum_entries(f, act.data[i], images[j])
+        mats.append(m)
+    return mats
+
+
+def projective_cover_by_path_action(M: Rep):
+    """(summand vertices, basis, matrices of pi) of the minimal projective cover.
+
+    One summand per basis vector of M_u outside the echelon pivots of rad M;
+    the basis of the sum lists, per vertex, (summand, path) by summand and then
+    in paths_from order.
+    """
+    A = M.algebra
+    f = A.field
+    n = A.quiver.n_vertices
+    red = radical_reducers(M)
+    gens = [(u, idx) for u in range(n) for idx in red[u].complement_indices()]
+    basis = [
+        [(j, p) for j, (v, _) in enumerate(gens) for p in A.paths_from(v) if p.target == u]
+        for u in range(n)
+    ]
+    images = [[f.one() if k == idx else f.zero() for k in range(M.dims[v])] for v, idx in gens]
+    return [v for v, _ in gens], basis, _columns_by_path_action(M, basis, images)
+
+
+def hom_from_projective_by_path_action(A, v: int, M: Rep) -> list[list[Matrix]]:
+    """The matrices of the basis of Hom(P_v, M) dual to the standard basis of M_v."""
+    f = A.field
+    _, info = projective(A, v)
+    return [
+        _columns_by_path_action(
+            M, info.basis, [[f.one() if k == t else f.zero() for k in range(M.dims[v])]]
+        )
+        for t in range(M.dims[v])
+    ]
+
+
+def sub_rep_by_solve(M: Rep, vectors_per_vertex):
+    """(dims, arrow matrices, inclusion matrices) of the span of the vectors,
+    each arrow matrix solved from basis @ X = arrow @ basis; raises
+    ValueError when the span is not stable."""
+    f = M.algebra.field
+    q = M.algebra.quiver
+    bases = [
+        Matrix.from_columns(
+            f, SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]).basis_rows(), nrows=M.dims[u]
+        )
+        for u in range(q.n_vertices)
+    ]
+    mats = []
+    for a in range(q.n_arrows):
+        coords = bases[q.a_tgt[a]].solve(M.mats[a] @ bases[q.a_src[a]])
+        if coords is None:
+            raise ValueError("span is not stable under the arrow actions")
+        mats.append(coords)
+    return [b.cols for b in bases], mats, bases

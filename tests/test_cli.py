@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qred import cli
-from qred.algebra import complete
+from qred.algebra import ConsistencyError, complete
 from qred.parser import ParseError, algebra_to_text, parse_algebra, parse_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -290,6 +290,17 @@ def test_cli_witness_pair_missing_file(capsys, tmp_path):
     )
     assert code == 2
     assert out.err == f"qred: {tmp_path / 'm.bim'}: No such file or directory\n"
+
+
+def test_cli_internal_error_exits_4(capsys, monkeypatch):
+    def broken(args, seed):
+        raise ConsistencyError("corner radical is not nilpotent")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    code, out = run(capsys, "analyze", fixture("line2"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out.out == ""
+    assert out.err == "qred: internal error: corner radical is not nilpotent\n"
 
 
 @pytest.mark.parametrize(

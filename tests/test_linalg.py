@@ -5,6 +5,8 @@ import pytest
 
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
 
+from oracles import rref_by_fractions
+
 GF2 = FieldSpec(2)
 GF5 = FieldSpec(5)
 
@@ -108,6 +110,88 @@ def test_solve_exactness(field):
         x = m.solve(rhs)
         assert x is not None
         assert m @ x == rhs  # exact, no tolerance
+
+
+def _random_rational_rows(rng, rows, cols):
+    """Sparse signed rationals with zero rows, zero columns, duplicate, scaled
+    and combined rows mixed in."""
+    dens = (1, 1, 1, 2, 3, 7)
+    out = [
+        [
+            Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.45 else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    for c in range(cols):
+        if rng.random() < 0.15:
+            for row in out:
+                row[c] = Fraction(0)
+    for i in range(rows):
+        roll = rng.random()
+        if i and roll < 0.15:
+            out[i] = list(out[rng.randrange(i)])
+        elif i and roll < 0.3:
+            s = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice(dens))
+            out[i] = [s * x for x in out[rng.randrange(i)]]
+        elif i > 1 and roll < 0.45:
+            a, b = rng.sample(range(i), 2)
+            out[i] = [x - Fraction(2, 3) * y for x, y in zip(out[a], out[b])]
+        elif roll < 0.5:
+            out[i] = [Fraction(0)] * cols
+    return out
+
+
+def _shapes(rng):
+    yield 0, 0
+    yield 0, 4
+    for n in (1, 2, 7, 16):
+        yield 1, n
+        yield n, 1
+    yield 12, 16
+    yield 16, 12
+    for _ in range(140):
+        yield rng.randint(0, 12), rng.randint(0, 16)
+
+
+def test_rref_kernel_solve_match_fraction_oracle():
+    """Integer-row elimination over Q against the Fraction Gauss-Jordan."""
+    rng = random.Random(20251)
+    outcomes = set()
+    for rows, cols in _shapes(rng):
+        data = _random_rational_rows(rng, rows, cols)
+        m = Matrix(QQ, rows, cols, [list(r) for r in data])
+        red, rank, pivots = m.rref()
+        exp, exp_rank, exp_pivots = rref_by_fractions(data)
+        assert (red.data, rank, pivots) == (exp, exp_rank, exp_pivots)
+        assert m.data == data  # the input is left as it was
+
+        free = [j for j in range(cols) if j not in exp_pivots]
+        ker = m.kernel_basis()
+        assert (ker.rows, ker.cols) == (cols, len(free))
+        for k, j in enumerate(free):
+            expected = [Fraction(0)] * cols
+            expected[j] = Fraction(1)
+            for i, pc in enumerate(exp_pivots):
+                expected[pc] = -exp[i][j]
+            assert ker.column(k) == expected
+
+        x0 = Matrix(QQ, cols, 2, _random_rational_rows(rng, cols, 2))
+        for rhs in (m @ x0, Matrix(QQ, rows, 2, _random_rational_rows(rng, rows, 2))):
+            aug, _, aug_pivots = rref_by_fractions([r + s for r, s in zip(data, rhs.data)])
+            x = m.solve(rhs)
+            if any(pc >= cols for pc in aug_pivots):
+                assert x is None
+                outcomes.add("unsolvable")
+                continue
+            expected = [[Fraction(0)] * 2 for _ in range(cols)]
+            for i, pc in enumerate(aug_pivots):
+                expected[pc] = aug[i][cols:]
+            assert x.data == expected
+            assert m @ x == rhs
+            outcomes.add("solvable")
+        outcomes.add("full rank" if rank == min(rows, cols) else "rank deficient")
+    assert outcomes == {"solvable", "unsolvable", "full rank", "rank deficient"}
 
 
 def test_subspace_reducer_membership():

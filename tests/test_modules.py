@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qred.algebra import Path
-from qred.linalg import QQ
+from qred.linalg import FieldSpec, QQ
 from qred.modules import (
     BoundedDim,
     dual,
@@ -17,6 +17,7 @@ from qred.modules import (
     pd_bounded,
     projective,
     projective_cover,
+    quotient_rep,
     radical_layer_dims,
     radical_reducers,
     regular_bimodule,
@@ -26,7 +27,9 @@ from qred.modules import (
     simple,
     split_projective_summands,
     stable_isomorphic,
+    stable_span,
     standard_module,
+    sub_rep,
     tensor_over,
     top_dims,
     validate_rep,
@@ -35,7 +38,13 @@ from qred.modules import (
 from qred.reduction import corner_module_Ae, corner_module_eA, corner_presentation
 
 from corpus import completed_corpus
-from oracles import brute_tensor_dim, injective_dimension_direct
+from oracles import (
+    brute_tensor_dim,
+    hom_from_projective_by_path_action,
+    injective_dimension_direct,
+    projective_cover_by_path_action,
+    sub_rep_by_solve,
+)
 
 
 def test_standard_modules_line2(line2):
@@ -102,6 +111,81 @@ def test_cover_kernel_in_radical(tri_dual, bowtie):
             ker = pi.mats[u].kernel_basis()
             for j in range(ker.cols):
                 assert red[u].contains(ker.column(j))
+
+
+def _random_gens(rng, M):
+    """At each vertex of M, one sparse random vector or none."""
+    f = M.algebra.field
+    return [
+        [[f.from_int(rng.randint(-3, 3)) if rng.random() < 0.6 else f.zero() for _ in range(d)]]
+        if d and rng.random() < 0.6
+        else []
+        for d in M.dims
+    ]
+
+
+def _sample_modules(A, rng):
+    """Regular, simple, projective and injective modules, a random quotient of
+    the sum of the indecomposable projectives, and the first syzygies of the
+    simples."""
+    n = A.quiver.n_vertices
+    mods = [regular_rep(A)]
+    for v in range(n):
+        mods += [simple(A, v), projective(A, v)[0], injective(A, v)]
+    P, _ = rep_direct_sum([projective(A, v)[0] for v in range(n)])
+    mods.append(quotient_rep(P, stable_span(P, _random_gens(rng, P)))[0])
+    for v in range(n):
+        res = minimal_resolution(simple(A, v), 1)
+        mods += res.syzygies
+    return [M for M in mods if not M.is_zero()]
+
+
+def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, bowtie, corner_mono):
+    """Arrow-by-arrow cover columns against one path_action product per basis
+    path, and pivot-read sub_rep coordinates against solving for them, on the
+    fixtures over Q and seeded corpora over GF(2), GF(3) and GF(5)."""
+    algebras = [dual_numbers, line2, tri_dual, bowtie, corner_mono]
+    for seed, p in ((31, 2), (32, 3), (33, 5)):
+        algebras += completed_corpus(seed, 6, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+    rng = random.Random(4242)
+    outcomes = set()
+    for A in algebras:
+        n = A.quiver.n_vertices
+        for M in _sample_modules(A, rng):
+            P, pi, info = projective_cover(M)
+            summands, basis, mats = projective_cover_by_path_action(M)
+            assert (info.summands, info.basis, pi.mats) == (summands, basis, mats)
+            for v in range(n):
+                got = [h.mats for h in hom_from_projective(A, v, M)]
+                assert got == hom_from_projective_by_path_action(A, v, M)
+
+            kernel = [pi.mats[u].kernel_basis().columns() for u in range(n)]
+            spans = [(P, kernel), (M, stable_span(M, _random_gens(rng, M))), (M, _random_gens(rng, M))]
+            for target, vecs in spans:
+                try:
+                    expected = sub_rep_by_solve(target, vecs)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not stable"):
+                        sub_rep(target, vecs)
+                    outcomes.add("unstable")
+                    continue
+                S, incl = sub_rep(target, vecs)
+                assert (S.dims, S.mats, incl.mats) == expected
+                outcomes.add("stable")
+    assert outcomes == {"stable", "unstable"}
+
+
+def test_sub_rep_rejects_unstable_span(line2):
+    P1 = projective(line2, 0)[0]  # dims [1, 1]; the arrow maps the top onto the socle
+    one = line2.field.one()
+    with pytest.raises(ValueError, match="not stable under the arrow actions"):
+        sub_rep(P1, [[[one]], []])
+    P, _ = rep_direct_sum([P1, P1])  # the arrow acts as the identity of k^2
+    zero = line2.field.zero()
+    with pytest.raises(ValueError, match="not stable under the arrow actions"):
+        sub_rep(P, [[[one, zero]], [[zero, one]]])
+    S, _ = sub_rep(P, [[[one, zero]], [[one, zero]]])
+    assert S.dims == [1, 1] and S.mats[0].data == [[one]]
 
 
 def test_resolution_line2(line2):
