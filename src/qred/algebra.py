@@ -570,6 +570,12 @@ def _check_radical_nilpotent(handle: AlgebraHandle):
     f = handle.field
     dim = handle.dim
     arrows = [p for p in handle.normal_basis if len(p.arrows) == 1]
+    # (j, p_j.a) for the basis paths p_j that compose with a; p -> p.a is
+    # injective on paths, so the terms of each product are distinct
+    products = []
+    for a in arrows:
+        images = enumerate(compose(p, a) for p in handle.normal_basis)
+        products.append([(j, pa) for j, pa in images if pa is not None])
     current = SubspaceReducer(f, dim)
     for p in handle.normal_basis:
         if len(p.arrows) >= 1:
@@ -579,17 +585,8 @@ def _check_radical_nilpotent(handle: AlgebraHandle):
             return
         nxt = SubspaceReducer(f, dim)
         for row in current.basis_rows():
-            for a in arrows:
-                acc: Element = {}
-                for j, c in enumerate(row):
-                    if c == 0:
-                        continue
-                    for w, d in handle.mul_paths(handle.normal_basis[j], a).items():
-                        s = f.add(acc.get(w, f.zero()), f.mul(c, d))
-                        if s == 0:
-                            acc.pop(w, None)
-                        else:
-                            acc[w] = s
+            for terms in products:
+                acc = handle.normal_form({pa: row[j] for j, pa in terms if row[j]})
                 if acc:
                     nxt.insert(handle.basis_coords(acc))
         if nxt.rank >= current.rank:

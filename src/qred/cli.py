@@ -229,7 +229,7 @@ def cmd_check(args, seed):
         return A, results, trace, [], False, EXIT_FAIL
     props = PROPERTIES if args.property == "all" else (args.property,)
     verdict = property_verdict(A, None if args.property == "all" else args.property,
-                               args.bound, extra_steps=steps, seed=seed)
+                               args.bound, extra_steps=steps)
     trace = [_step_json(s) for s in verdict.steps]
     certs = [
         {

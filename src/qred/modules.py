@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraHandle, Path, trivial_path
+from .algebra import AlgebraHandle, Path
 from .linalg import Matrix, SubspaceReducer
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "injective",
     "standard_module",
     "regular_rep",
+    "action_rep",
     "rep_direct_sum",
     "path_action",
     "validate_rep",
@@ -46,6 +47,8 @@ __all__ = [
     "split_projective_summands",
     "stable_isomorphic",
     "tensor_over",
+    "restrict",
+    "Restriction",
     "TensorFunctor",
     "TensorResult",
 ]
@@ -188,30 +191,52 @@ class ProjectiveInfo:
     gen_pos: list[tuple[int, int]]  # per summand: (vertex, row within that vertex)
 
 
-def _projective_sum(A: AlgebraHandle, vertices: list[int]):
-    f = A.field
+def action_rep(A: AlgebraHandle, basis, image) -> Rep:
+    """The Rep over A with an ordered basis of keys at each vertex.
+
+    basis[u] lists the keys spanning the component at vertex u, in order;
+    arrow a sends the key k at its source to image(a, k), a dict from keys at
+    its target to coefficients.  Every module with a basis of normal paths is
+    built here (projectives, A, the regular bimodule, the corner modules eA
+    and Ae, the idempotent candidates), each caller stating only its basis
+    and its product.
+    """
     q = A.quiver
-    basis = [[] for _ in range(q.n_vertices)]
-    for j, v in enumerate(vertices):
-        for p in A.paths_from(v):
-            basis[p.target].append((j, p))
-    index = [
-        {key: i for i, key in enumerate(basis[u])} for u in range(q.n_vertices)
-    ]
+    index = [{key: i for i, key in enumerate(b)} for b in basis]
     dims = [len(b) for b in basis]
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        arrow_path = Path(src, tgt, (a,))
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for col, (j, p) in enumerate(basis[src]):
-            for w, c in A.mul_paths(p, arrow_path).items():
-                m.data[index[tgt][(j, w)]][col] = c
+        m = Matrix.zero(A.field, dims[tgt], dims[src])
+        for col, key in enumerate(basis[src]):
+            for w, c in image(a, key).items():
+                m.data[index[tgt][w]][col] = c
         mats.append(m)
-    gen_pos = [
-        (v, index[v][(j, trivial_path(v))]) for j, v in enumerate(vertices)
-    ]
-    return Rep(A, dims, mats), ProjectiveInfo(list(vertices), basis, gen_pos)
+    return Rep(A, dims, mats)
+
+
+def arrow_paths(A: AlgebraHandle) -> list[Path]:
+    """The arrows of A as paths of length one."""
+    q = A.quiver
+    return [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
+
+
+def _projective_sum(A: AlgebraHandle, vertices: list[int]):
+    basis = [[] for _ in range(A.quiver.n_vertices)]
+    gen_pos = []
+    for j, v in enumerate(vertices):
+        for p in A.paths_from(v):
+            if not p.arrows:
+                gen_pos.append((v, len(basis[v])))
+            basis[p.target].append((j, p))
+    arrows = arrow_paths(A)
+
+    def image(a, key):
+        j, p = key
+        product = A.mul_paths(p, arrows[a])  # most often zero: no dict to build
+        return {(j, w): c for w, c in product.items()} if product else product
+
+    return action_rep(A, basis, image), ProjectiveInfo(list(vertices), basis, gen_pos)
 
 
 def projective(A: AlgebraHandle, v: int):
@@ -253,21 +278,9 @@ def standard_module(A: AlgebraHandle, kind: str, vertex_name: str) -> Rep:
 
 def regular_rep(A: AlgebraHandle) -> Rep:
     """A as a left module over itself (basis: normal paths, graded by target)."""
-    f = A.field
-    q = A.quiver
-    basis = [A.paths_to(u) for u in range(q.n_vertices)]
-    index = [{p: i for i, p in enumerate(b)} for b in basis]
-    dims = [len(b) for b in basis]
-    mats = []
-    for a in range(q.n_arrows):
-        src, tgt = q.a_src[a], q.a_tgt[a]
-        arrow_path = Path(src, tgt, (a,))
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for col, p in enumerate(basis[src]):
-            for w, c in A.mul_paths(p, arrow_path).items():
-                m.data[index[tgt][w]][col] = c
-        mats.append(m)
-    return Rep(A, dims, mats)
+    arrows = arrow_paths(A)
+    basis = [A.paths_to(u) for u in range(A.quiver.n_vertices)]
+    return action_rep(A, basis, lambda a, p: A.mul_paths(p, arrows[a]))
 
 
 def path_action(M: Rep, p: Path) -> Matrix:
@@ -797,92 +810,75 @@ def stable_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoRe
     return is_isomorphic(coreM, coreN, rng)
 
 
-# -- balanced tensor products -----------------------------------------------
+# -- one-sided restrictions and balanced tensor products --------------------
 
 
-@dataclass
-class _Side:
-    middle: AlgebraHandle
-    outer: AlgebraHandle | None
-    groups: list[list[tuple[int, int]]]  # per middle vertex: (rep vertex, local index)
-    outer_tag: list[list[int]]  # per middle vertex: outer vertex of each entry (or 0)
+class Restriction(Rep):
+    """A module over a product L (x) R^op seen over one of its factors.
+
+    entries[v] names the coordinate of the original Rep behind each basis
+    vector at vertex v, as (vertex, index); pos[v] inverts entries[v].  outer
+    is the factor whose action was forgotten, None for a one-sided Rep.
+    """
+
+    __slots__ = ("outer", "entries", "pos")
+
+    def __init__(self, algebra, dims, mats, outer, entries, pos):
+        super().__init__(algebra, dims, mats)
+        self.outer = outer
+        self.entries = entries
+        self.pos = pos
 
 
-def _analyze_side(rep: Rep, side: str) -> _Side:
-    alg = rep.algebra
-    prod = alg.product
-    if prod is not None:
-        if side == "right":
-            middle, outer = prod.right, prod.left
-            def key(u, w):
-                return (w, u)
-        else:
-            middle, outer = prod.left, prod.right
-            def key(u, w):
-                return (u, w)
-        groups = [[] for _ in range(middle.quiver.n_vertices)]
-        tags = [[] for _ in range(middle.quiver.n_vertices)]
-        for pi, (u, w) in enumerate(prod.vertex_pairs):
-            mid_v, out_v = key(u, w)
-            for i in range(rep.dims[pi]):
-                groups[mid_v].append((pi, i))
-                tags[mid_v].append(out_v)
-        return _Side(middle, outer, groups, tags)
-    if side == "right":
-        middle = alg._opposite
-        if middle is None:
+def restrict(M: Rep, side: str) -> Restriction:
+    """Forget one action of a bimodule; dimension is preserved.
+
+    For M over L (x) R^op, side 'left' gives a module over L and side 'right'
+    a module over R^op.  The coordinates at a vertex are those of M at the
+    product vertices over it, in product-vertex order.  A one-sided Rep is
+    its own restriction; as a right module it must be a Rep over an opposite
+    handle.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    prod = M.algebra.product
+    if prod is None:
+        if side == "right" and M.algebra._opposite is None:
             raise ValueError(
                 "a right module must be a Rep over an opposite handle or a product"
             )
+        entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
+        pos = [{e: i for i, e in enumerate(es)} for es in entries]
+        return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
+    if side == "left":
+        target, outer, own = prod.left, prod.right, 0
     else:
-        middle = alg
-    groups = [[] for _ in range(middle.quiver.n_vertices)]
-    tags = [[] for _ in range(middle.quiver.n_vertices)]
-    for v in range(middle.quiver.n_vertices):
-        for i in range(rep.dims[v]):
-            groups[v].append((v, i))
-            tags[v].append(0)
-    return _Side(middle, None, groups, tags)
-
-
-def _middle_action(rep: Rep, side_info: _Side, side: str, arrow: int) -> Matrix:
-    """Assembled action of the middle arrow on the grouped coordinates.
-
-    right side: X^{(t(c))} -> X^{(s(c))}; left side: Y^{(s(c))} -> Y^{(t(c))}.
-    """
-    mid = side_info.middle
-    f = rep.algebra.field
-    prod = rep.algebra.product
-    s, t = mid.quiver.a_src[arrow], mid.quiver.a_tgt[arrow]
-    src_grp, tgt_grp = (t, s) if side == "right" else (s, t)
-    gsrc, gtgt = side_info.groups[src_grp], side_info.groups[tgt_grp]
-    pos_tgt = {key: i for i, key in enumerate(gtgt)}
-    m = Matrix.zero(f, len(gtgt), len(gsrc))
-    if prod is None:
-        amat = rep.mats[arrow]
-        for col, (v, i) in enumerate(gsrc):
-            for r in range(amat.rows):
-                c = amat.data[r][i]
+        target, outer, own = prod.right.opposite(), prod.left, 1
+    entries = [[] for _ in range(target.quiver.n_vertices)]
+    for pi, pair in enumerate(prod.vertex_pairs):
+        entries[pair[own]].extend((pi, i) for i in range(M.dims[pi]))
+    pos = [{e: i for i, e in enumerate(es)} for es in entries]
+    dims = [len(es) for es in entries]
+    mats = []
+    for a in range(target.quiver.n_arrows):
+        src, tgt = target.quiver.a_src[a], target.quiver.a_tgt[a]
+        m = Matrix.zero(M.algebra.field, dims[tgt], dims[src])
+        for col, (pi, i) in enumerate(entries[src]):
+            u, w = prod.vertex_pairs[pi]
+            if side == "left":
+                pa = prod.left_arrow[(a, w)]
+                tgt_pair = prod.pair_index[(tgt, w)]
+            else:
+                # arrow a of R^op is arrow a of R reversed, acting on the right
+                pa = prod.right_arrow[(u, a)]
+                tgt_pair = prod.pair_index[(u, tgt)]
+            block = M.mats[pa]
+            for r in range(block.rows):
+                c = block.data[r][i]
                 if c != 0:
-                    m.data[pos_tgt[(tgt_grp, r)]][col] = c
-        return m
-    for col, (pi, i) in enumerate(gsrc):
-        u, w = prod.vertex_pairs[pi]
-        if side == "right":
-            pa = prod.right_arrow[(u, arrow)]
-        else:
-            pa = prod.left_arrow[(arrow, w)]
-        amat = rep.mats[pa]
-        tgt_pi = (
-            prod.pair_index[(u, mid.quiver.a_src[arrow])]
-            if side == "right"
-            else prod.pair_index[(mid.quiver.a_tgt[arrow], w)]
-        )
-        for r in range(amat.rows):
-            c = amat.data[r][i]
-            if c != 0:
-                m.data[pos_tgt[(tgt_pi, r)]][col] = c
-    return m
+                    m.data[pos[tgt][(tgt_pair, r)]][col] = c
+        mats.append(m)
+    return Restriction(target, dims, mats, outer, entries, pos)
 
 
 @dataclass
@@ -892,8 +888,7 @@ class TensorSpace:
     reducer: SubspaceReducer
     complement: list[int]
     dim: int
-    x_side: _Side
-    y_side: _Side
+    y: Restriction
 
 
 @dataclass
@@ -903,37 +898,37 @@ class TensorResult:
 
 
 class TensorFunctor:
-    """X (x)_C - for a fixed right C-module X (plain or with a left structure)."""
+    """X (x)_C - for a fixed right C-module X (plain or with a left structure).
+
+    The middle actions are those of the restrictions of X to C^op and of Y to
+    C: an arrow c of C acts X^{(t(c))} -> X^{(s(c))} and Y^{(s(c))} -> Y^{(t(c))}.
+    """
 
     def __init__(self, X: Rep):
         self.X = X
-        self.x_side = _analyze_side(X, "right")
-        self.middle = self.x_side.middle
+        self.x = restrict(X, "right")
+        self.middle = self.x.algebra._opposite
         self.f = X.algebra.field
-        self._right_actions = {
-            a: _middle_action(X, self.x_side, "right", a)
-            for a in range(self.middle.quiver.n_arrows)
-        }
 
     def space(self, Y: Rep) -> TensorSpace:
-        y_side = _analyze_side(Y, "left")
-        if y_side.middle is not self.middle:
+        y = restrict(Y, "left")
+        if y.algebra is not self.middle:
             raise ValueError("middle algebras do not match")
         f = self.f
+        x = self.x
         coords = []
         for w in range(self.middle.quiver.n_vertices):
-            for ix in range(len(self.x_side.groups[w])):
-                for jy in range(len(y_side.groups[w])):
+            for ix in range(x.dims[w]):
+                for jy in range(y.dims[w]):
                     coords.append((w, ix, jy))
         index = {c: i for i, c in enumerate(coords)}
         n = len(coords)
         reducer = SubspaceReducer(f, n)
         for a in range(self.middle.quiver.n_arrows):
             s, t = self.middle.quiver.a_src[a], self.middle.quiver.a_tgt[a]
-            Rc = self._right_actions[a]  # X^{(t)} -> X^{(s)}
-            Lc = _middle_action(Y, y_side, "left", a)  # Y^{(s)} -> Y^{(t)}
-            for ix in range(len(self.x_side.groups[t])):
-                for jy in range(len(y_side.groups[s])):
+            Rc, Lc = x.mats[a], y.mats[a]
+            for ix in range(x.dims[t]):
+                for jy in range(y.dims[s]):
                     vec = [f.zero()] * n
                     any_entry = False
                     for k in range(Rc.rows):
@@ -949,28 +944,23 @@ class TensorFunctor:
                     if any_entry:
                         reducer.insert(vec)
         comp = reducer.complement_indices()
-        return TensorSpace(coords, index, reducer, comp, len(comp), self.x_side, y_side)
+        return TensorSpace(coords, index, reducer, comp, len(comp), y)
 
     def map(self, space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> Matrix:
         """Induced matrix of id (x) g between the two quotient spaces."""
         f = self.f
         out_cols = []
-        y_src = space_src.y_side
+        y_src, y_tgt = space_src.y, space_tgt.y
         for amb in space_src.complement:
             w, ix, jy = space_src.coords[amb]
-            yv, yi = y_src.groups[w][jy]
+            yv, yi = y_src.entries[w][jy]
             vec = [f.zero()] * len(space_tgt.coords)
             gm = g.mats[yv]
-            y_tgt_group = space_tgt.y_side.groups
             # g preserves the vertex of Y, hence the middle group
-            pos = {
-                key: l for l, key in enumerate(y_tgt_group[w])
-            }
             for r in range(gm.rows):
                 c = gm.data[r][yi]
                 if c != 0:
-                    l = pos[(yv, r)]
-                    vec[space_tgt.index[(w, ix, l)]] = c
+                    vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
             out_cols.append(space_tgt.reducer.coords_in_complement(vec))
         return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
 
@@ -982,36 +972,36 @@ class TensorFunctor:
         it is a Rep over that algebra; otherwise only the dimension remains.
         """
         space = self.space(Y)
-        y_side = space.y_side
-        left_out = self.x_side.outer
-        right_out = y_side.outer
+        x, y = self.x, space.y
         f = self.f
-        if left_out is None and right_out is None:
+        if x.outer is None and y.outer is None:
             return TensorResult(space.dim, None)
-        if left_out is not None and right_out is not None:
+        if x.outer is None:
+            raise NotImplementedError("right-only outer structure is not needed here")
+        # the outer vertex of a coordinate is the left factor of its product
+        # vertex in X, the right factor in Y
+        x_pairs = self.X.algebra.product.vertex_pairs
+        if y.outer is not None:
             if env is None or env.product is None:
                 raise ValueError("a completed product algebra is required for a bimodule result")
-            if env.product.left is not left_out or env.product.right is not right_out:
+            if env.product.left is not x.outer or env.product.right is not y.outer:
                 raise ValueError("env does not match the outer algebras")
-            n_out = env.quiver.n_vertices
+            y_pairs = Y.algebra.product.vertex_pairs
 
             def out_tag(w, ix, jy):
                 return env.product.pair_index[
-                    (self.x_side.outer_tag[w][ix], y_side.outer_tag[w][jy])
+                    (x_pairs[x.entries[w][ix][0]][0], y_pairs[y.entries[w][jy][0]][1])
                 ]
 
-        elif left_out is not None:
-            env = left_out
-            n_out = env.quiver.n_vertices
+        else:
+            env = x.outer
 
             def out_tag(w, ix, jy):
-                return self.x_side.outer_tag[w][ix]
+                return x_pairs[x.entries[w][ix][0]][0]
 
-        else:
-            raise NotImplementedError("right-only outer structure is not needed here")
         comp_of = [out_tag(*space.coords[amb]) for amb in space.complement]
         order = sorted(range(len(space.complement)), key=lambda i: (comp_of[i], i))
-        dims = [0] * n_out
+        dims = [0] * env.quiver.n_vertices
         local = {}
         for i in order:
             v = comp_of[i]
@@ -1023,6 +1013,7 @@ class TensorFunctor:
         for pa in range(env.quiver.n_arrows):
             src_v = env.quiver.a_src[pa]
             tgt_v = env.quiver.a_tgt[pa]
+            kind, a1, a2 = env.product.arrow_kind[pa] if y.outer is not None else ("L", pa, None)
             m = Matrix.zero(f, dims[tgt_v], dims[src_v])
             for i in order:
                 if comp_of[i] != src_v:
@@ -1030,7 +1021,10 @@ class TensorFunctor:
                 amb = space.complement[i]
                 w, ix, jy = space.coords[amb]
                 vec = [f.zero()] * namb
-                self._ambient_arrow_image(space, Y, env, pa, w, ix, jy, vec)
+                if kind == "L":
+                    self._left_image(space, a1, w, ix, jy, vec)
+                else:
+                    self._right_image(space, Y, a2, w, ix, jy, vec)
                 red = space.reducer.reduce(vec)
                 colv = [f.zero()] * dims[tgt_v]
                 for k, amb2 in enumerate(space.complement):
@@ -1047,58 +1041,31 @@ class TensorFunctor:
         rep = Rep(env, dims, mats)
         return TensorResult(sum(dims), rep)
 
-    def _ambient_arrow_image(self, space, Y, env, pa, w, ix, jy, vec):
-        """Image of ambient basis vector (w, ix, jy) under an outer arrow."""
-        x_side, y_side = self.x_side, space.y_side
-        if (
-            env.product is not None
-            and x_side.outer is not None
-            and y_side.outer is not None
-        ):
-            kind, a1, a2 = env.product.arrow_kind[pa]
-            if kind == "L":
-                self._left_image(space, a1, w, ix, jy, vec)
-            else:
-                self._right_image(space, Y, a2, w, ix, jy, vec)
-        elif x_side.outer is not None:
-            self._left_image(space, pa, w, ix, jy, vec)
-        else:
-            raise AssertionError("unexpected outer structure")
-
     def _left_image(self, space, b_arrow, w, ix, jy, vec):
         # left outer action on the X part, inside group w
-        X = self.X
-        x_side = self.x_side
-        xv, xi = x_side.groups[w][ix]
-        prod = X.algebra.product
-        if prod is None:
-            raise AssertionError("left outer structure without a product algebra")
-        u, wmid = prod.vertex_pairs[xv]
-        pa = prod.left_arrow[(b_arrow, wmid)]
-        amat = X.mats[pa]
+        x = self.x
+        prod = self.X.algebra.product
+        xv, xi = x.entries[w][ix]
+        wmid = prod.vertex_pairs[xv][1]
+        amat = self.X.mats[prod.left_arrow[(b_arrow, wmid)]]
         tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[b_arrow], wmid)]
-        pos = {key: i for i, key in enumerate(x_side.groups[w])}
         for r in range(amat.rows):
             c = amat.data[r][xi]
             if c != 0:
-                vec[space.index[(w, pos[(tgt_pair, r)], jy)]] = c
+                vec[space.index[(w, x.pos[w][(tgt_pair, r)], jy)]] = c
 
     def _right_image(self, space, Y, a_arrow, w, ix, jy, vec):
         # right outer action on the Y part, inside group w
-        y_side = space.y_side
-        yv, yi = y_side.groups[w][jy]
+        y = space.y
         prod = Y.algebra.product
-        if prod is None:
-            raise AssertionError("right outer structure without a product algebra")
-        wmid, _ = prod.vertex_pairs[yv]
-        pa = prod.right_arrow[(wmid, a_arrow)]
-        amat = Y.mats[pa]
+        yv, yi = y.entries[w][jy]
+        wmid = prod.vertex_pairs[yv][0]
+        amat = Y.mats[prod.right_arrow[(wmid, a_arrow)]]
         tgt_pair = prod.pair_index[(wmid, prod.right.quiver.a_src[a_arrow])]
-        pos = {key: i for i, key in enumerate(y_side.groups[w])}
         for r in range(amat.rows):
             c = amat.data[r][yi]
             if c != 0:
-                vec[space.index[(w, ix, pos[(tgt_pair, r)])]] = c
+                vec[space.index[(w, ix, y.pos[w][(tgt_pair, r)])]] = c
 
 
 def tensor_over(X: Rep, Y: Rep, env: AlgebraHandle | None = None) -> TensorResult:
@@ -1118,30 +1085,13 @@ def regular_bimodule(A: AlgebraHandle) -> Rep:
     """
     env = A.enveloping()
     prod = env.product
-    f = A.field
-    q = A.quiver
-    basis = [A.paths_between(w, u) for (u, w) in prod.vertex_pairs]
-    index = [{p: i for i, p in enumerate(b)} for b in basis]
-    dims = [len(b) for b in basis]
-    mats = []
-    for pa, kind in enumerate(prod.arrow_kind):
-        src = env.quiver.a_src[pa]
-        tgt = env.quiver.a_tgt[pa]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        if kind[0] == "L":
-            _, a, w = kind
-            arrow_path = Path(q.a_src[a], q.a_tgt[a], (a,))
-            for col, p in enumerate(basis[src]):
-                for w2, c in A.mul_paths(p, arrow_path).items():
-                    m.data[index[tgt][w2]][col] = c
-        else:
-            _, v, b = kind
-            arrow_path = Path(q.a_src[b], q.a_tgt[b], (b,))
-            for col, p in enumerate(basis[src]):
-                for w2, c in A.mul_paths(arrow_path, p).items():
-                    m.data[index[tgt][w2]][col] = c
-        mats.append(m)
-    return Rep(env, dims, mats)
+    arrows = arrow_paths(A)
+
+    def image(pa, p):
+        kind, x, y = prod.arrow_kind[pa]
+        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(arrows[y], p)
+
+    return action_rep(env, [A.paths_between(w, u) for (u, w) in prod.vertex_pairs], image)
 
 
 def regular_bimodule_coords(A: AlgebraHandle, elem) -> list[list]:

@@ -12,7 +12,6 @@ conditional flag.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .algebra import (
@@ -23,6 +22,7 @@ from .algebra import (
     Presentation,
     Quiver,
     complete,
+    compose,
     corner_basis,
     word_key,
 )
@@ -35,12 +35,12 @@ from .homology import (
     gorenstein_bounded,
     homological_ideal_check,
     ideal_bimodule,
-    self_injective,
     serial_check,
 )
 from .linalg import Matrix, SubspaceReducer
 from .modules import (
     Rep,
+    action_rep,
     pd_bounded,
     regular_bimodule,
     simple,
@@ -156,22 +156,19 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     current = SubspaceReducer(f, len(C))
     for a in C_pos:
         current.insert(vec_of({a: f.one()}))
+    # (j, C_j.x) for the corner paths C_j that compose with x; p -> p.x is
+    # injective on paths, so the terms of each product are distinct
+    products = []
+    for x in C_pos:
+        images = enumerate(compose(p, x) for p in C)
+        products.append([(j, px) for j, px in images if px is not None])
     loewy = 1
     while current.rank > 0:
         loewy += 1
         nxt = SubspaceReducer(f, len(C))
         for row in current.basis_rows():
-            for x in C_pos:
-                acc = {}
-                for j, cj in enumerate(row):
-                    if cj == 0:
-                        continue
-                    for w, d in A.mul_paths(C[j], x).items():
-                        s = f.add(acc.get(w, f.zero()), f.mul(cj, d))
-                        if s == 0:
-                            acc.pop(w, None)
-                        else:
-                            acc[w] = s
+            for terms in products:
+                acc = A.normal_form({px: row[j] for j, px in terms if row[j]})
                 if acc:
                     nxt.insert(vec_of(acc))
         if nxt.rank >= current.rank and nxt.rank > 0:
@@ -210,16 +207,9 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
                 nw = word + (i,)
                 level.append((src, arr_tgt[i], nw))
                 if d >= 2:
-                    prev = ev[word]
-                    acc = {}
-                    for p, cp in prev.items():
-                        for w, cw in A.mul_paths(p, realizations[i]).items():
-                            s = f.add(acc.get(w, f.zero()), f.mul(cp, cw))
-                            if s == 0:
-                                acc.pop(w, None)
-                            else:
-                                acc[w] = s
-                    ev[nw] = acc
+                    # every term of ev[word] ends where realizations[i] starts
+                    r = realizations[i]
+                    ev[nw] = A.normal_form({compose(p, r): cp for p, cp in ev[word].items()})
         paths_by_deg.append(level)
 
     formal = [
@@ -310,20 +300,8 @@ def corner_module_eA(B: AlgebraHandle) -> Rep:
     if cs is None:
         raise ValueError("algebra is not a presented corner")
     A = cs.parent
-    f = A.field
     basis = [A.paths_to(cs.kept[v]) for v in range(B.quiver.n_vertices)]
-    index = [{p: i for i, p in enumerate(b)} for b in basis]
-    dims = [len(b) for b in basis]
-    mats = []
-    for i, r in enumerate(cs.realizations):
-        src = B.quiver.a_src[i]
-        tgt = B.quiver.a_tgt[i]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for col, p in enumerate(basis[src]):
-            for w, c in A.mul_paths(p, r).items():
-                m.data[index[tgt][w]][col] = c
-        mats.append(m)
-    rep = Rep(B, dims, mats)
+    rep = action_rep(B, basis, lambda i, p: A.mul_paths(p, cs.realizations[i]))
     problems = validate_rep(rep)
     if problems:
         raise ConsistencyError("eA is not a module over the presented corner: " + problems[0])
@@ -340,23 +318,10 @@ def corner_module_Ae(B: AlgebraHandle) -> Rep:
     if cs is None:
         raise ValueError("algebra is not a presented corner")
     A = cs.parent
-    f = A.field
-    Bop = B.opposite()
+    # arrow i of B^op reverses corner arrow i and acts by precomposition
+    # with its realization
     basis = [A.paths_from(cs.kept[v]) for v in range(B.quiver.n_vertices)]
-    index = [{p: i for i, p in enumerate(b)} for b in basis]
-    dims = [len(b) for b in basis]
-    mats = []
-    for i, r in enumerate(cs.realizations):
-        # arrow i of B^op runs from the target of r's corner arrow back to
-        # its source and acts by precomposition with r
-        src = B.quiver.a_tgt[i]
-        tgt = B.quiver.a_src[i]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for col, p in enumerate(basis[src]):
-            for w, c in A.mul_paths(r, p).items():
-                m.data[index[tgt][w]][col] = c
-        mats.append(m)
-    rep = Rep(Bop, dims, mats)
+    rep = action_rep(B.opposite(), basis, lambda i, p: A.mul_paths(cs.realizations[i], p))
     problems = validate_rep(rep)
     if problems:
         raise ConsistencyError("Ae is not a module over the corner opposite: " + problems[0])
@@ -594,16 +559,16 @@ class Verdict:
     conditional: bool
 
 
-def terminal_certificates(T: AlgebraHandle, budget: int, seed: int = 0) -> dict:
+def terminal_certificates(T: AlgebraHandle, budget: int) -> dict:
     """Base-class certificates for a terminal algebra.
 
     Rule table: finite global dimension grants everything; monomial grants
     syzygy-finite and injectives-generate; serial grants syzygy-finite;
     Gorenstein (both injective dimensions finite) grants injectives-generate;
-    self-injective grants injectives-generate and projectives-cogenerate;
-    syzygy-finite implies igusa-todorov.  Nothing certifies a failure.
+    self-injective (both injective dimensions zero, see self_injective)
+    grants injectives-generate and projectives-cogenerate; syzygy-finite
+    implies igusa-todorov.  Nothing certifies a failure.
     """
-    rng = random.Random(seed ^ 0x5EED)
     rules: dict[str, str] = {}
 
     def grant(prop, rule):
@@ -613,6 +578,7 @@ def terminal_certificates(T: AlgebraHandle, budget: int, seed: int = 0) -> dict:
     if gl.exact:
         for prop in PROPERTIES:
             grant(prop, "finite global dimension")
+        return rules
     if T.is_monomial:
         grant("syzygy-finite", "monomial")
         grant("injectives-generate", "monomial")
@@ -621,9 +587,9 @@ def terminal_certificates(T: AlgebraHandle, budget: int, seed: int = 0) -> dict:
     gor_l, gor_r = gorenstein_bounded(T, budget)
     if gor_l.exact and gor_r.exact:
         grant("injectives-generate", "gorenstein")
-    if self_injective(T, rng):
-        grant("injectives-generate", "self-injective")
-        grant("projectives-cogenerate", "self-injective")
+        if gor_l.value == 0 and gor_r.value == 0:
+            grant("injectives-generate", "self-injective")
+            grant("projectives-cogenerate", "self-injective")
     if "syzygy-finite" in rules:
         grant("igusa-todorov", "syzygy-finite")
     return rules
@@ -634,7 +600,6 @@ def property_verdict(
     prop: str | None,
     budget: int,
     extra_steps: list[StepResult] | None = None,
-    seed: int = 0,
 ) -> Verdict:
     """Reduce, certify the terminal algebra, and propagate along the trace."""
     if prop is not None and prop not in PROPERTIES:
@@ -648,7 +613,7 @@ def property_verdict(
         current = sr.output
     terminal, fsteps, _handles = reduce_fixpoint(current)
     steps.extend(fsteps)
-    rules = terminal_certificates(terminal, budget, seed)
+    rules = terminal_certificates(terminal, budget)
     conditional = any(not s.certified for s in steps)
     certs = {}
     for p in PROPERTIES:

@@ -14,13 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraHandle, Path, tensor_with_opposite
-from .linalg import Matrix
+from .algebra import AlgebraHandle, tensor_with_opposite
 from .modules import (
     Rep,
+    action_rep,
+    arrow_paths,
     is_projective,
     minimal_resolution,
     regular_bimodule,
+    restrict,
     stable_isomorphic,
     tensor_over,
     validate_rep,
@@ -65,61 +67,6 @@ class WitnessPair:
             raise ValueError("witness bimodules do not match crosswise")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-
-
-def restrict(M: Rep, side: str) -> Rep:
-    """Forget one action of a bimodule; dimension is preserved.
-
-    side 'left' gives a module over the left algebra, side 'right' a module
-    over the opposite of the right algebra.
-    """
-    prod = M.algebra.product
-    if prod is None:
-        raise ValueError("restrict expects a Rep over a product algebra")
-    f = M.algebra.field
-    if side == "left":
-        target = prod.left
-        def key(u, w):
-            return u, w
-        n_out = target.quiver.n_vertices
-        n_aux = prod.right.quiver.n_vertices
-    elif side == "right":
-        target = prod.right.opposite()
-        def key(u, w):
-            return w, u
-        n_out = prod.right.quiver.n_vertices
-        n_aux = prod.left.quiver.n_vertices
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    # coordinates of the restricted module: (out vertex) x (aux vertex, i)
-    entries = [[] for _ in range(n_out)]
-    for pi, (u, w) in enumerate(prod.vertex_pairs):
-        out_v, aux_v = key(u, w)
-        for i in range(M.dims[pi]):
-            entries[out_v].append((pi, i))
-    pos = [{e: i for i, e in enumerate(entries[v])} for v in range(n_out)]
-    dims = [len(entries[v]) for v in range(n_out)]
-    mats = []
-    for a in range(target.quiver.n_arrows):
-        src = target.quiver.a_src[a]
-        tgt = target.quiver.a_tgt[a]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for col, (pi, i) in enumerate(entries[src]):
-            u, w = prod.vertex_pairs[pi]
-            if side == "left":
-                pa = prod.left_arrow[(a, w)]
-                tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[a], w)]
-            else:
-                # arrow a of B^op = arrow a of B reversed; right action
-                pa = prod.right_arrow[(u, a)]
-                tgt_pair = prod.pair_index[(u, prod.right.quiver.a_src[a])]
-            block = M.mats[pa]
-            for r in range(block.rows):
-                c = block.data[r][i]
-                if c != 0:
-                    m.data[pos[tgt][(tgt_pair, r)]][col] = c
-        mats.append(m)
-    return Rep(target, dims, mats)
 
 
 def one_sided_projectivity(pair: WitnessPair) -> tuple[bool, bool, bool, bool]:
@@ -229,62 +176,29 @@ def idempotent_candidate(A: AlgebraHandle, corner: AlgebraHandle):
     cs = corner.corner
     if cs is None or cs.parent is not A:
         raise ValueError("corner does not present an idempotent of this algebra")
-    f = A.field
-    q = A.quiver
     kept = cs.kept
     realization = cs.realizations
+    arrows = arrow_paths(A)
 
+    # Ae: the left factor acts by p.a, the corner arrow b by r_b.p
     E1 = tensor_with_opposite(A, corner)
-    basis1 = [
-        A.paths_between(kept[w], u) for (u, w) in E1.product.vertex_pairs
-    ]
-    index1 = [{p: i for i, p in enumerate(b)} for b in basis1]
-    dims1 = [len(b) for b in basis1]
-    mats1 = []
-    for pa, kind in enumerate(E1.product.arrow_kind):
-        src = E1.quiver.a_src[pa]
-        tgt = E1.quiver.a_tgt[pa]
-        m = Matrix.zero(f, dims1[tgt], dims1[src])
-        if kind[0] == "L":
-            _, a, w = kind
-            ap = Path(q.a_src[a], q.a_tgt[a], (a,))
-            for col, p in enumerate(basis1[src]):
-                for w2, c in A.mul_paths(p, ap).items():
-                    m.data[index1[tgt][w2]][col] = c
-        else:
-            _, u, b = kind
-            r = realization[b]
-            for col, p in enumerate(basis1[src]):
-                for w2, c in A.mul_paths(r, p).items():
-                    m.data[index1[tgt][w2]][col] = c
-        mats1.append(m)
-    M = Rep(E1, dims1, mats1)
 
+    def image1(pa, p):
+        kind, x, y = E1.product.arrow_kind[pa]
+        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(realization[y], p)
+
+    basis1 = [A.paths_between(kept[w], u) for (u, w) in E1.product.vertex_pairs]
+    M = action_rep(E1, basis1, image1)
+
+    # eA: the corner arrow b acts by p.r_b, the right factor by a.p
     E2 = tensor_with_opposite(corner, A)
-    basis2 = [
-        A.paths_between(u, kept[w]) for (w, u) in E2.product.vertex_pairs
-    ]
-    index2 = [{p: i for i, p in enumerate(b)} for b in basis2]
-    dims2 = [len(b) for b in basis2]
-    mats2 = []
-    for pa, kind in enumerate(E2.product.arrow_kind):
-        src = E2.quiver.a_src[pa]
-        tgt = E2.quiver.a_tgt[pa]
-        m = Matrix.zero(f, dims2[tgt], dims2[src])
-        if kind[0] == "L":
-            _, b, u = kind
-            r = realization[b]
-            for col, p in enumerate(basis2[src]):
-                for w2, c in A.mul_paths(p, r).items():
-                    m.data[index2[tgt][w2]][col] = c
-        else:
-            _, w, a = kind
-            ap = Path(q.a_src[a], q.a_tgt[a], (a,))
-            for col, p in enumerate(basis2[src]):
-                for w2, c in A.mul_paths(ap, p).items():
-                    m.data[index2[tgt][w2]][col] = c
-        mats2.append(m)
-    N = Rep(E2, dims2, mats2)
+
+    def image2(pa, p):
+        kind, x, y = E2.product.arrow_kind[pa]
+        return A.mul_paths(p, realization[x]) if kind == "L" else A.mul_paths(arrows[y], p)
+
+    basis2 = [A.paths_between(u, kept[w]) for (w, u) in E2.product.vertex_pairs]
+    N = action_rep(E2, basis2, image2)
     for rep, label in ((M, "Ae"), (N, "eA")):
         problems = validate_rep(rep)
         if problems:

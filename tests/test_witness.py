@@ -1,9 +1,11 @@
 import random
+from pathlib import Path as FsPath
 
 import pytest
 
 from qred.algebra import tensor_with_opposite
 from qred.linalg import QQ
+from qred.parser import parse_algebra
 from qred.modules import (
     is_isomorphic,
     is_projective,
@@ -125,6 +127,20 @@ def test_tensor_associative_in_dimension(tri_dual):
     left = tensor_bimodules(mn, M, tensor_with_opposite(tri_dual, corner))
     right = tensor_bimodules(M, nm, tensor_with_opposite(tri_dual, corner))
     assert left.total_dim == right.total_dim
+
+
+@pytest.mark.parametrize(
+    "name", ["dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"]
+)
+def test_tensor_unit_law_is_isomorphism(name):
+    # A (x)_A M = M = M (x)_A A as bimodules: a real isomorphism, which needs
+    # the outer actions of the tensor product, not only its dimension
+    text = (FsPath(__file__).parent / "fixtures" / f"{name}.alg").read_text(encoding="utf-8")
+    A = complete(parse_algebra(text), 12)
+    reg = regular_bimodule(A)
+    for M in (reg, bimodule_syzygy(A, 1)):
+        assert is_isomorphic(tensor_bimodules(reg, M), M).kind == "yes"
+        assert is_isomorphic(tensor_bimodules(M, reg), M).kind == "yes"
 
 
 def test_projective_bimodule_restrictions(tri_dual):
