@@ -530,7 +530,8 @@ def _enumerate_basis(quiver: Quiver, rules, degree_bound: int, count_cap: int = 
     n = quiver.n_vertices
     counts = [1] * n + [0] * (len(delta) - n)
     total = n
-    for ell in range(1, degree_bound + 1):
+    # length 1 is checked even at bound 0: a quiver without arrows has no path
+    for ell in range(1, max(degree_bound, 1) + 1):
         nxt = [0] * len(delta)
         for i, c in enumerate(counts):
             if c:
@@ -605,12 +606,13 @@ def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
     degree_bound caps the degree of rewriting rules and the length of normal
     paths.  The normal paths of each length are counted on the automaton of
     paths that avoid every rule lead, and are listed only once the count of
-    some length up to the bound is zero and the basis holds at most 200000
-    paths.
+    some length from 1 to max(degree_bound, 1) is zero and the basis holds at
+    most 200000 paths.
 
     Raises InvalidPresentation on inadmissible input and DimensionNotResolved
-    when a rule exceeds the bound, when normal paths of length degree_bound
-    exist, or when more than 200000 normal paths are found.
+    when a rule exceeds the bound, when normal paths of length
+    max(degree_bound, 1) exist, or when more than 200000 normal paths are
+    found.
     """
     diags = [d for d in validate(pres) if d.code != "zero-coeff"]
     if diags:
@@ -686,15 +688,23 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
             tuple(right_arrow[(v, b)] for b in reversed(p.arrows)),
         )
 
-    relations = []
-    for rel in A.presentation.relations:
-        for w in range(qb.n_vertices):
-            relations.append(tuple((lpath(p, w), c) for p, c in rel))
-    for rel in B.presentation.relations:
-        for v in range(qa.n_vertices):
-            relations.append(tuple((rpath(v, p), c) for p, c in rel))
     one = A.field.one()
     neg_one = A.field.neg(one)
+
+    def rule_relations(H: AlgebraHandle):
+        # the reduced rules lead - rest generate the ideal, and every proper
+        # subword of a lead is normal, so no lead is longer than the Loewy
+        # length; a redundant input relation may be longer than the bound
+        neg = H.field.neg
+        return [[(lead, one)] + [(w, neg(c)) for w, c in rest.items()] for lead, rest in H.rules]
+
+    relations = []
+    for rel in rule_relations(A):
+        for w in range(qb.n_vertices):
+            relations.append(tuple((lpath(p, w), c) for p, c in rel))
+    for rel in rule_relations(B):
+        for v in range(qa.n_vertices):
+            relations.append(tuple((rpath(v, p), c) for p, c in rel))
     for a in range(qa.n_arrows):
         u, u2 = qa.a_src[a], qa.a_tgt[a]
         for b in range(qb.n_arrows):

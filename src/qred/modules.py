@@ -128,14 +128,20 @@ def zero_rep(A: AlgebraHandle) -> Rep:
 
 
 def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
+    """The map sum c g, accumulated in place over the nonzero entries."""
     base = maps[0]
     f = base.source.algebra.field
+    p = f.p
     out = []
-    for u in range(len(base.mats)):
-        acc = Matrix.zero(f, base.mats[u].rows, base.mats[u].cols)
+    for u, m in enumerate(base.mats):
+        acc = Matrix.zero(f, m.rows, m.cols)
         for g, c in zip(maps, coeffs):
-            if c != 0:
-                acc = acc + g.mats[u].scale(c)
+            if not c:
+                continue
+            for row, grow in zip(acc.data, g.mats[u].data):
+                for j, x in enumerate(grow):
+                    if x:
+                        row[j] = row[j] + c * x if p is None else (row[j] + c * x) % p
         out.append(acc)
     return RepMap(base.source, base.target, out)
 
@@ -334,18 +340,20 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
         for i in range(N.dims[w]):
             for j in range(M.dims[u]):
                 row = [f.zero()] * total
+                written = False
                 for r in range(N.dims[u]):
                     c = Na.data[i][r]
-                    if c != 0:
-                        row[offsets[u] + r * M.dims[u] + j] = f.add(
-                            row[offsets[u] + r * M.dims[u] + j], c
-                        )
+                    if c:
+                        idx = offsets[u] + r * M.dims[u] + j
+                        row[idx] = f.add(row[idx], c)
+                        written = True
                 for s in range(M.dims[w]):
                     c = Ma.data[s][j]
-                    if c != 0:
+                    if c:
                         idx = offsets[w] + i * M.dims[w] + s
                         row[idx] = f.sub(row[idx], c)
-                if any(x != 0 for x in row):
+                        written = True
+                if written:
                     rows.append(row)
     if total == 0:
         return []
@@ -463,28 +471,6 @@ def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     return radical_layer_dims(dual(M))
 
 
-def socle_reducers(M: Rep) -> list[SubspaceReducer]:
-    """Per-vertex bases of soc M = joint kernel of all arrow actions."""
-    A = M.algebra
-    q = A.quiver
-    f = A.field
-    out = []
-    for u in range(q.n_vertices):
-        rows = []
-        for a in q.arrows_from[u]:
-            rows.extend(M.mats[a].data)
-        if rows:
-            ker = Matrix.from_rows(f, rows).kernel_basis()
-            vecs = [ker.column(j) for j in range(ker.cols)]
-        else:
-            vecs = [
-                [f.one() if k == i else f.zero() for k in range(M.dims[u])]
-                for i in range(M.dims[u])
-            ]
-        out.append(SubspaceReducer(f, M.dims[u], vecs))
-    return out
-
-
 def sub_rep(M: Rep, vectors_per_vertex):
     """Subrepresentation spanned by the given vectors; (rep, inclusion).
 
@@ -571,12 +557,14 @@ def projective_cover(M: Rep):
 
 
 def is_projective(M: Rep) -> bool:
-    if M.is_zero():
-        return True
-    P, pi, _ = projective_cover(M)
-    if P.total_dim != M.total_dim:
-        return False
-    return all(m.rank() == m.rows for m in pi.mats)
+    """Whether M is projective, decided by dimension alone.
+
+    The minimal cover pi: P0 -> M is onto: it sends its generators to lifts
+    of a basis of the top of M, and by Nakayama's lemma they generate M.  A
+    projective M splits pi, and a summand of P0 inside rad P0 is zero, so M
+    is projective exactly when pi is an isomorphism: when dim P0 = dim M.
+    """
+    return M.is_zero() or projective_cover(M)[0].total_dim == M.total_dim
 
 
 @dataclass
@@ -668,23 +656,18 @@ class IsoResult:
 
 
 def _invariant_battery(M: Rep):
-    soc = socle_reducers(M)
+    # dim Hom(-, S_v) and dim Hom(S_v, -) are the first radical and socle
+    # layers, so they are not listed apart
     return [
         ("dimension vector", tuple(M.dims)),
         ("radical layer dimensions", tuple(radical_layer_dims(M))),
         ("socle layer dimensions", tuple(socle_layer_dims(M))),
-        ("dim Hom(S_v, -)", tuple(r.rank for r in soc)),
-        ("dim Hom(-, S_v)", tuple(top_dims(M))),
     ]
 
 
 def _invertible(fmap: RepMap) -> bool:
-    for m in fmap.mats:
-        if m.rows != m.cols:
-            return False
-        if m.rows and m.rank() != m.rows:
-            return False
-    return True
+    # every map tested is square: the battery has matched the dimension vectors
+    return all(not m.rows or m.rank() == m.rows for m in fmap.mats)
 
 
 def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None, tries: int = 20) -> IsoResult:
@@ -745,62 +728,35 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None, tries: int =
 def split_projective_summands(M: Rep):
     """Strip projective direct summands; returns (core, stripped vertex names).
 
-    A summand P_v splits off as soon as some pair f: P_v -> M, g: M -> P_v
-    composes to a unit of the local ring End(P_v); the composition pairing is
-    checked over all basis pairs of the two Hom spaces.
+    Lemma: let g: M -> P_v and m in e_v M be such that g(m) has a nonzero
+    coefficient at the trivial path e_v.  For f: P_v -> M sending e_v to m,
+    g o f is then a unit of the local ring End(P_v), so M = Am (+) ker g with
+    Am isomorphic to P_v.  Such a pair exists exactly when P_v is a summand
+    of M, and by bilinearity then among the standard basis vectors m of M_v
+    and the basis maps g of Hom(M, P_v); the first pair found, m outermost,
+    is split off.
     """
     A = M.algebra
     q = A.quiver
-    f = A.field
     stripped: list[str] = []
     current = M
     while True:
-        split_done = False
+        g = None
         for v in range(q.n_vertices):
             if current.dims[v] == 0:
                 continue
-            homs_pm = hom_from_projective(A, v, current)
-            if not homs_pm:
-                continue
-            homs_mp = hom_basis(current, projective(A, v)[0])
-            found = None
-            for fm in homs_pm:
-                for gm in homs_mp:
-                    h = gm.compose_after(fm)
-                    lam = h.mats[v].data[0][0] if h.mats[v].rows else f.zero()
-                    # row/col 0 is the trivial-path coordinate of P_v at v
-                    if lam != 0:
-                        found = (fm, gm)
-                        break
-                if found:
-                    break
-            if not found:
-                continue
-            fm, gm = found
-            h = gm.compose_after(fm)
-            hinv = []
-            ok = True
-            for u in range(q.n_vertices):
-                hu = h.mats[u]
-                if hu.rows == 0:
-                    hinv.append(hu)
-                    continue
-                inv = hu.solve(Matrix.identity(f, hu.rows))
-                if inv is None:
-                    ok = False
-                    break
-                hinv.append(inv)
-            if not ok:
-                continue
-            hinv_map = RepMap(projective(A, v)[0], projective(A, v)[0], hinv)
-            pi = fm.compose_after(hinv_map.compose_after(gm))
-            core, _ = kernel_subrep(pi)
-            stripped.append(q.vertices[v])
-            current = core
-            split_done = True
-            break
-        if not split_done:
+            homs = hom_basis(current, projective(A, v)[0])
+            # row 0 of a map into P_v at v is the coordinate of e_v
+            g = next(
+                (h for t in range(current.dims[v]) for h in homs if h.mats[v].data[0][t]),
+                None,
+            )
+            if g is not None:
+                break
+        if g is None:
             return current, stripped
+        current, _ = kernel_subrep(g)
+        stripped.append(q.vertices[v])
 
 
 def stable_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult:

@@ -7,8 +7,11 @@ instead of the duality route, the normal-path oracle lists every path level
 by level with a suffix scan instead of counting on the lead automaton, the
 rref oracle eliminates on Fraction rows instead of primitive integer rows,
 the cover oracles take one product of arrow matrices per basis path instead
-of propagating columns along arrows, and the subrepresentation oracle solves
-for coordinates instead of reading them at the echelon pivots.
+of propagating columns along arrows, the subrepresentation oracle solves
+for coordinates instead of reading them at the echelon pivots, the summand
+oracle splits along an explicit idempotent f h^-1 g instead of taking ker g,
+and the projectivity oracle tests the rank of the cover map instead of
+comparing dimensions only.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from qred.linalg import Matrix, SubspaceReducer
 from qred.modules import (
     Rep,
     RepMap,
+    hom_basis,
+    hom_from_projective,
     injective,
+    kernel_subrep,
     path_action,
     projective,
+    projective_cover,
     quotient_rep,
     radical_reducers,
-    socle_reducers,
     validate_rep,
 )
 
@@ -60,6 +66,28 @@ def brute_tensor_dim(X: Rep, middle, Y: Rep) -> int:
                         vec[index[(t, i, l)]] = f.sub(vec[index[(t, i, l)]], c)
                 red.insert(vec)
     return len(coords) - red.rank
+
+
+def socle_reducers(M: Rep) -> list[SubspaceReducer]:
+    """Per-vertex bases of soc M = joint kernel of all arrow actions."""
+    A = M.algebra
+    q = A.quiver
+    f = A.field
+    out = []
+    for u in range(q.n_vertices):
+        rows = []
+        for a in q.arrows_from[u]:
+            rows.extend(M.mats[a].data)
+        if rows:
+            ker = Matrix.from_rows(f, rows).kernel_basis()
+            vecs = [ker.column(j) for j in range(ker.cols)]
+        else:
+            vecs = [
+                [f.one() if k == i else f.zero() for k in range(M.dims[u])]
+                for i in range(M.dims[u])
+            ]
+        out.append(SubspaceReducer(f, M.dims[u], vecs))
+    return out
 
 
 def injective_envelope(M: Rep):
@@ -158,7 +186,7 @@ def enumerate_basis_by_suffix_scan(quiver, rules, degree_bound: int, count_cap: 
         by_last.setdefault(lead.arrows[-1], []).append(lead.arrows)
     levels = [[trivial_path(v) for v in range(quiver.n_vertices)]]
     total = quiver.n_vertices
-    for ell in range(1, degree_bound + 1):
+    for ell in range(1, max(degree_bound, 1) + 1):
         nxt = []
         for w in levels[-1]:
             for a in quiver.arrows_from[w.target]:
@@ -287,3 +315,46 @@ def sub_rep_by_solve(M: Rep, vectors_per_vertex):
             raise ValueError("span is not stable under the arrow actions")
         mats.append(coords)
     return [b.cols for b in bases], mats, bases
+
+
+def split_projective_summands_by_inverse(M: Rep):
+    """(core, stripped vertex names): P_v splits off along the idempotent
+    f h^-1 g for the first pair f: P_v -> M, g: M -> P_v whose composite h
+    has a nonzero coefficient at e_v, inverting h vertex by vertex."""
+    A = M.algebra
+    q = A.quiver
+    f = A.field
+    stripped = []
+    current = M
+    while True:
+        for v in range(q.n_vertices):
+            if current.dims[v] == 0:
+                continue
+            P = projective(A, v)[0]
+            homs_mp = hom_basis(current, P)
+            pair = next(
+                (
+                    (fm, gm)
+                    for fm in hom_from_projective(A, v, current)
+                    for gm in homs_mp
+                    if gm.compose_after(fm).mats[v].data[0][0] != 0
+                ),
+                None,
+            )
+            if pair is not None:
+                break
+        else:
+            return current, stripped
+        fm, gm = pair
+        h = gm.compose_after(fm)
+        hinv = RepMap(P, P, [m.solve(Matrix.identity(f, m.rows)) for m in h.mats])
+        current, _ = kernel_subrep(fm.compose_after(hinv.compose_after(gm)))
+        stripped.append(q.vertices[v])
+
+
+def is_projective_by_rank(M: Rep) -> bool:
+    """M is projective when its minimal cover has dim M and full rank."""
+    if M.is_zero():
+        return True
+    P, pi, _ = projective_cover(M)
+    return P.total_dim == M.total_dim and all(m.rank() == m.rows for m in pi.mats)

@@ -222,6 +222,32 @@ def test_cli_witness_identity(capsys):
     assert report["results"]["verdict"] == "holds"
 
 
+def test_cli_witness_identity_redundant_long_relation(capsys, tmp_path):
+    # k[x]/(x^2, x^5): the redundant x^5 is longer than the enveloping algebra's
+    # degree bound, 2 + 2
+    alg = tmp_path / "dn5.alg"
+    alg.write_text(
+        "algebra dn5\nfield rational\nvertices 1\narrow x : 1 -> 1\n"
+        "relations\n  x*x\n  x*x*x*x*x\nend\n"
+    )
+    code, out = run(capsys, "witness", str(alg), "--identity")
+    assert code == 0
+    assert json.loads(out.out)["results"]["verdict"] == "holds"
+
+
+def test_cli_bound_zero(capsys, tmp_path):
+    point = tmp_path / "pt.alg"
+    point.write_text("algebra pt\nfield rational\nvertices 1\n")
+    code, out = run(capsys, "analyze", str(point), "--bound", "0")
+    assert code == 0
+    assert json.loads(out.out)["results"]["dimension"] == 1
+    arrow = tmp_path / "ar.alg"
+    arrow.write_text("algebra ar\nfield rational\nvertices 1 2\narrow a : 1 -> 2\n")
+    code, out = run(capsys, "analyze", str(arrow), "--bound", "0")
+    assert code == 2
+    assert out.err == f"qred: {arrow}: dimension not resolved within bound 0: irreducible paths persist\n"
+
+
 def test_cli_witness_fails(capsys):
     code, out = run(capsys, "witness", fixture("dual_numbers"), "--identity", "--level", "1")
     assert code == 1

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from qred.algebra import Path
-from qred.linalg import FieldSpec, QQ
+from qred.linalg import FieldSpec, Matrix, QQ
 from qred.modules import (
     BoundedDim,
+    Rep,
     dual,
     hom_basis,
     hom_from_projective,
@@ -25,6 +26,7 @@ from qred.modules import (
     rep_direct_sum,
     restrict_along,
     simple,
+    socle_layer_dims,
     split_projective_summands,
     stable_isomorphic,
     stable_span,
@@ -36,13 +38,18 @@ from qred.modules import (
     zero_rep,
 )
 from qred.reduction import corner_module_Ae, corner_module_eA, corner_presentation
+from qred.witness import bimodule_syzygy, tensor_bimodules
 
+from conftest import load
 from corpus import completed_corpus
 from oracles import (
     brute_tensor_dim,
     hom_from_projective_by_path_action,
     injective_dimension_direct,
+    is_projective_by_rank,
     projective_cover_by_path_action,
+    socle_reducers,
+    split_projective_summands_by_inverse,
     sub_rep_by_solve,
 )
 
@@ -405,6 +412,66 @@ def test_stable_iso_kills_projectives(dual_numbers):
 
 def test_stable_iso_negative(line2):
     assert stable_isomorphic(simple(line2, 0), simple(line2, 1), random.Random(1)).kind == "no"
+
+
+def _mixed_sum(A, rng):
+    """P_v (+) S_w (+) Omega(S_u) for seeded vertices v, w, u, in a seeded
+    basis, so that no summand is spanned by standard basis vectors."""
+    n = A.quiver.n_vertices
+    v, w, u = (rng.randrange(n) for _ in range(3))
+    omega = minimal_resolution(simple(A, u), 1).syzygies[0]
+    M = rep_direct_sum([projective(A, v)[0], simple(A, w), omega])[0]
+    f = A.field
+    T = []
+    for d in M.dims:
+        lower, upper = Matrix.identity(f, d), Matrix.identity(f, d)
+        for i in range(d):
+            for j in range(i):
+                lower.data[i][j] = f.from_int(rng.randint(-2, 2))
+                upper.data[j][i] = f.from_int(rng.randint(-2, 2))
+        T.append(lower @ upper)
+    q = A.quiver
+    mats = [
+        T[q.a_tgt[a]] @ m @ T[q.a_src[a]].solve(Matrix.identity(f, m.cols))
+        for a, m in enumerate(M.mats)
+    ]
+    return Rep(A, M.dims, mats)
+
+
+def _assert_split_matches_oracle(M):
+    core, stripped = split_projective_summands(M)
+    ocore, ostripped = split_projective_summands_by_inverse(M)
+    assert stripped == ostripped
+    assert core.dims == ocore.dims
+    assert [m.data for m in core.mats] == [m.data for m in ocore.mats]
+    for R in (M, core):
+        assert is_projective(R) == is_projective_by_rank(R)
+    if not M.is_zero():
+        # the two invariants dropped from the isomorphism battery
+        assert tuple(top_dims(M)) == radical_layer_dims(M)[0]
+        assert tuple(r.rank for r in socle_reducers(M)) == socle_layer_dims(M)[0]
+    return stripped
+
+
+def test_split_and_projectivity_match_inverse_oracle():
+    rng = random.Random(5)
+    stripped = []
+    for name in ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"):
+        A = load(name)
+        n = A.quiver.n_vertices
+        mods = [simple(A, v) for v in range(n)] + [projective(A, v)[0] for v in range(n)]
+        mods += [regular_rep(A), _mixed_sum(A, rng), _mixed_sum(A, rng)]
+        if A.dim <= 4:
+            # the tensors a level-1 witness pair is checked on
+            syz, reg = bimodule_syzygy(A, 1), bimodule_syzygy(A, 0)
+            mods += [tensor_bimodules(syz, reg), tensor_bimodules(syz, syz)]
+        stripped += [_assert_split_matches_oracle(M) for M in mods]
+    n_fixture = len(stripped)
+    for seed, f in ((7301, QQ), (7302, FieldSpec(2)), (7303, FieldSpec(3)), (7304, FieldSpec(5))):
+        for A in completed_corpus(seed, 13, f, bound=8, dim_cap=9):
+            stripped += [_assert_split_matches_oracle(_mixed_sum(A, rng)) for _ in range(4)]
+    assert len(stripped) - n_fixture >= 200
+    assert sum(map(bool, stripped)) > len(stripped) // 2
 
 
 def test_is_projective(line2, dual_numbers):
