@@ -11,6 +11,9 @@ are combined by integer cross-multiplication and divided by their content
 again, and only the reduced rows are turned back into `Fraction` entries, by
 dividing each by its pivot.  The reduced row echelon form is unique, so the
 results are the same Fractions a Fraction elimination gives.
+
+Products and kernel bases touch only nonzero entries, found by truth value,
+since the matrices of resolutions and Hom spaces are mostly zero.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -236,27 +239,25 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
-        out = Matrix(self.field, self.rows, other.cols)
-        od, sd, td = out.data, self.data, other.data
-        for i in range(self.rows):
-            srow = sd[i]
-            orow = od[i]
-            for k in range(self.cols):
+        zero = self.field.zero()
+        n = other.cols
+        # the nonzero (j, b) pairs of each nonzero row k of the right factor,
+        # found once; a left entry is looked at only where they exist
+        sparse = []
+        for k, row in enumerate(other.data):
+            pairs = [(j, b) for j, b in enumerate(row) if b]
+            if pairs:
+                sparse.append((k, pairs))
+        data = []
+        for srow in self.data:
+            acc = [zero] * n
+            for k, pairs in sparse:
                 a = srow[k]
-                if a == 0:
-                    continue
-                trow = td[k]
-                if p is None:
-                    for j in range(other.cols):
-                        b = trow[j]
-                        if b != 0:
-                            orow[j] += a * b
-                else:
-                    for j in range(other.cols):
-                        b = trow[j]
-                        if b != 0:
-                            orow[j] = (orow[j] + a * b) % p
-        return out
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            data.append(acc if p is None else [x % p for x in acc])
+        return Matrix(self.field, self.rows, n, data)
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector, skipping the zero entries of vec."""
@@ -369,22 +370,23 @@ class Matrix:
 
         The column for free variable j has a 1 in position j and the negated
         reduced coefficients in the pivot positions; columns are ordered by
-        free column index.
+        free column index.  Its rows at the free positions form the identity.
         """
         red, rank, pivots = self.rref()
         f = self.field
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
-        cols = []
-        for j in free:
-            v = [f.zero()] * self.cols
-            v[j] = f.one()
-            for i, pc in enumerate(pivots):
-                c = red.data[i][j]
-                if c != 0:
-                    v[pc] = f.neg(c)
-            cols.append(v)
-        return Matrix.from_columns(f, cols, nrows=self.cols)
+        zero, one = f.zero(), f.one()
+        data = [[zero] * len(free) for _ in range(self.cols)]
+        for k, j in enumerate(free):
+            data[j][k] = one
+        for row, pc in zip(red.data, pivots):
+            out = data[pc]
+            for k, j in enumerate(free):
+                c = row[j]
+                if c:
+                    out[k] = f.neg(c)
+        return Matrix(f, self.cols, len(free), data)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Some x with self @ x = rhs, or None; free variables are set to zero."""

@@ -151,34 +151,43 @@ def identity_map(M: Rep) -> RepMap:
     return RepMap(M, M, [Matrix.identity(f, d) for d in M.dims])
 
 
+def _block_diagonal(A: AlgebraHandle, reps: list[Rep]):
+    """(dims, arrow matrices, per-summand offsets) of the direct sum of reps.
+
+    Every row is a new list: the entries of the summands are copied, never
+    their rows.
+    """
+    q = A.quiver
+    zero = A.field.zero()
+    offsets = []
+    dims = [0] * q.n_vertices
+    for r in reps:
+        offsets.append(dims)
+        dims = [x + d for x, d in zip(dims, r.dims)]
+    mats = []
+    for a in range(q.n_arrows):
+        src, tgt = q.a_src[a], q.a_tgt[a]
+        data = []
+        for r, off in zip(reps, offsets):
+            lo, hi = off[src], off[src] + r.dims[src]
+            for row in r.mats[a].data:
+                new = [zero] * dims[src]
+                new[lo:hi] = row
+                data.append(new)
+        mats.append(Matrix(A.field, dims[tgt], dims[src], data))
+    return dims, mats, offsets
+
+
 def rep_direct_sum(reps: list[Rep]):
     """Block-diagonal sum; returns (sum, inclusion maps)."""
     A = reps[0].algebra
     f = A.field
-    q = A.quiver
-    dims = [sum(r.dims[u] for r in reps) for u in range(q.n_vertices)]
-    offsets = []
-    run = [0] * q.n_vertices
-    for r in reps:
-        offsets.append(list(run))
-        for u in range(q.n_vertices):
-            run[u] += r.dims[u]
-    mats = []
-    for a in range(q.n_arrows):
-        src, tgt = q.a_src[a], q.a_tgt[a]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for k, r in enumerate(reps):
-            block = r.mats[a]
-            ro, co = offsets[k][tgt], offsets[k][src]
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    m.data[ro + i][co + j] = block.data[i][j]
-        mats.append(m)
+    dims, mats, offsets = _block_diagonal(A, reps)
     total = Rep(A, dims, mats)
     incls = []
     for k, r in enumerate(reps):
         ms = []
-        for u in range(q.n_vertices):
+        for u in range(A.quiver.n_vertices):
             m = Matrix.zero(f, dims[u], r.dims[u])
             for i in range(r.dims[u]):
                 m.data[offsets[k][u] + i][i] = f.one()
@@ -228,27 +237,40 @@ def arrow_paths(A: AlgebraHandle) -> list[Path]:
 
 
 def _projective_sum(A: AlgebraHandle, vertices: list[int]):
+    """P_{v_0} (+) P_{v_1} (+) ..., assembled block-diagonally from the
+    cached indecomposable projectives.
+
+    Its basis at u lists (j, p) for the normal paths p to u of summand j, in
+    summand order.
+    """
+    parts = [projective(A, v) for v in vertices]
+    dims, mats, offsets = _block_diagonal(A, [P for P, _ in parts])
     basis = [[] for _ in range(A.quiver.n_vertices)]
     gen_pos = []
-    for j, v in enumerate(vertices):
-        for p in A.paths_from(v):
-            if not p.arrows:
-                gen_pos.append((v, len(basis[v])))
-            basis[p.target].append((j, p))
-    arrows = arrow_paths(A)
-
-    def image(a, key):
-        j, p = key
-        product = A.mul_paths(p, arrows[a])  # most often zero: no dict to build
-        return {(j, w): c for w, c in product.items()} if product else product
-
-    return action_rep(A, basis, image), ProjectiveInfo(list(vertices), basis, gen_pos)
+    for j, (v, (_, info)) in enumerate(zip(vertices, parts)):
+        for u, keys in enumerate(info.basis):
+            basis[u].extend((j, p) for _, p in keys)
+        gen_pos.append((v, offsets[j][v] + info.gen_pos[0][1]))
+    return Rep(A, dims, mats), ProjectiveInfo(list(vertices), basis, gen_pos)
 
 
 def projective(A: AlgebraHandle, v: int):
+    """The indecomposable projective Ae_v with its basis of normal paths from
+    v, cached on A; callers must not mutate it."""
     key = ("projective", v)
     if key not in A._extra:
-        A._extra[key] = _projective_sum(A, [v])
+        basis = [[] for _ in range(A.quiver.n_vertices)]
+        for p in A.paths_from(v):
+            if not p.arrows:
+                gen_pos = [(v, len(basis[v]))]
+            basis[p.target].append((0, p))
+        arrows = arrow_paths(A)
+
+        def image(a, key):
+            product = A.mul_paths(key[1], arrows[a])  # most often zero: no dict to build
+            return {(0, w): c for w, c in product.items()} if product else product
+
+        A._extra[key] = (action_rep(A, basis, image), ProjectiveInfo([v], basis, gen_pos))
     return A._extra[key]
 
 
@@ -477,6 +499,8 @@ def sub_rep(M: Rep, vectors_per_vertex):
     The basis at each vertex is the reduced echelon basis of the span, so the
     coordinates of a vector of the span are its entries at the pivots.
     Raises ValueError when the span is not stable under the arrow actions.
+    This is the route for arbitrary spanning sets, such as those of
+    `stable_span`; a kernel is read off its echelon form by `kernel_subrep`.
     """
     A = M.algebra
     f = A.field
@@ -534,12 +558,33 @@ def quotient_rep(M: Rep, vectors_per_vertex):
 
 
 def kernel_subrep(f_map: RepMap):
+    """Kernel of a map as a subrepresentation of its source; (rep, inclusion).
+
+    The basis at each vertex u is the columns K_u of
+    ``f_map.mats[u].kernel_basis()``.  They are the identity at the free
+    rows, so the coordinates of a vector of the kernel are its entries there,
+    and the arrow a: u -> w acts by the free rows of M_a K_u.  Raises
+    ValueError when f_w M_a K_u is not zero, that is when the kernel is not
+    stable under the arrow actions (never for a homomorphism).
+    """
     M = f_map.source
-    vecs = []
-    for u in range(len(M.dims)):
-        ker = f_map.mats[u].kernel_basis()
-        vecs.append([ker.column(j) for j in range(ker.cols)])
-    return sub_rep(M, vecs)
+    A = M.algebra
+    q = A.quiver
+    bases, free = [], []
+    for m in f_map.mats:
+        bases.append(m.kernel_basis())
+        pivots = set(m.rref()[2])  # cached by kernel_basis
+        free.append([j for j in range(m.cols) if j not in pivots])
+    dims = [K.cols for K in bases]
+    mats = []
+    for a in range(q.n_arrows):
+        src, tgt = q.a_src[a], q.a_tgt[a]
+        image = M.mats[a] @ bases[src]
+        if not (f_map.mats[tgt] @ image).is_zero():
+            raise ValueError("span is not stable under the arrow actions")
+        mats.append(Matrix(A.field, dims[tgt], dims[src], [image.data[j] for j in free[tgt]]))
+    S = Rep(A, dims, mats)
+    return S, RepMap(S, M, bases)
 
 
 def projective_cover(M: Rep):
@@ -831,7 +876,7 @@ def restrict(M: Rep, side: str) -> Restriction:
             block = M.mats[pa]
             for r in range(block.rows):
                 c = block.data[r][i]
-                if c != 0:
+                if c:
                     m.data[pos[tgt][(tgt_pair, r)]][col] = c
         mats.append(m)
     return Restriction(target, dims, mats, outer, entries, pos)
@@ -889,12 +934,12 @@ class TensorFunctor:
                     any_entry = False
                     for k in range(Rc.rows):
                         c = Rc.data[k][ix]
-                        if c != 0:
+                        if c:
                             vec[index[(s, k, jy)]] = f.add(vec[index[(s, k, jy)]], c)
                             any_entry = True
                     for l in range(Lc.rows):
                         c = Lc.data[l][jy]
-                        if c != 0:
+                        if c:
                             vec[index[(t, ix, l)]] = f.sub(vec[index[(t, ix, l)]], c)
                             any_entry = True
                     if any_entry:
@@ -915,7 +960,7 @@ class TensorFunctor:
             # g preserves the vertex of Y, hence the middle group
             for r in range(gm.rows):
                 c = gm.data[r][yi]
-                if c != 0:
+                if c:
                     vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
             out_cols.append(space_tgt.reducer.coords_in_complement(vec))
         return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
@@ -985,7 +1030,7 @@ class TensorFunctor:
                 colv = [f.zero()] * dims[tgt_v]
                 for k, amb2 in enumerate(space.complement):
                     c = red[amb2]
-                    if c != 0:
+                    if c:
                         v2, loc2 = local[k]
                         if v2 != tgt_v:
                             raise AssertionError("tensor grading violated")
@@ -1007,7 +1052,7 @@ class TensorFunctor:
         tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[b_arrow], wmid)]
         for r in range(amat.rows):
             c = amat.data[r][xi]
-            if c != 0:
+            if c:
                 vec[space.index[(w, x.pos[w][(tgt_pair, r)], jy)]] = c
 
     def _right_image(self, space, Y, a_arrow, w, ix, jy, vec):
@@ -1020,7 +1065,7 @@ class TensorFunctor:
         tgt_pair = prod.pair_index[(wmid, prod.right.quiver.a_src[a_arrow])]
         for r in range(amat.rows):
             c = amat.data[r][yi]
-            if c != 0:
+            if c:
                 vec[space.index[(w, ix, y.pos[w][(tgt_pair, r)])]] = c
 
 

@@ -262,7 +262,7 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
                     terms = []
                     for i, (_, _, word) in enumerate(cols):
                         c = ker.data[i][jc]
-                        if c != 0:
+                        if c:
                             vec[formal_index[word]] = c
                             terms.append((word, c, su, tu))
                     if cons.contains(vec):

@@ -7,11 +7,14 @@ instead of the duality route, the normal-path oracle lists every path level
 by level with a suffix scan instead of counting on the lead automaton, the
 rref oracle eliminates on Fraction rows instead of primitive integer rows,
 the cover oracles take one product of arrow matrices per basis path instead
-of propagating columns along arrows, the subrepresentation oracle solves
-for coordinates instead of reading them at the echelon pivots, the summand
-oracle splits along an explicit idempotent f h^-1 g instead of taking ker g,
-and the projectivity oracle tests the rank of the cover map instead of
-comparing dimensions only.
+of propagating columns along arrows, the projective-sum oracle multiplies
+every basis path by every arrow instead of copying cached blocks, the
+subrepresentation oracle solves for coordinates instead of reading them at
+the echelon pivots, the kernel oracle re-echelonizes the kernel basis
+through a subspace reducer instead of reading coordinates at its free rows,
+the summand oracle splits along an explicit idempotent f h^-1 g instead of
+taking ker g, and the projectivity oracle tests the rank of the cover map
+instead of comparing dimensions only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from qred.modules import (
     projective_cover,
     quotient_rep,
     radical_reducers,
+    sub_rep,
     validate_rep,
 )
 
@@ -284,6 +288,29 @@ def projective_cover_by_path_action(M: Rep):
     return [v for v, _ in gens], basis, _columns_by_path_action(M, basis, images)
 
 
+def projective_sum_by_products(A, vertices: list[int]):
+    """(arrow matrices, generator positions) of the sum of the P_v, v in
+    vertices, in the basis of projective_cover_by_path_action: the column of
+    a basis path p of summand j under an arrow a is the normal form of p a,
+    multiplied out in the algebra."""
+    q = A.quiver
+    basis = [
+        [(j, p) for j, v in enumerate(vertices) for p in A.paths_from(v) if p.target == u]
+        for u in range(q.n_vertices)
+    ]
+    index = [{key: i for i, key in enumerate(b)} for b in basis]
+    mats = []
+    for a in range(q.n_arrows):
+        src, tgt = q.a_src[a], q.a_tgt[a]
+        m = Matrix.zero(A.field, len(basis[tgt]), len(basis[src]))
+        for col, (j, p) in enumerate(basis[src]):
+            for w, c in A.mul_paths(p, Path(src, tgt, (a,))).items():
+                m.data[index[tgt][(j, w)]][col] = c
+        mats.append(m)
+    gen_pos = [(v, index[v][(j, trivial_path(v))]) for j, v in enumerate(vertices)]
+    return mats, gen_pos
+
+
 def hom_from_projective_by_path_action(A, v: int, M: Rep) -> list[list[Matrix]]:
     """The matrices of the basis of Hom(P_v, M) dual to the standard basis of M_v."""
     f = A.field
@@ -315,6 +342,13 @@ def sub_rep_by_solve(M: Rep, vectors_per_vertex):
             raise ValueError("span is not stable under the arrow actions")
         mats.append(coords)
     return [b.cols for b in bases], mats, bases
+
+
+def kernel_subrep_by_reducer(f_map: RepMap):
+    """(rep, inclusion) of the kernel of f_map as the span of its kernel_basis
+    columns, in the reduced echelon basis of sub_rep; raises ValueError when
+    the kernel is not stable."""
+    return sub_rep(f_map.source, [m.kernel_basis().columns() for m in f_map.mats])
 
 
 def split_projective_summands_by_inverse(M: Rep):

@@ -203,3 +203,55 @@ def test_subspace_reducer_membership():
     assert not red.insert([2, 2, 4])
     assert red.insert([0, 0, 1])
     assert red.rank == 3
+
+
+def _sparse_rows(rng, field, rows, cols):
+    """Mostly-zero rows, with zero rows and zero columns mixed in."""
+    if field.p is None:
+        return _random_rational_rows(rng, rows, cols)
+    out = [[rng.randrange(1, field.p) if rng.random() < 0.3 else 0 for _ in range(cols)] for _ in range(rows)]
+    for row in out:
+        if rng.random() < 0.3:
+            row[:] = [0] * cols
+    return out
+
+
+def _triple_loop(field, a, b, cols):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            s = field.zero()
+            for k, x in enumerate(row):
+                s = field.add(s, field.mul(x, b[k][j]))
+            out[-1].append(s)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["QQ", "GF2", "GF5"])
+def test_matmul_and_is_zero_match_triple_loop(field):
+    """Nonzero-only products against the triple loop on zero-heavy inputs,
+    empty shapes, and products [A A] [B; -B] whose sums cancel to zero."""
+    rng = random.Random(606)
+    kind = Fraction if field.p is None else int
+    outcomes = set()
+    for rows, inner in _shapes(rng):
+        cols = rng.randint(0, 9)
+        a = _sparse_rows(rng, field, rows, inner)
+        b = _sparse_rows(rng, field, inner, cols)
+        cancel_a = [row + row for row in a]
+        cancel_b = b + [[field.neg(x) for x in row] for row in b]
+        for x, y in ((a, b), (cancel_a, cancel_b)):
+            mx = Matrix(field, rows, len(y), [list(r) for r in x])
+            my = Matrix(field, len(y), cols, [list(r) for r in y])
+            prod = mx @ my
+            assert (prod.rows, prod.cols) == (rows, cols)
+            assert prod.data == _triple_loop(field, x, y, cols)
+            assert all(type(e) is kind and (field.p is None or 0 <= e < field.p) for r in prod.data for e in r)
+            assert (mx.data, my.data) == (x, y)  # the factors are left as they were
+            for m in (mx, my, prod):
+                naive = all(e == 0 for r in m.data for e in r)
+                assert m.is_zero() == naive
+                outcomes.add(naive)
+        assert (Matrix(field, rows, 2 * inner, cancel_a) @ Matrix(field, 2 * inner, cols, cancel_b)).is_zero()
+    assert outcomes == {True, False}

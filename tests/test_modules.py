@@ -3,16 +3,18 @@ import random
 import pytest
 
 from qred.algebra import Path
-from qred.linalg import FieldSpec, Matrix, QQ
+from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
 from qred.modules import (
     BoundedDim,
     Rep,
+    RepMap,
     dual,
     hom_basis,
     hom_from_projective,
     injective,
     is_isomorphic,
     is_projective,
+    kernel_subrep,
     minimal_resolution,
     path_action,
     pd_bounded,
@@ -47,7 +49,9 @@ from oracles import (
     hom_from_projective_by_path_action,
     injective_dimension_direct,
     is_projective_by_rank,
+    kernel_subrep_by_reducer,
     projective_cover_by_path_action,
+    projective_sum_by_products,
     socle_reducers,
     split_projective_summands_by_inverse,
     sub_rep_by_solve,
@@ -149,7 +153,8 @@ def _sample_modules(A, rng):
 
 def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, bowtie, corner_mono):
     """Arrow-by-arrow cover columns against one path_action product per basis
-    path, and pivot-read sub_rep coordinates against solving for them, on the
+    path, block-diagonal covers against multiplying out every basis path,
+    and pivot-read sub_rep coordinates against solving for them, on the
     fixtures over Q and seeded corpora over GF(2), GF(3) and GF(5)."""
     algebras = [dual_numbers, line2, tri_dual, bowtie, corner_mono]
     for seed, p in ((31, 2), (32, 3), (33, 5)):
@@ -162,6 +167,10 @@ def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, 
             P, pi, info = projective_cover(M)
             summands, basis, mats = projective_cover_by_path_action(M)
             assert (info.summands, info.basis, pi.mats) == (summands, basis, mats)
+            assert (P.mats, info.gen_pos) == projective_sum_by_products(A, summands)
+            # the blocks are copied from the cached projectives, not shared
+            cached = {id(row) for v in set(summands) for m in projective(A, v)[0].mats for row in m.data}
+            assert not any(id(row) in cached for m in P.mats for row in m.data)
             for v in range(n):
                 got = [h.mats for h in hom_from_projective(A, v, M)]
                 assert got == hom_from_projective_by_path_action(A, v, M)
@@ -193,6 +202,66 @@ def test_sub_rep_rejects_unstable_span(line2):
         sub_rep(P, [[[one, zero]], [[zero, one]]])
     S, _ = sub_rep(P, [[[one, zero]], [[one, zero]]])
     assert S.dims == [1, 1] and S.mats[0].data == [[one]]
+
+
+def _kernel_cases(A, M, rng):
+    """The cover of M, the first two basis maps M -> P_v for each v (the maps
+    split_projective_summands takes kernels of), and a sparse random
+    non-homomorphism M -> M."""
+    f = A.field
+    cases = [("cover", projective_cover(M)[1])]
+    for v in range(A.quiver.n_vertices):
+        cases += [("into projective", g) for g in hom_basis(M, projective(A, v)[0])[:2]]
+    entry = lambda: f.from_int(rng.choice((1, -1, 2))) if rng.random() < 0.3 else f.zero()
+    mats = [Matrix(f, d, d, [[entry() for _ in range(d)] for _ in range(d)]) for d in M.dims]
+    return cases + [("random", RepMap(M, M, mats))]
+
+
+def test_kernel_subrep_matches_reducer_oracle(dual_numbers, line2, tri_dual, bowtie, corner_mono):
+    """Kernels read off the echelon form against re-echelonizing them through
+    sub_rep: same dimensions, same subspaces, intertwining inclusions, and
+    the same ValueError for unstable kernels, on the fixtures and seeded
+    corpora over Q, GF(2) and GF(5)."""
+    algebras = [dual_numbers, line2, tri_dual, bowtie, corner_mono]
+    for seed, f in ((41, QQ), (42, FieldSpec(2)), (43, FieldSpec(5))):
+        algebras += completed_corpus(seed, 6, f, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+    rng = random.Random(4343)
+    outcomes = set()
+    for A in algebras:
+        f = A.field
+        q = A.quiver
+        for M in _sample_modules(A, rng):
+            for kind, g in _kernel_cases(A, M, rng):
+                try:
+                    S, sincl = kernel_subrep_by_reducer(g)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not stable"):
+                        kernel_subrep(g)
+                    outcomes.add((kind, "unstable"))
+                    continue
+                K, incl = kernel_subrep(g)
+                assert K.dims == S.dims
+                for u, (m, s) in enumerate(zip(incl.mats, sincl.mats)):
+                    span = SubspaceReducer(f, m.rows, m.columns())
+                    assert span.rank == K.dims[u]
+                    assert span.basis_rows() == s.columns()
+                for a, m in enumerate(g.source.mats):
+                    assert m @ incl.mats[q.a_src[a]] == incl.mats[q.a_tgt[a]] @ K.mats[a]
+                outcomes.add((kind, "stable"))
+    assert outcomes == {
+        ("cover", "stable"),
+        ("into projective", "stable"),
+        ("random", "stable"),
+        ("random", "unstable"),
+    }
+
+
+def test_kernel_subrep_rejects_unstable_kernel(line2):
+    P1 = projective(line2, 0)[0]  # dims [1, 1]; the arrow maps the top onto the socle
+    f = line2.field
+    g = RepMap(P1, P1, [Matrix.zero(f, 1, 1), Matrix.identity(f, 1)])
+    with pytest.raises(ValueError, match="not stable under the arrow actions"):
+        kernel_subrep(g)
 
 
 def test_resolution_line2(line2):
