@@ -223,11 +223,7 @@ class AlgebraHandle:
         self.product: ProductStructure | None = None
         self.corner: CornerStructure | None = None
         self.quotient_of = None  # (parent, vertex_map, arrow_map)
-        self._by_first = {}
-        for lead, rest in rules:
-            self._by_first.setdefault(lead.arrows[0], []).append((lead, rest))
-        for lst in self._by_first.values():
-            lst.sort(key=lambda lr: word_key(lr[0]))
+        self._by_first = _index_by_first(rules)
         self._nf_cache: dict[Path, Element] = {}
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
         self._opposite: AlgebraHandle | None = None
@@ -266,12 +262,6 @@ class AlgebraHandle:
             self._mul_cache[key] = cached
         return cached
 
-    def basis_coords(self, elem: Element) -> list:
-        vec = [self.field.zero()] * self.dim
-        for p, c in elem.items():
-            vec[self.basis_index[p]] = c
-        return vec
-
     def paths_from(self, v: int) -> list[Path]:
         return [p for p in self.normal_basis if p.source == v]
 
@@ -284,8 +274,13 @@ class AlgebraHandle:
     # -- derived algebras ----------------------------------------------
 
     def opposite(self) -> "AlgebraHandle":
+        """A^op on reversed words, completed without a nilpotency certificate.
+
+        Reversal is an anti-isomorphism carrying rad A onto the arrow ideal
+        of A^op, which is therefore nilpotent.
+        """
         if self._opposite is None:
-            op = complete(opposite_presentation(self.presentation), self.degree_bound)
+            op = _complete(opposite_presentation(self.presentation), self.degree_bound)
             op.name = self.name + "^op"
             op._opposite = self
             self._opposite = op
@@ -298,6 +293,16 @@ class AlgebraHandle:
 
     def __repr__(self):
         return f"AlgebraHandle({self.name!r}, dim={self.dim})"
+
+
+def _index_by_first(rules) -> dict:
+    """Rules grouped by the first arrow of their lead, each group sorted by lead."""
+    out = {}
+    for lead, rest in rules:
+        out.setdefault(lead.arrows[0], []).append((lead, rest))
+    for lst in out.values():
+        lst.sort(key=lambda lr: word_key(lr[0]))
+    return out
 
 
 def _reduce_element(elem: Element, by_first, field: FieldSpec) -> Element:
@@ -376,36 +381,17 @@ class _Completion:
             if ra not in self.rules or rb not in self.rules:
                 continue
             self._process_overlaps(ra, rb)
-        # final tail reduction to the unique reduced system
+        # final tail reduction to the unique reduced system; a tail never
+        # contains its own lead, as its words are smaller in length-lex order
         final = []
         for rid in sorted(self.rules):
             lead, rest = self.rules[rid]
-            rest = _reduce_element(dict(rest), self._by_first_excluding(lead), self.field)
-            final.append((lead, rest))
+            final.append((lead, _reduce_element(rest, self.by_first, self.field)))
         final.sort(key=lambda lr: word_key(lr[0]))
         return final
 
-    def _by_first_excluding(self, lead):
-        # tails may be reducible by every rule (a lead never reduces its own
-        # tail: tail words are strictly smaller and cannot contain the lead
-        # is not guaranteed, so exclude the rule itself)
-        out = {}
-        for rid in self.rules:
-            l, r = self.rules[rid]
-            if l == lead:
-                continue
-            out.setdefault(l.arrows[0], []).append((l, r))
-        for lst in out.values():
-            lst.sort(key=lambda lr: word_key(lr[0]))
-        return out
-
     def _rebuild_index(self):
-        self.by_first = {}
-        for rid in self.active:
-            lead, rest = self.rules[rid]
-            self.by_first.setdefault(lead.arrows[0], []).append((lead, rest))
-        for lst in self.by_first.values():
-            lst.sort(key=lambda lr: word_key(lr[0]))
+        self.by_first = _index_by_first(self.rules[rid] for rid in self.active)
 
     def _add_element(self, elem: Element):
         e = _reduce_element(elem, self.by_first, self.field)
@@ -562,42 +548,58 @@ def _enumerate_basis(quiver: Quiver, rules, degree_bound: int, count_cap: int = 
     return basis
 
 
-def _check_radical_nilpotent(handle: AlgebraHandle):
-    """Certify that the arrow ideal is nilpotent modulo the relations.
+def _loewy_length(A: AlgebraHandle, basis, gens) -> int:
+    """The least L with R^L = 0, where R spans the positive-length paths of basis.
 
-    This is what makes the presentation genuinely admissible (the span of the
-    positive-length normal paths is then the Jacobson radical).
+    basis lists normal paths of A whose span is closed under multiplication,
+    and gens spans R, so that R^(k+1) = R^k . gens.  Raises InvalidPresentation
+    when the powers stop shrinking: the arrow ideal is then not nilpotent
+    modulo the relations, and its span is not the Jacobson radical.
     """
-    f = handle.field
-    dim = handle.dim
-    arrows = [p for p in handle.normal_basis if len(p.arrows) == 1]
-    # (j, p_j.a) for the basis paths p_j that compose with a; p -> p.a is
+    f = A.field
+    index = {p: i for i, p in enumerate(basis)}
+
+    def coords(elem) -> list:
+        vec = [f.zero()] * len(basis)
+        for p, c in elem.items():
+            vec[index[p]] = c
+        return vec
+
+    # (j, p_j.x) for the basis paths p_j that compose with x; p -> p.x is
     # injective on paths, so the terms of each product are distinct
     products = []
-    for a in arrows:
-        images = enumerate(compose(p, a) for p in handle.normal_basis)
-        products.append([(j, pa) for j, pa in images if pa is not None])
-    current = SubspaceReducer(f, dim)
-    for p in handle.normal_basis:
-        if len(p.arrows) >= 1:
-            current.insert(handle.basis_coords({p: f.one()}))
-    for _ in range(dim + 1):
-        if current.rank == 0:
-            return
-        nxt = SubspaceReducer(f, dim)
+    for x in gens:
+        images = enumerate(compose(p, x) for p in basis)
+        products.append([(j, px) for j, px in images if px is not None])
+    current = SubspaceReducer(f, len(basis))
+    for p in basis:
+        if p.arrows:
+            current.insert(coords({p: f.one()}))
+    loewy = 1
+    while current.rank:
+        loewy += 1
+        nxt = SubspaceReducer(f, len(basis))
         for row in current.basis_rows():
             for terms in products:
-                acc = handle.normal_form({pa: row[j] for j, pa in terms if row[j]})
+                acc = A.normal_form({px: row[j] for j, px in terms if row[j]})
                 if acc:
-                    nxt.insert(handle.basis_coords(acc))
+                    nxt.insert(coords(acc))
         if nxt.rank >= current.rank:
             raise InvalidPresentation(
                 [Diagnostic("not-admissible", "arrow ideal is not nilpotent modulo relations")]
             )
         current = nxt
-    raise InvalidPresentation(
-        [Diagnostic("not-admissible", "arrow ideal is not nilpotent modulo relations")]
-    )
+    return loewy
+
+
+def _complete(pres: Presentation, degree_bound: int) -> AlgebraHandle:
+    """complete without the nilpotency certificate, for derived algebras."""
+    diags = [d for d in validate(pres) if d.code != "zero-coeff"]
+    if diags:
+        raise InvalidPresentation(diags)
+    rules = _Completion(pres, degree_bound).run()
+    basis = _enumerate_basis(pres.quiver, rules, degree_bound)
+    return AlgebraHandle(pres, rules, basis, degree_bound)
 
 
 def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
@@ -607,21 +609,20 @@ def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
     paths.  The normal paths of each length are counted on the automaton of
     paths that avoid every rule lead, and are listed only once the count of
     some length from 1 to max(degree_bound, 1) is zero and the basis holds at
-    most 200000 paths.
+    most 200000 paths.  The arrow ideal is then certified nilpotent modulo the
+    relations, so that the positive-length normal paths span the Jacobson
+    radical.  Only presentations read from input need this certificate: the
+    algebras derived from a completed one (opposites, products A (x) B^op,
+    corners eAe and quotients A/J) inherit it, and their constructions skip it.
 
     Raises InvalidPresentation on inadmissible input and DimensionNotResolved
     when a rule exceeds the bound, when normal paths of length
     max(degree_bound, 1) exist, or when more than 200000 normal paths are
     found.
     """
-    diags = [d for d in validate(pres) if d.code != "zero-coeff"]
-    if diags:
-        raise InvalidPresentation(diags)
-    comp = _Completion(pres, degree_bound)
-    rules = comp.run()
-    basis = _enumerate_basis(pres.quiver, rules, degree_bound)
-    handle = AlgebraHandle(pres, rules, basis, degree_bound)
-    _check_radical_nilpotent(handle)
+    handle = _complete(pres, degree_bound)
+    arrows = [p for p in handle.normal_basis if len(p.arrows) == 1]
+    _loewy_length(handle, handle.normal_basis, arrows)
     return handle
 
 
@@ -644,6 +645,11 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
 
     Left A-B-bimodules are representations of this algebra; with B = A it is
     the enveloping algebra carrying A-A-bimodules.
+
+    The presented algebra maps onto A (x) B^op, and the dimension check
+    makes that map an isomorphism.  Its arrow ideal then lies in the
+    nilpotent ideal rad A (x) B^op + A (x) rad B^op, so its completion skips
+    the nilpotency certificate.
     """
     if A.field != B.field:
         raise ValueError("tensor factors must share the ground field")
@@ -728,7 +734,7 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
         f"{A.name}(x){B.name}^op",
     )
     bound = A.loewy_length + B.loewy_length
-    handle = complete(pres, bound)
+    handle = _complete(pres, bound)
     if handle.dim != A.dim * B.dim:
         raise ConsistencyError(
             f"dimension mismatch: product completed to {handle.dim}, expected {A.dim * B.dim}"

@@ -17,8 +17,8 @@ from .algebra import (
     Path,
     Presentation,
     Quiver,
+    _complete,
     word_key,
-    complete,
 )
 from .linalg import SubspaceReducer
 from .modules import (
@@ -257,6 +257,8 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
 
     For a vertex-set ideal A*e*A this is vertex deletion; generator elements
     are appended to the relation list (they must be admissible combinations).
+    A/J is a quotient of A, so its radical, the image of rad A, is nilpotent
+    and its completion skips the nilpotency certificate.
     """
     bound = bound or A.degree_bound
     q = A.quiver
@@ -298,7 +300,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             if terms:
                 rels.append(_monic(terms, A.field))
         pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, A.name + "/J")
-        handle = complete(pres, bound)
+        handle = _complete(pres, bound)
         qd = QuotientData(handle, list(range(q.n_vertices)), amap)
         if not deleted_arrows:
             qd.arrow_map = list(range(q.n_arrows))
@@ -344,7 +346,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             rels.append(_monic(terms, A.field))
     name = A.name + "/(" + ",".join(J.vertices) + ")"
     pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, name)
-    handle = complete(pres, bound)
+    handle = _complete(pres, bound)
     handle.quotient_of = (A, vmap, amap)
     return QuotientData(handle, vmap, amap)
 

@@ -618,7 +618,6 @@ class Resolution:
     projectives: list[Rep]
     maps: list[RepMap]  # maps[0]: P0 -> M; maps[i]: P_i -> P_{i-1}
     syzygies: list[Rep]  # syzygies[i] = Omega^{i+1}(M)
-    infos: list[ProjectiveInfo]
     terminated: bool
 
     @property
@@ -628,7 +627,7 @@ class Resolution:
 
 def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolution:
     """Iterated minimal covers; stops early when a syzygy vanishes."""
-    projs, maps, syz, infos = [], [], [], []
+    projs, maps, syz = [], [], []
     current = M
     incl_prev = None
     terminated = M.is_zero()
@@ -640,18 +639,17 @@ def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolu
             raise ResolutionCapExceeded(
                 f"syzygy dimension {current.total_dim} exceeds cap {dim_cap}"
             )
-        P, pi, info = projective_cover(current)
+        P, pi, _ = projective_cover(current)
         d = pi if incl_prev is None else incl_prev.compose_after(pi)
         K, incl = kernel_subrep(pi)
         projs.append(P)
         maps.append(d)
         syz.append(K)
-        infos.append(info)
         incl_prev = incl
         current = K
     if current.is_zero():
         terminated = True
-    return Resolution(M, projs, maps, syz, infos, terminated)
+    return Resolution(M, projs, maps, syz, terminated)
 
 
 def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None) -> BoundedDim:

@@ -269,9 +269,12 @@ def parse_module(text: str, A: AlgebraHandle):
             if tokens[1] not in q.v_index:
                 raise ParseError(lineno, body.find(tokens[1]) + 1, f"unknown vertex {tokens[1]!r}")
             try:
-                dims[q.v_index[tokens[1]]] = int(tokens[3])
+                d = int(tokens[3])
+                if d < 0:
+                    raise ValueError
             except ValueError:
                 raise ParseError(lineno, 1, f"bad dimension {tokens[3]!r}")
+            dims[q.v_index[tokens[1]]] = d
         elif head == "map":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected: map <arrow> = [[...]]")

@@ -21,7 +21,8 @@ from .algebra import (
     Path,
     Presentation,
     Quiver,
-    complete,
+    _complete,
+    _loewy_length,
     compose,
     corner_basis,
     word_key,
@@ -120,6 +121,10 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     square; relations are the kernel of the evaluation onto eAe, computed
     degree by degree up to the corner's Loewy length and thinned against
     consequences of the relations already found.
+
+    The presented algebra maps onto eAe, and the dimension check makes that
+    map an isomorphism.  Its arrow ideal then lies in the nilpotent ideal
+    e rad A e, so its completion skips the nilpotency certificate.
     """
     q = A.quiver
     S = sorted(q.v_index[v] for v in vertex_names)
@@ -152,28 +157,7 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     if any(len(c.arrows) == 0 for c in realizations):
         raise ConsistencyError("corner not admissible: trivial-path arrow candidate")
 
-    # Loewy length of the corner via powers of e rad e
-    current = SubspaceReducer(f, len(C))
-    for a in C_pos:
-        current.insert(vec_of({a: f.one()}))
-    # (j, C_j.x) for the corner paths C_j that compose with x; p -> p.x is
-    # injective on paths, so the terms of each product are distinct
-    products = []
-    for x in C_pos:
-        images = enumerate(compose(p, x) for p in C)
-        products.append([(j, px) for j, px in images if px is not None])
-    loewy = 1
-    while current.rank > 0:
-        loewy += 1
-        nxt = SubspaceReducer(f, len(C))
-        for row in current.basis_rows():
-            for terms in products:
-                acc = A.normal_form({px: row[j] for j, px in terms if row[j]})
-                if acc:
-                    nxt.insert(vec_of(acc))
-        if nxt.rank >= current.rank and nxt.rank > 0:
-            raise ConsistencyError("corner radical is not nilpotent")
-        current = nxt
+    loewy = _loewy_length(A, C, C_pos)
 
     # quiver of the corner
     s_pos = {v: i for i, v in enumerate(S)}
@@ -282,7 +266,7 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
         A.presentation.convention,
         name or f"{A.name}.corner[{','.join(q.vertices[v] for v in S)}]",
     )
-    handle = complete(pres, max(loewy + 1, 2))
+    handle = _complete(pres, max(loewy + 1, 2))
     if handle.dim != len(C):
         raise ConsistencyError(
             f"corner presented dimension {handle.dim} != corner basis size {len(C)}"

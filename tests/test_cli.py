@@ -248,6 +248,30 @@ def test_cli_bound_zero(capsys, tmp_path):
     assert out.err == f"qred: {arrow}: dimension not resolved within bound 0: irreducible paths persist\n"
 
 
+def test_cli_non_nilpotent_algebra(capsys, tmp_path):
+    # x^2 = x^3: finite-dimensional, but x^2 survives every power of x
+    alg = tmp_path / "nn.alg"
+    alg.write_text(
+        "algebra nn\nfield rational\nvertices 1\narrow x : 1 -> 1\n"
+        "relations\n  x*x - x*x*x\nend\n"
+    )
+    code, out = run(capsys, "analyze", str(alg))
+    assert code == 2
+    assert out.out == ""
+    assert out.err == (
+        f"qred: {alg}: invalid presentation: arrow ideal is not nilpotent modulo relations\n"
+    )
+
+
+def test_cli_negative_module_dimension(capsys, tmp_path):
+    mod = tmp_path / "neg.mod"
+    mod.write_text("module M over line2\ndim 1 = -1\ndim 2 = 1\nmap a = [[1]]\n")
+    code, out = run(capsys, "resolve", fixture("line2"), "--module", str(mod))
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"qred: {mod}:2:1: bad dimension '-1'\n"
+
+
 def test_cli_witness_fails(capsys):
     code, out = run(capsys, "witness", fixture("dual_numbers"), "--identity", "--level", "1")
     assert code == 1

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from qred.algebra import ConsistencyError, corner_basis
+from qred.algebra import ConsistencyError, _loewy_length, complete, corner_basis
 from qred.linalg import FieldSpec, QQ
-from qred.homology import IdealSpec
-from qred.modules import simple, pd_bounded
+from qred.homology import IdealSpec, quotient_algebra
+from qred.modules import pd_bounded, radical_layer_dims, regular_rep, simple
+from qred.parser import parse_algebra
 from qred.reduction import (
     PROPERTIES,
     corner_conditions,
@@ -135,6 +136,55 @@ def test_corner_dim_matches_basis_random():
         assert B.dim == len(corner_basis(A, S)), (A.name, S)
         checked += 1
     assert checked == 10
+
+
+def _radical_layer_count(X):
+    return len(radical_layer_dims(regular_rep(X)))
+
+
+def _arrow_loewy_length(X):
+    return _loewy_length(X, X.normal_basis, [p for p in X.normal_basis if len(p.arrows) == 1])
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FieldSpec(2), FieldSpec(3), GF5], ids=["Q", "GF2", "GF3", "GF5"]
+)
+def test_loewy_length_matches_radical_layers(field):
+    # A and the algebras derived from it without a nilpotency certificate:
+    # A^op, A (x) A^op, a corner eAe and a quotient A/AeA
+    inhomogeneous = 0
+    for A in completed_corpus(
+        9200 + (field.p or 0), 8, field, bound=8, dim_cap=8, max_vertices=3, max_arrows=4
+    ):
+        rels = A.presentation.relations
+        inhomogeneous += any(len({len(p.arrows) for p, _ in rel}) > 1 for rel in rels)
+        half = A.quiver.vertices[: max(1, A.quiver.n_vertices // 2)]
+        corner = corner_presentation(A, half)
+        derived = [A, A.opposite(), A.enveloping(), corner]
+        if A.quiver.n_vertices > 1:
+            derived.append(quotient_algebra(A, IdealSpec.from_vertices(half)).handle)
+        for X in derived:
+            assert _arrow_loewy_length(X) == _radical_layer_count(X), X.name
+        C = corner_basis(A, half)
+        assert _loewy_length(A, C, [p for p in C if p.arrows]) == _radical_layer_count(corner)
+    assert inhomogeneous
+
+
+def test_loewy_length_counts_radical_layers_not_path_lengths():
+    # length-lex rewriting keeps the shorter side of a non-homogeneous
+    # relation: the normal path a1*a0 = 2 * a1*a1*a1 lies in rad^3, and the
+    # radical powers outlast the longest normal path (length 3)
+    A = complete(
+        parse_algebra(
+            "algebra nh\nfield rational\nvertices 1\n"
+            "arrow a0 : 1 -> 1\narrow a1 : 1 -> 1\n"
+            "relations\n  -2 * a0*a0*a1 + a0*a0\n  -2 * a1*a1*a1 + a1*a0\n"
+            "  a0*a1*a1*a1 - a0*a0*a1\n  a0*a0*a0*a0\nend\n"
+        ),
+        8,
+    )
+    assert max(len(p.arrows) for p in A.normal_basis) == 3
+    assert _arrow_loewy_length(A) == _radical_layer_count(A) == 5
 
 
 def test_remove_vertex(tri_dual, line2, bowtie):
