@@ -218,7 +218,9 @@ class AlgebraHandle:
         self.dim = len(basis)
         self.name = name or presentation.name
         self.basis_index = {p: i for i, p in enumerate(basis)}
-        self.loewy_length = 1 + max((len(p.arrows) for p in basis), default=0)
+        # the least L with rad^L = 0, set by whichever construction completed
+        # the handle
+        self.loewy_length: int | None = None
         self.is_monomial = all(not rest for _, rest in rules)
         self.product: ProductStructure | None = None
         self.corner: CornerStructure | None = None
@@ -277,11 +279,12 @@ class AlgebraHandle:
         """A^op on reversed words, completed without a nilpotency certificate.
 
         Reversal is an anti-isomorphism carrying rad A onto the arrow ideal
-        of A^op, which is therefore nilpotent.
+        of A^op, which is therefore nilpotent with the Loewy length of A.
         """
         if self._opposite is None:
             op = _complete(opposite_presentation(self.presentation), self.degree_bound)
             op.name = self.name + "^op"
+            op.loewy_length = self.loewy_length
             op._opposite = self
             self._opposite = op
         return self._opposite
@@ -593,7 +596,10 @@ def _loewy_length(A: AlgebraHandle, basis, gens) -> int:
 
 
 def _complete(pres: Presentation, degree_bound: int) -> AlgebraHandle:
-    """complete without the nilpotency certificate, for derived algebras."""
+    """complete without the nilpotency certificate, for derived algebras.
+
+    The caller sets the Loewy length, which this does not compute.
+    """
     diags = [d for d in validate(pres) if d.code != "zero-coeff"]
     if diags:
         raise InvalidPresentation(diags)
@@ -611,9 +617,11 @@ def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
     some length from 1 to max(degree_bound, 1) is zero and the basis holds at
     most 200000 paths.  The arrow ideal is then certified nilpotent modulo the
     relations, so that the positive-length normal paths span the Jacobson
-    radical.  Only presentations read from input need this certificate: the
-    algebras derived from a completed one (opposites, products A (x) B^op,
-    corners eAe and quotients A/J) inherit it, and their constructions skip it.
+    radical, and the count of radical powers is the Loewy length.  Only
+    presentations read from input need this certificate: the opposites,
+    products A (x) B^op and corners eAe derived from a completed algebra
+    inherit it and take their Loewy lengths from their inputs.  A quotient
+    A/J inherits it too, but is completed here for its Loewy length.
 
     Raises InvalidPresentation on inadmissible input and DimensionNotResolved
     when a rule exceeds the bound, when normal paths of length
@@ -622,7 +630,7 @@ def complete(pres: Presentation, degree_bound: int = 20) -> AlgebraHandle:
     """
     handle = _complete(pres, degree_bound)
     arrows = [p for p in handle.normal_basis if len(p.arrows) == 1]
-    _loewy_length(handle, handle.normal_basis, arrows)
+    handle.loewy_length = _loewy_length(handle, handle.normal_basis, arrows)
     return handle
 
 
@@ -647,9 +655,11 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
     the enveloping algebra carrying A-A-bimodules.
 
     The presented algebra maps onto A (x) B^op, and the dimension check
-    makes that map an isomorphism.  Its arrow ideal then lies in the
-    nilpotent ideal rad A (x) B^op + A (x) rad B^op, so its completion skips
-    the nilpotency certificate.
+    makes that map an isomorphism.  Its arrow ideal is then the nilpotent
+    ideal R = rad A (x) B^op + A (x) rad B^op, so its completion skips the
+    nilpotency certificate.  R^n is the sum of the
+    rad^i A (x) rad^j B^op with i + j = n, which gives Loewy length
+    L_A + L_B - 1.
     """
     if A.field != B.field:
         raise ValueError("tensor factors must share the ground field")
@@ -739,6 +749,7 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
         raise ConsistencyError(
             f"dimension mismatch: product completed to {handle.dim}, expected {A.dim * B.dim}"
         )
+    handle.loewy_length = A.loewy_length + B.loewy_length - 1
     handle.product = ProductStructure(
         A, B, vertex_pairs, pair_index, arrow_kind, left_arrow, right_arrow
     )

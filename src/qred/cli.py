@@ -156,16 +156,18 @@ def _parse_vertex_list(arg: str) -> list[str]:
 
 
 def _reduction_steps(A, args, bound):
-    """Quotient/corner/triangular steps requested by flags, in that order."""
+    """Quotient/corner/triangular steps requested by flags, in that order.
+
+    A refuted step ends the list.
+    """
     steps = []
     current = A
-    refuted = None
     if getattr(args, "quotient", None):
         J = IdealSpec.from_vertices(_parse_vertex_list(args.quotient))
         sr = quotient_conditions(current, J, bound)
         steps.append(sr)
         if sr.status == "refuted":
-            return steps, current, "refuted"
+            return steps, current
         current = sr.output
     if getattr(args, "corner", None):
         sr = corner_conditions(current, _parse_vertex_list(args.corner), bound, args.variant)
@@ -176,7 +178,14 @@ def _reduction_steps(A, args, bound):
         if sr is not None:
             steps.append(sr)
             current = sr.output
-    return steps, current, refuted
+    return steps, current
+
+
+def _refuted_report(A, steps):
+    """The report of a command whose requested steps ended in a refutation."""
+    trace = [_step_json(sr.step) for sr in steps]
+    results = {"refuted": True, "failures": steps[-1].failures}
+    return A, results, trace, [], False, EXIT_FAIL
 
 
 def cmd_analyze(args, seed):
@@ -203,11 +212,9 @@ def _basis_profile(A):
 
 def cmd_reduce(args, seed):
     A = _load_algebra(args.algebra, args.bound)
-    steps, current, refuted = _reduction_steps(A, args, args.bound)
-    if refuted == "refuted":
-        trace = [_step_json(sr.step) for sr in steps]
-        results = {"refuted": True, "failures": steps[-1].failures}
-        return A, results, trace, [], False, EXIT_FAIL
+    steps, current = _reduction_steps(A, args, args.bound)
+    if steps and steps[-1].status == "refuted":
+        return _refuted_report(A, steps)
     terminal, fsteps, _ = reduce_fixpoint(current)
     trace = [_step_json(sr.step) for sr in steps] + [_step_json(s) for s in fsteps]
     conditional = any(sr.status != "certified" for sr in steps)
@@ -222,11 +229,9 @@ def cmd_reduce(args, seed):
 
 def cmd_check(args, seed):
     A = _load_algebra(args.algebra, args.bound)
-    steps, current, refuted = _reduction_steps(A, args, args.bound)
-    if refuted == "refuted":
-        trace = [_step_json(sr.step) for sr in steps]
-        results = {"refuted": True, "failures": steps[-1].failures}
-        return A, results, trace, [], False, EXIT_FAIL
+    steps, current = _reduction_steps(A, args, args.bound)
+    if steps and steps[-1].status == "refuted":
+        return _refuted_report(A, steps)
     props = PROPERTIES if args.property == "all" else (args.property,)
     verdict = property_verdict(A, None if args.property == "all" else args.property,
                                args.bound, extra_steps=steps)

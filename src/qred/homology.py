@@ -1,11 +1,12 @@
 """Homological condition checkers.
 
 Bounded Tor, global and Gorenstein dimension, the relation-endpoint
-(Bongartz) criterion for pd/id <= 1 of a vertex simple, homological-ideal
-detection via Tor vanishing, bimodule projective dimension over the
-enveloping algebra, derived-tensor boundedness over a corner, and serial
-detection.  "< infinity" is only ever asserted from a terminating resolution;
-everything else stays explicit evidence.
+(Bongartz) criterion for pd/id <= 1 of a vertex simple over minimal
+relations, read modulo rad*I + I*rad, homological-ideal detection via Tor
+vanishing, bimodule projective dimension over the enveloping algebra,
+derived-tensor boundedness over a corner, and serial detection.
+"< infinity" is only ever asserted from a terminating resolution; everything
+else stays explicit evidence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .algebra import (
     Presentation,
     Quiver,
     _complete,
+    complete,
+    compose,
     word_key,
 )
 from .linalg import SubspaceReducer
@@ -118,78 +121,39 @@ def gorenstein_bounded(A: AlgebraHandle, n: int) -> tuple[BoundedDim, BoundedDim
 # -- minimal relations and the endpoint criterion ---------------------------
 
 
-def _paths_up_to(q: Quiver, max_len: int) -> list[Path]:
-    out = [Path(v, v, ()) for v in range(q.n_vertices)]
-    level = list(out)
-    for _ in range(max_len):
-        nxt = []
-        for p in level:
-            for a in q.arrows_from[p.target]:
-                nxt.append(Path(p.source, q.a_tgt[a], p.arrows + (a,)))
-        out.extend(nxt)
-        level = nxt
-        if not level:
-            break
-    return out
-
-
 def minimal_relations(A: AlgebraHandle) -> list[dict]:
-    """A minimal generating set of the relation ideal.
+    """A minimal generating set of the relation ideal I, as rules lead - rest.
 
-    Extracted from the completed system by discarding, degreewise, every
-    element lying in I*rad + rad*I; the survivors represent a basis of
-    I/(I*rad + rad*I), which is what the endpoint criterion scans.
+    The rules g of A generate I, so K = rad*I + I*rad is generated by the
+    products a*g and g*a with the arrows a, and the rules span I/K.  K
+    contains J^(L+1), where J is the arrow ideal and L <= dim A the Loewy
+    length, so kQ/K is finite-dimensional and its completion gives each rule
+    exact coordinates.  The rules whose normal forms there are independent of
+    those kept before, in lead order, represent a basis of I/K: from u to v
+    they number dim Ext^2(S_u, S_v), which the endpoint criterion scans.
     """
     key = "minimal_relations"
     if key in A._extra:
         return A._extra[key]
     f = A.field
     q = A.quiver
-    gens = []
-    for lead, rest in A.rules:
-        g = {lead: f.one()}
-        for w, c in rest.items():
-            g[w] = f.neg(c)
-        gens.append(g)
-    if not gens:
-        A._extra[key] = []
-        return []
-    D = max(len(lead.arrows) for lead, _ in A.rules)
-    paths = _paths_up_to(q, D)
-    candidates = [p for p in paths if 2 <= len(p.arrows) <= D]
-    index = {p: i for i, p in enumerate(candidates)}
-    by_target = {}
-    by_source = {}
-    for p in paths:
-        by_target.setdefault(p.target, []).append(p)
-        by_source.setdefault(p.source, []).append(p)
-
-    def to_vec(elem):
-        vec = [f.zero()] * len(candidates)
-        for p, c in elem.items():
-            vec[index[p]] = c
-        return vec
-
-    reducer = SubspaceReducer(f, len(candidates))
-    for g in gens:
-        lead = max(g, key=word_key)
-        src, tgt = lead.source, lead.target
-        budget = D - len(lead.arrows)
-        for u in by_target.get(src, ()):  # u then g
-            if len(u.arrows) > budget:
-                continue
-            for v in by_source.get(tgt, ()):
-                lp = len(u.arrows) + len(v.arrows)
-                if lp == 0 or lp > budget:
-                    continue
-                prod = {}
-                for p, c in g.items():
-                    w = Path(u.source, v.target, u.arrows + p.arrows + v.arrows)
-                    prod[w] = f.add(prod.get(w, f.zero()), c)
-                reducer.insert(to_vec(prod))
+    gens = [{lead: f.one()} | {w: f.neg(c) for w, c in rest.items()} for lead, rest in A.rules]
+    arrows = [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
+    products = []
+    for g, (lead, _) in zip(gens, A.rules):
+        for a in arrows:
+            if a.target == lead.source:
+                products.append(tuple((compose(a, p), c) for p, c in g.items()))
+            if lead.target == a.source:
+                products.append(tuple((compose(p, a), c) for p, c in g.items()))
+    pres = Presentation(f, q, products, A.presentation.convention, A.name + "/K")
+    K = _complete(pres, A.dim + 1)
+    reducer = SubspaceReducer(f, K.dim)
     kept = []
-    for g in sorted(gens, key=lambda e: word_key(max(e, key=word_key))):
-        vec = to_vec(g)
+    for g in gens:
+        vec = [f.zero()] * K.dim
+        for p, c in K.normal_form(g).items():
+            vec[K.basis_index[p]] = c
         if not reducer.contains(vec):
             kept.append(g)
             reducer.insert(vec)
@@ -257,8 +221,8 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
 
     For a vertex-set ideal A*e*A this is vertex deletion; generator elements
     are appended to the relation list (they must be admissible combinations).
-    A/J is a quotient of A, so its radical, the image of rad A, is nilpotent
-    and its completion skips the nilpotency certificate.
+    A/J is a quotient of A, so its radical, the image of rad A, is nilpotent;
+    its completion counts the radical powers only for its Loewy length.
     """
     bound = bound or A.degree_bound
     q = A.quiver
@@ -300,7 +264,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             if terms:
                 rels.append(_monic(terms, A.field))
         pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, A.name + "/J")
-        handle = _complete(pres, bound)
+        handle = complete(pres, bound)
         qd = QuotientData(handle, list(range(q.n_vertices)), amap)
         if not deleted_arrows:
             qd.arrow_map = list(range(q.n_arrows))
@@ -346,7 +310,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             rels.append(_monic(terms, A.field))
     name = A.name + "/(" + ",".join(J.vertices) + ")"
     pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, name)
-    handle = _complete(pres, bound)
+    handle = complete(pres, bound)
     handle.quotient_of = (A, vmap, amap)
     return QuotientData(handle, vmap, amap)
 

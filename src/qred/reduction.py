@@ -124,7 +124,8 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
 
     The presented algebra maps onto eAe, and the dimension check makes that
     map an isomorphism.  Its arrow ideal then lies in the nilpotent ideal
-    e rad A e, so its completion skips the nilpotency certificate.
+    e rad A e, so its completion skips the nilpotency certificate and takes
+    the Loewy length counted on the corner basis.
     """
     q = A.quiver
     S = sorted(q.v_index[v] for v in vertex_names)
@@ -271,6 +272,7 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
         raise ConsistencyError(
             f"corner presented dimension {handle.dim} != corner basis size {len(C)}"
         )
+    handle.loewy_length = loewy
     handle.corner = CornerStructure(A, S, realizations)
     return handle
 

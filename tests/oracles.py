@@ -13,8 +13,9 @@ subrepresentation oracle solves for coordinates instead of reading them at
 the echelon pivots, the kernel oracle re-echelonizes the kernel basis
 through a subspace reducer instead of reading coordinates at its free rows,
 the summand oracle splits along an explicit idempotent f h^-1 g instead of
-taking ker g, and the projectivity oracle tests the rank of the cover map
-instead of comparing dimensions only.
+taking ker g, the projectivity oracle tests the rank of the cover map
+instead of comparing dimensions only, and the Ext^2 oracle counts summands of
+minimal resolutions instead of reducing rules modulo rad*I + I*rad.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ from qred.modules import (
     hom_from_projective,
     injective,
     kernel_subrep,
+    minimal_resolution,
     path_action,
     projective,
     projective_cover,
     quotient_rep,
     radical_reducers,
+    simple,
     sub_rep,
+    top_dims,
     validate_rep,
 )
 
@@ -392,3 +396,19 @@ def is_projective_by_rank(M: Rep) -> bool:
         return True
     P, pi, _ = projective_cover(M)
     return P.total_dim == M.total_dim and all(m.rank() == m.rows for m in pi.mats)
+
+
+def ext2_dims(A) -> dict:
+    """dim Ext^2(S_u, S_v) for every pair (u, v) where it is nonzero.
+
+    It is the number of P_v summands in P_2 of the minimal resolution of S_u,
+    read off the top of that projective.
+    """
+    out = {}
+    for u in range(A.quiver.n_vertices):
+        res = minimal_resolution(simple(A, u), 3)
+        if len(res.projectives) > 2:
+            for v, d in enumerate(top_dims(res.projectives[2])):
+                if d:
+                    out[(u, v)] = d
+    return out

@@ -181,13 +181,14 @@ def test_cli_reduce_with_certified_quotient(capsys):
 
 def test_cli_reduce_refuted_quotient(capsys):
     # deleting the middle of 1 -> 2 -> 3 (composite zero) is not homological
-    code, out = run(capsys, "reduce", fixture("line3z"), "--quotient", "2")
-    assert code == 1
-    report = json.loads(out.out)
-    assert report["results"]["refuted"] is True
-    cond = report["trace"][0]["conditions"][0]
-    assert cond["verdict"] == "refuted"
-    assert "Tor_2" in cond["detail"]
+    for command in (["reduce"], ["check", "--property", "all"]):
+        code, out = run(capsys, *command, fixture("line3z"), "--quotient", "2")
+        assert code == 1
+        report = json.loads(out.out)
+        assert report["results"]["refuted"] is True
+        cond = report["trace"][0]["conditions"][0]
+        assert cond["verdict"] == "refuted"
+        assert "Tor_2" in cond["detail"]
 
 
 def test_cli_corner_round_trip(capsys, tmp_path):
@@ -246,6 +247,23 @@ def test_cli_bound_zero(capsys, tmp_path):
     code, out = run(capsys, "analyze", str(arrow), "--bound", "0")
     assert code == 2
     assert out.err == f"qred: {arrow}: dimension not resolved within bound 0: irreducible paths persist\n"
+
+
+def test_cli_analyze_loewy_length_counts_radical_layers(capsys, tmp_path):
+    # the normal path a1*a0 = 2 * a1*a1*a1 lies in rad^3: five radical layers,
+    # though the longest normal path has length 3
+    alg = tmp_path / "nh.alg"
+    alg.write_text(
+        "algebra nh\nfield rational\nvertices 1\n"
+        "arrow a0 : 1 -> 1\narrow a1 : 1 -> 1\n"
+        "relations\n  -2 * a0*a0*a1 + a0*a0\n  -2 * a1*a1*a1 + a1*a0\n"
+        "  a0*a1*a1*a1 - a0*a0*a1\n  a0*a0*a0*a0\nend\n"
+    )
+    code, out = run(capsys, "analyze", str(alg), "--bound", "8")
+    assert code == 0
+    results = json.loads(out.out)["results"]
+    assert results["loewy_length"] == 5
+    assert max(int(k) for k in results["normal_basis_size_by_length"]) == 3
 
 
 def test_cli_non_nilpotent_algebra(capsys, tmp_path):

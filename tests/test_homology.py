@@ -1,9 +1,12 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from qred.algebra import Path, Presentation, Quiver, complete
 from qred.linalg import FieldSpec, QQ
+from qred.parser import parse_algebra
 from qred.homology import (
     IdealSpec,
     bimodule_pd_bounded,
@@ -28,6 +31,7 @@ from qred.modules import (
 )
 
 from corpus import completed_corpus
+from oracles import ext2_dims
 
 GF5 = FieldSpec(5)
 
@@ -92,6 +96,59 @@ def test_minimal_relations_drop_consequences():
     ]
     A = complete(Presentation(QQ, q, rels, name="redundant"), 8)
     assert len(minimal_relations(A)) == 1
+
+
+def _relation_endpoints(A):
+    return Counter((next(iter(g)).source, next(iter(g)).target) for g in minimal_relations(A))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FieldSpec(2), FieldSpec(3), GF5], ids=["Q", "GF2", "GF3", "GF5"]
+)
+def test_minimal_relations_count_ext2(field):
+    # relations from u to v in a minimal generating set number
+    # dim Ext^2(S_u, S_v); one-vertex three-loop draws bring non-homogeneous
+    # relations, whose consequences can be longer than the longest rule lead
+    seed = 9300 + (field.p or 0)
+    three_loops = dict(max_vertices=1, max_arrows=3, max_len=6, max_relations=6)
+    algebras = list(completed_corpus(seed, 40, field, bound=10, dim_cap=14))
+    algebras += completed_corpus(seed + 50, 40, field, bound=10, dim_cap=14, **three_loops)
+    assert any(
+        len({len(p.arrows) for p, _ in rel}) > 1
+        for A in algebras
+        for rel in A.presentation.relations
+    )
+    for A in algebras:
+        assert _relation_endpoints(A) == Counter(ext2_dims(A)), A.name
+
+
+def test_minimal_relations_non_homogeneous_pinned():
+    # a window of raw paths up to the longest rule lead keeps 4 relations
+    # here; Ext^2 totals 3
+    A = next(
+        A for A in completed_corpus(424242, 150, QQ, bound=10, dim_cap=14)
+        if A.name == "rand424242_131"
+    )
+    assert len(minimal_relations(A)) == 3
+    assert _relation_endpoints(A) == Counter(ext2_dims(A))
+
+
+def test_bongartz_three_loops_fast():
+    # xy = yx = xz = zx = yz = zy = y^2 = z^2 = x^7 = 0, of dimension 9: the
+    # relations are read modulo rad*I + I*rad, with no list of raw paths
+    rels = "  x*y\n  y*x\n  x*z\n  z*x\n  y*z\n  z*y\n  y*y\n  z*z\n  x*x*x*x*x*x*x\n"
+    A = complete(
+        parse_algebra(
+            "algebra loops3\nfield rational\nvertices 1\n"
+            "arrow x : 1 -> 1\narrow y : 1 -> 1\narrow z : 1 -> 1\n"
+            "relations\n" + rels + "end\n"
+        ),
+        20,
+    )
+    assert A.dim == 9
+    start = time.perf_counter()
+    assert bongartz(A, "1") == (False, False)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_bongartz_endpoints(tri_dual, bowtie, line2):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qred.algebra import ConsistencyError, _loewy_length, complete, corner_basis
+from qred.algebra import ConsistencyError, Path, _loewy_length, complete, corner_basis
 from qred.linalg import FieldSpec, QQ
 from qred.homology import IdealSpec, quotient_algebra
 from qred.modules import pd_bounded, radical_layer_dims, regular_rep, simple
@@ -151,7 +151,8 @@ def _arrow_loewy_length(X):
 )
 def test_loewy_length_matches_radical_layers(field):
     # A and the algebras derived from it without a nilpotency certificate:
-    # A^op, A (x) A^op, a corner eAe and a quotient A/AeA
+    # A^op, A (x) A^op, a corner eAe, a quotient A/AeA and a quotient by an
+    # arrow, each with the Loewy length it took from its construction
     inhomogeneous = 0
     for A in completed_corpus(
         9200 + (field.p or 0), 8, field, bound=8, dim_cap=8, max_vertices=3, max_arrows=4
@@ -163,8 +164,12 @@ def test_loewy_length_matches_radical_layers(field):
         derived = [A, A.opposite(), A.enveloping(), corner]
         if A.quiver.n_vertices > 1:
             derived.append(quotient_algebra(A, IdealSpec.from_vertices(half)).handle)
+        first_arrow = Path(A.quiver.a_src[0], A.quiver.a_tgt[0], (0,))
+        derived.append(
+            quotient_algebra(A, IdealSpec.from_elements([((first_arrow, field.one()),)])).handle
+        )
         for X in derived:
-            assert _arrow_loewy_length(X) == _radical_layer_count(X), X.name
+            assert X.loewy_length == _arrow_loewy_length(X) == _radical_layer_count(X), X.name
         C = corner_basis(A, half)
         assert _loewy_length(A, C, [p for p in C if p.arrows]) == _radical_layer_count(corner)
     assert inhomogeneous
@@ -184,7 +189,7 @@ def test_loewy_length_counts_radical_layers_not_path_lengths():
         8,
     )
     assert max(len(p.arrows) for p in A.normal_basis) == 3
-    assert _arrow_loewy_length(A) == _radical_layer_count(A) == 5
+    assert A.loewy_length == _arrow_loewy_length(A) == _radical_layer_count(A) == 5
 
 
 def test_remove_vertex(tri_dual, line2, bowtie):
@@ -292,8 +297,6 @@ def test_quotient_conditions(bowtie, tri_dual, dual_numbers):
     sr = quotient_conditions(tri_dual, IdealSpec(), 8)
     assert sr.status == "certified" and sr.output is not None
     assert sr.output.dim == tri_dual.dim
-
-    from qred.algebra import Path
 
     J = IdealSpec.from_elements([((Path(0, 0, (0,)), QQ.one()),)])
     sr = quotient_conditions(dual_numbers, J, 6)
