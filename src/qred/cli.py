@@ -25,7 +25,7 @@ from .algebra import (
     complete,
 )
 from .homology import IdealSpec, gldim_bounded, serial_check
-from .modules import minimal_resolution, pd_bounded, standard_module
+from .modules import dual, minimal_resolution, standard_module
 from .parser import ParseError, algebra_to_text, parse_algebra, parse_module
 from .reduction import (
     PROPERTIES,
@@ -290,23 +290,22 @@ def cmd_resolve(args, seed):
     A = _load_algebra(args.algebra, args.bound)
     name, M = _resolve_module(A, args.module)
     steps = args.steps
-    res = minimal_resolution(M, steps)
-    table = []
-    for i, P in enumerate(res.projectives):
-        row = {
-            "i": i,
-            "projective": list(P.dims),
-            "syzygy": list(res.syzygies[i].dims),
-        }
-        table.append(row)
-    pd = pd_bounded(M, max(0, steps - 1), args.side)
+    # the injective coresolution of M is the dual of the projective
+    # resolution of D(M); the dimension is read off one resolution, of at
+    # least one step, and the table shows its first `steps` terms
+    bound = max(0, steps - 1)
+    res = minimal_resolution(M if args.side == "projective" else dual(M), bound + 1)
+    table = [
+        {"i": i, "projective": list(P.dims), "syzygy": list(K.dims)}
+        for i, (P, K) in enumerate(zip(res.projectives[:steps], res.syzygies))
+    ]
     results = {
         "module": name,
         "module_dims": list(M.dims),
         "side": args.side,
         "resolution": table,
-        "terminated": res.terminated,
-        "pd" if args.side == "projective" else "id": _bd_json(pd),
+        "terminated": res.terminated and len(res.projectives) <= steps,
+        "pd" if args.side == "projective" else "id": _bd_json(res.dimension(bound)),
     }
     return A, results, [], [], False, EXIT_OK
 

@@ -216,15 +216,15 @@ def _monic(rel, field):
     return tuple((p, field.mul(inv, c)) for p, c in rel)
 
 
-def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -> QuotientData:
+def quotient_algebra(A: AlgebraHandle, J: IdealSpec) -> QuotientData:
     """Present A/J and complete it.
 
     For a vertex-set ideal A*e*A this is vertex deletion; generator elements
     are appended to the relation list (they must be admissible combinations).
     A/J is a quotient of A, so its radical, the image of rad A, is nilpotent;
     its completion counts the radical powers only for its Loewy length.
+    It is completed at the degree bound of A.
     """
-    bound = bound or A.degree_bound
     q = A.quiver
     if J.is_zero:
         qd = QuotientData(A, list(range(q.n_vertices)), list(range(q.n_arrows)))
@@ -264,7 +264,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             if terms:
                 rels.append(_monic(terms, A.field))
         pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, A.name + "/J")
-        handle = complete(pres, bound)
+        handle = complete(pres, A.degree_bound)
         qd = QuotientData(handle, list(range(q.n_vertices)), amap)
         if not deleted_arrows:
             qd.arrow_map = list(range(q.n_arrows))
@@ -310,7 +310,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec, bound: int | None = None) -
             rels.append(_monic(terms, A.field))
     name = A.name + "/(" + ",".join(J.vertices) + ")"
     pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, name)
-    handle = complete(pres, bound)
+    handle = complete(pres, A.degree_bound)
     handle.quotient_of = (A, vmap, amap)
     return QuotientData(handle, vmap, amap)
 

@@ -106,9 +106,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def parse_scalar(self, text: str):
         """Parse ``int`` or ``int/int`` in this field."""
         if "/" in text:
@@ -215,18 +212,6 @@ class Matrix:
             self.cols,
             [
                 [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
             ],
         )

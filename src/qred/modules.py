@@ -5,6 +5,11 @@ per arrow.  On top of that sit Hom spaces, minimal projective covers and
 resolutions, bounded projective/injective dimension, standard duality,
 balanced tensor products over a middle algebra, and isomorphism testing
 (invariant battery plus a seeded search for an invertible homomorphism).
+
+Hom and the tensor product share one linear system, the balanced relations
+x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
+them, and Hom(M, N) = D(DN (x) M) is read as the null space of the relations
+of DN (x) M.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgebraHandle, Path
+from .algebra import AlgebraHandle, ConsistencyError, Path
 from .linalg import Matrix, SubspaceReducer
 
 __all__ = [
@@ -343,55 +348,67 @@ def validate_rep(M: Rep) -> list[str]:
 # -- Hom spaces -------------------------------------------------------------
 
 
+def _balanced_relations(quiver, field, xmats, xdims, ymats, ydims):
+    """The relations x.c (x) y - x (x) c.y of X (x) Y over the path algebra of quiver.
+
+    X is a right and Y a left module: an arrow c: s -> t acts X_t -> X_s by
+    xmats[c] and Y_s -> Y_t by ymats[c].  The coordinates (w, ix, jy) of
+    the space sum_w X_w (x) Y_w are ordered by w, then ix, then jy; there is
+    one row per (c, ix in X_t, jy in Y_s), skipped when it has no entry.
+    Returns (coords, index of each coordinate, rows).
+    """
+    f = field
+    coords = [
+        (w, ix, jy) for w in range(quiver.n_vertices) for ix in range(xdims[w]) for jy in range(ydims[w])
+    ]
+    index = {c: i for i, c in enumerate(coords)}
+    n = len(coords)
+    rows = []
+    for a in range(quiver.n_arrows):
+        s, t = quiver.a_src[a], quiver.a_tgt[a]
+        Rc, Lc = xmats[a], ymats[a]
+        for ix in range(xdims[t]):
+            for jy in range(ydims[s]):
+                vec = [f.zero()] * n
+                any_entry = False
+                for k in range(Rc.rows):
+                    c = Rc.data[k][ix]
+                    if c:
+                        vec[index[(s, k, jy)]] = f.add(vec[index[(s, k, jy)]], c)
+                        any_entry = True
+                for l in range(Lc.rows):
+                    c = Lc.data[l][jy]
+                    if c:
+                        vec[index[(t, ix, l)]] = f.sub(vec[index[(t, ix, l)]], c)
+                        any_entry = True
+                if any_entry:
+                    rows.append(vec)
+    return coords, index, rows
+
+
 def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
-    """Basis of Hom(M, N), from the intertwining linear system."""
+    """Basis of Hom(M, N), read as the null space of the relations of DN (x) M.
+
+    Maps f_u: M_u -> N_u form a homomorphism when N_a f_u = f_w M_a for every
+    arrow a: u -> w.  These are the balanced relations of the right module
+    DN, whose arrows act by the transposed matrices of N, against M: the
+    entry (i, j) of f_u is the coordinate (u, i, j).
+    """
     A = M.algebra
     if N.algebra is not A:
         raise ValueError("Hom requires modules over the same algebra handle")
     f = A.field
-    q = A.quiver
-    offsets = []
-    total = 0
-    for u in range(q.n_vertices):
-        offsets.append(total)
-        total += N.dims[u] * M.dims[u]
-    rows = []
-    for a in range(q.n_arrows):
-        u, w = q.a_src[a], q.a_tgt[a]
-        Na, Ma = N.mats[a], M.mats[a]
-        for i in range(N.dims[w]):
-            for j in range(M.dims[u]):
-                row = [f.zero()] * total
-                written = False
-                for r in range(N.dims[u]):
-                    c = Na.data[i][r]
-                    if c:
-                        idx = offsets[u] + r * M.dims[u] + j
-                        row[idx] = f.add(row[idx], c)
-                        written = True
-                for s in range(M.dims[w]):
-                    c = Ma.data[s][j]
-                    if c:
-                        idx = offsets[w] + i * M.dims[w] + s
-                        row[idx] = f.sub(row[idx], c)
-                        written = True
-                if written:
-                    rows.append(row)
-    if total == 0:
+    coords, _, rows = _balanced_relations(
+        A.quiver, f, [m.transpose() for m in N.mats], N.dims, M.mats, M.dims
+    )
+    if not coords:
         return []
-    if not rows:
-        sol = Matrix.identity(f, total)
-    else:
-        sol = Matrix.from_rows(f, rows).kernel_basis()
+    sol = Matrix.from_rows(f, rows).kernel_basis() if rows else Matrix.identity(f, len(coords))
     out = []
     for jcol in range(sol.cols):
-        mats = []
-        for u in range(q.n_vertices):
-            m = Matrix.zero(f, N.dims[u], M.dims[u])
-            for i in range(N.dims[u]):
-                for j in range(M.dims[u]):
-                    m.data[i][j] = sol.data[offsets[u] + i * M.dims[u] + j][jcol]
-            mats.append(m)
+        mats = [Matrix.zero(f, n, m) for n, m in zip(N.dims, M.dims)]
+        for (u, i, j), row in zip(coords, sol.data):
+            mats[u].data[i][j] = row[jcol]
         out.append(RepMap(M, N, mats))
     return out
 
@@ -620,9 +637,12 @@ class Resolution:
     syzygies: list[Rep]  # syzygies[i] = Omega^{i+1}(M)
     terminated: bool
 
-    @property
-    def length(self) -> int:
-        return len(self.projectives) - 1
+    def dimension(self, bound: int) -> BoundedDim:
+        """The projective dimension of the module, read off a resolution of
+        bound + 1 steps: exact when it terminated, else more than bound."""
+        if self.terminated:
+            return BoundedDim.Exact(max(0, len(self.projectives) - 1), bound)
+        return BoundedDim.AtLeast(bound + 1, bound)
 
 
 def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolution:
@@ -655,13 +675,8 @@ def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolu
 def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None) -> BoundedDim:
     """Projective (or, via duality, injective) dimension decided up to bound."""
     if side == "injective":
-        return pd_bounded(dual(M), bound, "projective", dim_cap)
-    if M.is_zero():
-        return BoundedDim.Exact(0, bound)
-    res = minimal_resolution(M, bound + 1, dim_cap=dim_cap)
-    if res.terminated:
-        return BoundedDim.Exact(len(res.projectives) - 1, bound)
-    return BoundedDim.AtLeast(bound + 1, bound)
+        M = dual(M)
+    return minimal_resolution(M, bound + 1, dim_cap=dim_cap).dimension(bound)
 
 
 def dual(M: Rep) -> Rep:
@@ -713,7 +728,10 @@ def _invertible(fmap: RepMap) -> bool:
     return all(not m.rows or m.rank() == m.rows for m in fmap.mats)
 
 
-def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None, tries: int = 20) -> IsoResult:
+_ISO_TRIES = 20  # random combinations tried when the Hom space is too large to exhaust
+
+
+def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult:
     """Exact-witness isomorphism test.
 
     Positive answers carry an exactly verified invertible homomorphism; a
@@ -754,7 +772,7 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None, tries: int =
                 return IsoResult("yes", witness=cand)
         # the search space was exhausted: no combination is invertible
         return IsoResult("no", invariant="exhausted Hom space")
-    for attempt in range(tries):
+    for attempt in range(_ISO_TRIES):
         if p is None:
             B = 1 + attempt // 4
             coeffs = [f.from_int(rng.randint(-B, B)) for _ in range(d)]
@@ -913,35 +931,10 @@ class TensorFunctor:
         y = restrict(Y, "left")
         if y.algebra is not self.middle:
             raise ValueError("middle algebras do not match")
-        f = self.f
-        x = self.x
-        coords = []
-        for w in range(self.middle.quiver.n_vertices):
-            for ix in range(x.dims[w]):
-                for jy in range(y.dims[w]):
-                    coords.append((w, ix, jy))
-        index = {c: i for i, c in enumerate(coords)}
-        n = len(coords)
-        reducer = SubspaceReducer(f, n)
-        for a in range(self.middle.quiver.n_arrows):
-            s, t = self.middle.quiver.a_src[a], self.middle.quiver.a_tgt[a]
-            Rc, Lc = x.mats[a], y.mats[a]
-            for ix in range(x.dims[t]):
-                for jy in range(y.dims[s]):
-                    vec = [f.zero()] * n
-                    any_entry = False
-                    for k in range(Rc.rows):
-                        c = Rc.data[k][ix]
-                        if c:
-                            vec[index[(s, k, jy)]] = f.add(vec[index[(s, k, jy)]], c)
-                            any_entry = True
-                    for l in range(Lc.rows):
-                        c = Lc.data[l][jy]
-                        if c:
-                            vec[index[(t, ix, l)]] = f.sub(vec[index[(t, ix, l)]], c)
-                            any_entry = True
-                    if any_entry:
-                        reducer.insert(vec)
+        coords, index, rows = _balanced_relations(
+            self.middle.quiver, self.f, self.x.mats, self.x.dims, y.mats, y.dims
+        )
+        reducer = SubspaceReducer(self.f, len(coords), rows)
         comp = reducer.complement_indices()
         return TensorSpace(coords, index, reducer, comp, len(comp), y)
 
@@ -1031,7 +1024,7 @@ class TensorFunctor:
                     if c:
                         v2, loc2 = local[k]
                         if v2 != tgt_v:
-                            raise AssertionError("tensor grading violated")
+                            raise ConsistencyError("tensor grading violated")
                         colv[loc2] = c
                 _, src_loc = local[i]
                 for r in range(dims[tgt_v]):

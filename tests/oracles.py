@@ -14,8 +14,10 @@ the echelon pivots, the kernel oracle re-echelonizes the kernel basis
 through a subspace reducer instead of reading coordinates at its free rows,
 the summand oracle splits along an explicit idempotent f h^-1 g instead of
 taking ker g, the projectivity oracle tests the rank of the cover map
-instead of comparing dimensions only, and the Ext^2 oracle counts summands of
-minimal resolutions instead of reducing rules modulo rad*I + I*rad.
+instead of comparing dimensions only, the Ext^2 oracle counts summands of
+minimal resolutions instead of reducing rules modulo rad*I + I*rad, and the
+Hom oracle writes the intertwining system N_a f_u = f_w M_a with its own row
+loops instead of the balanced relations shared with the tensor product.
 """
 
 from __future__ import annotations
@@ -411,4 +413,57 @@ def ext2_dims(A) -> dict:
             for v, d in enumerate(top_dims(res.projectives[2])):
                 if d:
                     out[(u, v)] = d
+    return out
+
+
+def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
+    """Basis of Hom(M, N), from the intertwining linear system."""
+    A = M.algebra
+    if N.algebra is not A:
+        raise ValueError("Hom requires modules over the same algebra handle")
+    f = A.field
+    q = A.quiver
+    offsets = []
+    total = 0
+    for u in range(q.n_vertices):
+        offsets.append(total)
+        total += N.dims[u] * M.dims[u]
+    rows = []
+    for a in range(q.n_arrows):
+        u, w = q.a_src[a], q.a_tgt[a]
+        Na, Ma = N.mats[a], M.mats[a]
+        for i in range(N.dims[w]):
+            for j in range(M.dims[u]):
+                row = [f.zero()] * total
+                written = False
+                for r in range(N.dims[u]):
+                    c = Na.data[i][r]
+                    if c:
+                        idx = offsets[u] + r * M.dims[u] + j
+                        row[idx] = f.add(row[idx], c)
+                        written = True
+                for s in range(M.dims[w]):
+                    c = Ma.data[s][j]
+                    if c:
+                        idx = offsets[w] + i * M.dims[w] + s
+                        row[idx] = f.sub(row[idx], c)
+                        written = True
+                if written:
+                    rows.append(row)
+    if total == 0:
+        return []
+    if not rows:
+        sol = Matrix.identity(f, total)
+    else:
+        sol = Matrix.from_rows(f, rows).kernel_basis()
+    out = []
+    for jcol in range(sol.cols):
+        mats = []
+        for u in range(q.n_vertices):
+            m = Matrix.zero(f, N.dims[u], M.dims[u])
+            for i in range(N.dims[u]):
+                for j in range(M.dims[u]):
+                    m.data[i][j] = sol.data[offsets[u] + i * M.dims[u] + j][jcol]
+            mats.append(m)
+        out.append(RepMap(M, N, mats))
     return out

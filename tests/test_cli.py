@@ -5,6 +5,7 @@ import pytest
 
 from qred import cli
 from qred.algebra import ConsistencyError, complete
+from qred.modules import TensorFunctor
 from qred.parser import ParseError, algebra_to_text, parse_algebra, parse_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -214,6 +215,22 @@ def test_cli_resolve(capsys):
     assert report["results"]["resolution"][0]["projective"] == [1, 1]
 
 
+def test_cli_resolve_injective_side_resolves_the_dual(capsys):
+    # the table, terminated and id all come from the resolution of D(S_1)
+    # over the opposite algebra; S_1 itself is projective over tri_dual
+    code, out = run(capsys, "resolve", fixture("tri_dual"), "--module", "simple:1", "--side", "injective")
+    assert code == 0
+    results = json.loads(out.out)["results"]
+    assert results["terminated"] is False
+    assert len(results["resolution"]) == 8
+    assert results["id"] == {"exact": False, "value": 8, "bound": 7}
+    code, out = run(capsys, "resolve", fixture("line3z"), "--module", "simple:3", "--side", "injective")
+    results = json.loads(out.out)["results"]
+    assert results["terminated"] is True
+    assert [row["projective"] for row in results["resolution"]] == [[0, 1, 1], [1, 1, 0], [1, 0, 0]]
+    assert results["id"] == {"exact": True, "value": 2, "bound": 7}
+
+
 def test_cli_witness_identity(capsys):
     code, out = run(
         capsys, "witness", fixture("line2"), fixture("line2"), "--identity", "--level", "0"
@@ -369,6 +386,27 @@ def test_cli_internal_error_exits_4(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out.out == ""
     assert out.err == "qred: internal error: corner radical is not nilpotent\n"
+
+
+def test_cli_tensor_grading_violation_exits_4(capsys, monkeypatch):
+    # a reduction that leaves every complement coordinate nonzero mixes the
+    # outer vertices of the bimodule tensor product
+    space = TensorFunctor.space
+
+    class Unreduced:
+        def reduce(self, vec):
+            return [1] * len(vec)
+
+    def broken(self, Y):
+        out = space(self, Y)
+        out.reducer = Unreduced()
+        return out
+
+    monkeypatch.setattr(TensorFunctor, "space", broken)
+    code, out = run(capsys, "witness", fixture("line2"), "--identity")
+    assert code == cli.EXIT_INTERNAL
+    assert out.out == ""
+    assert out.err == "qred: internal error: tensor grading violated\n"
 
 
 @pytest.mark.parametrize(

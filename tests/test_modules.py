@@ -46,6 +46,7 @@ from conftest import load
 from corpus import completed_corpus
 from oracles import (
     brute_tensor_dim,
+    hom_basis_by_intertwining,
     hom_from_projective_by_path_action,
     injective_dimension_direct,
     is_projective_by_rank,
@@ -189,6 +190,38 @@ def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, 
                 assert (S.dims, S.mats, incl.mats) == expected
                 outcomes.add("stable")
     assert outcomes == {"stable", "unstable"}
+
+
+def test_hom_basis_matches_intertwining_oracle(dual_numbers, line2, tri_dual, bowtie, corner_mono):
+    """Hom read off the balanced relations of DN (x) M against the
+    intertwining system with its own row loops: the same basis, map for map,
+    for pairs of sample modules, maps into the indecomposable projectives and
+    bimodules over the enveloping algebra, on the fixtures and seeded corpora
+    over Q, GF(2) and GF(5); bimodule pairs with more than 300 products of
+    basis vectors are left out, as their elimination over Q takes seconds.
+    For one-sided modules also dim Hom(M, N) = dim DN (x) M, the duality the
+    shared relations rest on."""
+    algebras = [dual_numbers, line2, tri_dual, bowtie, corner_mono]
+    for seed, f in ((51, QQ), (52, FieldSpec(2)), (53, FieldSpec(5))):
+        algebras += completed_corpus(seed, 4, f, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+    rng = random.Random(4545)
+    dims = set()
+    for A in algebras:
+        mods = _sample_modules(A, rng)
+        projectives = [projective(A, v)[0] for v in range(A.quiver.n_vertices)]
+        bimods = [regular_bimodule(A), bimodule_syzygy(A, 1)]
+        one_sided = [(M, N) for M in mods for N in mods + projectives]
+        bimod_pairs = [(M, N) for M in bimods for N in bimods if M.total_dim * N.total_dim <= 300]
+        for M, N in one_sided + bimod_pairs:
+            homs = hom_basis(M, N)
+            assert all(h.source is M and h.target is N for h in homs)
+            assert [h.mats for h in homs] == [h.mats for h in hom_basis_by_intertwining(M, N)]
+            dims.add(min(len(homs), 2))
+            if M.algebra is A:
+                assert len(homs) == tensor_over(dual(N), M).dim
+    assert dims == {0, 1, 2}
+    with pytest.raises(ValueError, match="same algebra handle"):
+        hom_basis(simple(line2, 0), simple(tri_dual, 0))
 
 
 def test_sub_rep_rejects_unstable_span(line2):
