@@ -468,6 +468,9 @@ def main(argv=None) -> int:
     except ConsistencyError as e:
         sys.stderr.write(f"qred: internal error: {e}\n")
         return EXIT_INTERNAL
+    except MemoryError:
+        sys.stderr.write("qred: internal error: out of memory\n")
+        return EXIT_INTERNAL
     if A is None:  # corner default emitted raw text already
         return code
     elapsed = int((time.monotonic() - t0) * 1000) if args.timing else 0

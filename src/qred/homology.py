@@ -100,22 +100,39 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
     return TorResult(dims, res.terminated)
 
 
-def gldim_bounded(A: AlgebraHandle, n: int) -> BoundedDim:
-    """Max of pd over the vertex simples, exact iff every simple resolves."""
+def _max_pd(modules, n: int) -> BoundedDim:
+    """Max of pd over the modules, exact iff every one resolves within n.
+
+    The first module that does not resolve decides AtLeast(n + 1); the
+    modules after it are never built.
+    """
     best = 0
-    for v in range(A.quiver.n_vertices):
-        bd = pd_bounded(simple(A, v), n)
+    for M in modules:
+        bd = pd_bounded(M, n)
         if not bd.exact:
             return BoundedDim.AtLeast(n + 1, n)
         best = max(best, bd.value)
     return BoundedDim.Exact(best, n)
 
 
+def gldim_bounded(A: AlgebraHandle, n: int) -> BoundedDim:
+    """Max of pd over the vertex simples, exact iff every simple resolves."""
+    return _max_pd((simple(A, v) for v in range(A.quiver.n_vertices)), n)
+
+
 def gorenstein_bounded(A: AlgebraHandle, n: int) -> tuple[BoundedDim, BoundedDim]:
-    """Injective dimension of the regular module on both sides, via duality."""
-    left = pd_bounded(dual(regular_rep(A)), n)
-    right = pd_bounded(dual(regular_rep(A.opposite())), n)
-    return left, right
+    """Injective dimension of the regular module on both sides, via duality.
+
+    D(A) is the sum of the duals D(Ae_v) of the indecomposable projectives,
+    and a minimal resolution of a sum is the sum of the summands'
+    resolutions, so each side is the max of pd over those duals, taken in
+    vertex order; the first summand that does not resolve within n decides.
+    """
+
+    def side(B: AlgebraHandle) -> BoundedDim:
+        return _max_pd((dual(projective(B, v)[0]) for v in range(B.quiver.n_vertices)), n)
+
+    return side(A), side(A.opposite())
 
 
 # -- minimal relations and the endpoint criterion ---------------------------
@@ -131,6 +148,10 @@ def minimal_relations(A: AlgebraHandle) -> list[dict]:
     exact coordinates.  The rules whose normal forms there are independent of
     those kept before, in lead order, represent a basis of I/K: from u to v
     they number dim Ext^2(S_u, S_v), which the endpoint criterion scans.
+
+    For a monomial algebra every rule is kept: completion retires each rule
+    whose lead contains another lead, so the leads form an antichain under
+    subwords, which is a minimal set of monomial generators of I.
     """
     key = "minimal_relations"
     if key in A._extra:
@@ -138,6 +159,9 @@ def minimal_relations(A: AlgebraHandle) -> list[dict]:
     f = A.field
     q = A.quiver
     gens = [{lead: f.one()} | {w: f.neg(c) for w, c in rest.items()} for lead, rest in A.rules]
+    if A.is_monomial:
+        A._extra[key] = gens
+        return gens
     arrows = [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
     products = []
     for g, (lead, _) in zip(gens, A.rules):

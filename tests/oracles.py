@@ -15,30 +15,44 @@ through a subspace reducer instead of reading coordinates at its free rows,
 the summand oracle splits along an explicit idempotent f h^-1 g instead of
 taking ker g, the projectivity oracle tests the rank of the cover map
 instead of comparing dimensions only, the Ext^2 oracle counts summands of
-minimal resolutions instead of reducing rules modulo rad*I + I*rad, and the
+minimal resolutions instead of reducing rules modulo rad*I + I*rad, the
 Hom oracle writes the intertwining system N_a f_u = f_w M_a with its own row
-loops instead of the balanced relations shared with the tensor product.
+loops instead of the balanced relations shared with the tensor product, the
+minimal-relations oracle completes kQ/K for monomial algebras too instead of
+keeping every monomial rule, and the Gorenstein oracle resolves D(A) whole
+instead of its indecomposable summands one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from qred.algebra import DimensionNotResolved, Path, trivial_path, word_key
+from qred.algebra import (
+    DimensionNotResolved,
+    Path,
+    Presentation,
+    _complete,
+    compose,
+    trivial_path,
+    word_key,
+)
 from qred.linalg import Matrix, SubspaceReducer
 from qred.modules import (
     Rep,
     RepMap,
+    dual,
     hom_basis,
     hom_from_projective,
     injective,
     kernel_subrep,
     minimal_resolution,
     path_action,
+    pd_bounded,
     projective,
     projective_cover,
     quotient_rep,
     radical_reducers,
+    regular_rep,
     simple,
     sub_rep,
     top_dims,
@@ -467,3 +481,39 @@ def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
             mats.append(m)
         out.append(RepMap(M, N, mats))
     return out
+
+
+def minimal_relations_by_completion(A) -> list[dict]:
+    """The rules of A independent modulo K = rad*I + I*rad, read in the
+    completion of kQ/K, for monomial and non-monomial algebras alike."""
+    f = A.field
+    q = A.quiver
+    gens = [{lead: f.one()} | {w: f.neg(c) for w, c in rest.items()} for lead, rest in A.rules]
+    arrows = [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
+    products = []
+    for g, (lead, _) in zip(gens, A.rules):
+        for a in arrows:
+            if a.target == lead.source:
+                products.append(tuple((compose(a, p), c) for p, c in g.items()))
+            if lead.target == a.source:
+                products.append(tuple((compose(p, a), c) for p, c in g.items()))
+    pres = Presentation(f, q, products, A.presentation.convention, A.name + "/K")
+    K = _complete(pres, A.dim + 1)
+    reducer = SubspaceReducer(f, K.dim)
+    kept = []
+    for g in gens:
+        vec = [f.zero()] * K.dim
+        for p, c in K.normal_form(g).items():
+            vec[K.basis_index[p]] = c
+        if not reducer.contains(vec):
+            kept.append(g)
+            reducer.insert(vec)
+    return kept
+
+
+def gorenstein_bounded_whole(A, n: int):
+    """(id of A as a left module, id of A as a right module), each the pd of
+    the whole dual of a regular module."""
+    left = pd_bounded(dual(regular_rep(A)), n)
+    right = pd_bounded(dual(regular_rep(A.opposite())), n)
+    return left, right

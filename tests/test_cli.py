@@ -409,6 +409,18 @@ def test_cli_tensor_grading_violation_exits_4(capsys, monkeypatch):
     assert out.err == "qred: internal error: tensor grading violated\n"
 
 
+def test_cli_out_of_memory_exits_4(capsys, monkeypatch):
+    def exhausted(A, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gldim_bounded", exhausted)
+    code, out = run(capsys, "analyze", fixture("line2"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out.out == ""
+    assert out.err == "qred: internal error: out of memory\n"
+    assert "Traceback" not in out.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

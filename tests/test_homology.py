@@ -23,15 +23,18 @@ from qred.homology import (
     tor_bounded,
 )
 from qred.modules import (
+    BoundedDim,
     pd_bounded,
+    projective,
     regular_bimodule,
     regular_rep,
     simple,
     dual,
 )
 
+from conftest import load
 from corpus import completed_corpus
-from oracles import ext2_dims
+from oracles import ext2_dims, gorenstein_bounded_whole, minimal_relations_by_completion
 
 GF5 = FieldSpec(5)
 
@@ -87,6 +90,52 @@ def test_gorenstein(dual_numbers, line2):
     assert (left.value, right.value) == (0, 0)
 
 
+def test_gorenstein_summands_match_whole_dual_oracle():
+    # each side is the max of pd over the duals D(Ae_v), and stops at the
+    # first one that does not resolve; resolving D(A) whole must agree
+    algebras = [
+        load(name)
+        for name in ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie")
+    ]
+    for seed, f in ((9401, QQ), (9402, FieldSpec(2)), (9405, GF5)):
+        algebras += completed_corpus(seed, 15, f, bound=10, dim_cap=12)
+    kinds = set()
+    early_then_late = 0
+    for A in algebras:
+        for n in (0, 1, 3, 6):
+            sides = gorenstein_bounded(A, n)
+            assert sides == gorenstein_bounded_whole(A, n), (A.name, n)
+            simples = [pd_bounded(simple(A, v), n) for v in range(A.quiver.n_vertices)]
+            if all(bd.exact for bd in simples):
+                expected = BoundedDim.Exact(max(bd.value for bd in simples), n)
+            else:
+                expected = BoundedDim.AtLeast(n + 1, n)
+            assert gldim_bounded(A, n) == expected, (A.name, n)
+            kinds.update(
+                "AtLeast" if not bd.exact else "Exact(0)" if bd.value == 0 else "Exact(k)"
+                for bd in sides
+            )
+            for B in (A, A.opposite()):
+                exact = [
+                    pd_bounded(dual(projective(B, v)[0]), n).exact
+                    for v in range(B.quiver.n_vertices)
+                ]
+                if False in exact and True in exact[: exact.index(False)]:
+                    early_then_late += 1
+    assert kinds == {"Exact(0)", "Exact(k)", "AtLeast"}
+    assert early_then_late > 0
+
+
+def test_gorenstein_bowtie_bound_10_fast(bowtie):
+    # the first dual projective already fails to resolve on each side
+    start = time.perf_counter()
+    assert gorenstein_bounded(bowtie, 10) == (
+        BoundedDim.AtLeast(11, 10),
+        BoundedDim.AtLeast(11, 10),
+    )
+    assert time.perf_counter() - start < 3.0
+
+
 def test_minimal_relations_drop_consequences():
     # x^3 lies in I*rad + rad*I once x^2 is present
     q = Quiver(["1"], [("x", "1", "1")])
@@ -120,6 +169,21 @@ def test_minimal_relations_count_ext2(field):
     )
     for A in algebras:
         assert _relation_endpoints(A) == Counter(ext2_dims(A)), A.name
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FieldSpec(2), FieldSpec(3), GF5], ids=["Q", "GF2", "GF3", "GF5"]
+)
+def test_minimal_relations_match_completion_oracle(field):
+    # monomial algebras keep every rule without completing kQ/K; the kept
+    # rules must equal those the completion keeps, in the same order
+    seed = 9500 + (field.p or 0)
+    three_loops = dict(max_vertices=1, max_arrows=3, max_len=6, max_relations=6)
+    algebras = list(completed_corpus(seed, 30, field, bound=10, dim_cap=14))
+    algebras += completed_corpus(seed + 50, 30, field, bound=10, dim_cap=14, **three_loops)
+    assert {A.is_monomial for A in algebras} == {True, False}
+    for A in algebras:
+        assert minimal_relations(A) == minimal_relations_by_completion(A), A.name
 
 
 def test_minimal_relations_non_homogeneous_pinned():
