@@ -148,10 +148,14 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _parse_vertex_list(arg: str) -> list[str]:
+def _parse_vertex_list(arg: str, A: AlgebraHandle) -> list[str]:
+    """The comma-separated vertex names of arg, each a vertex of A."""
     out = [v for v in arg.split(",") if v]
     if not out:
         raise CliError("empty vertex list")
+    for v in out:
+        if v not in A.quiver.v_index:
+            raise CliError(f"unknown vertex {v!r}")
     return out
 
 
@@ -163,14 +167,14 @@ def _reduction_steps(A, args, bound):
     steps = []
     current = A
     if getattr(args, "quotient", None):
-        J = IdealSpec.from_vertices(_parse_vertex_list(args.quotient))
+        J = IdealSpec.from_vertices(_parse_vertex_list(args.quotient, current))
         sr = quotient_conditions(current, J, bound)
         steps.append(sr)
         if sr.status == "refuted":
             return steps, current
         current = sr.output
     if getattr(args, "corner", None):
-        sr = corner_conditions(current, _parse_vertex_list(args.corner), bound, args.variant)
+        sr = corner_conditions(current, _parse_vertex_list(args.corner, current), bound, args.variant)
         steps.append(sr)
         current = sr.output
     if getattr(args, "triangular", False):
@@ -258,7 +262,7 @@ def cmd_check(args, seed):
 
 def cmd_corner(args, seed):
     A = _load_algebra(args.algebra, args.bound)
-    B = corner_presentation(A, _parse_vertex_list(args.vertices))
+    B = corner_presentation(A, _parse_vertex_list(args.vertices, A))
     if not args.json:
         sys.stdout.write(algebra_to_text(B))
         return None, None, None, None, None, EXIT_OK
@@ -311,6 +315,8 @@ def cmd_resolve(args, seed):
 
 
 def cmd_witness(args, seed):
+    if (args.identity, args.syzygy, args.pair is not None).count(True) != 1:
+        raise CliError("choose one of --identity, --syzygy, --pair M N")
     A = _load_algebra(args.algebra, args.bound)
     B = _load_algebra(args.algebra2, args.bound) if args.algebra2 else A
     if args.identity:
@@ -322,14 +328,12 @@ def cmd_witness(args, seed):
         if args.level is not None:
             pair.level = args.level
         pair_desc = "syzygy"
-    elif args.pair:
+    else:
         env_ab, env_ba = _product_handles(A, B)
         _, M = _load_module(args.pair[0], env_ab)
         _, N = _load_module(args.pair[1], env_ba)
         pair = WitnessPair(M, N, args.level if args.level is not None else 0)
         pair_desc = f"{args.pair[0]},{args.pair[1]}"
-    else:
-        raise CliError("choose one of --identity, --syzygy, --pair M N")
     if args.search:
         n_max = args.level_max
         if n_max is None:

@@ -178,9 +178,8 @@ def minimal_relations(A: AlgebraHandle) -> list[dict]:
         vec = [f.zero()] * K.dim
         for p, c in K.normal_form(g).items():
             vec[K.basis_index[p]] = c
-        if not reducer.contains(vec):
+        if reducer.insert(vec):
             kept.append(g)
-            reducer.insert(vec)
     A._extra[key] = kept
     return kept
 

@@ -5,12 +5,16 @@ reduces to rank/kernel/solve questions over an exact field, so this module
 deliberately avoids floating point: scalars are `fractions.Fraction` over the
 rationals and plain ints in ``[0, p)`` over GF(p).
 
-Gauss-Jordan elimination over Q is fraction-free inside: each row is scaled to
-a primitive integer vector (denominators cleared, content divided out), rows
-are combined by integer cross-multiplication and divided by their content
-again, and only the reduced rows are turned back into `Fraction` entries, by
-dividing each by its pivot.  The reduced row echelon form is unique, so the
-results are the same Fractions a Fraction elimination gives.
+All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
+reduced by the reduced rows kept so far, keyed by pivot column, and if it
+survives the other rows are reduced by it.  `Matrix.rref` runs the step on
+each row of the matrix in turn; `SubspaceReducer.insert` runs it on one
+vector.  Over GF(p) the rows are normalized to pivot 1.  Over Q they are
+primitive integer rows (denominators cleared, content divided out), combined
+by integer cross-multiplication and divided by their content again; they are
+read back as `Fraction` entries by dividing each by its pivot.  The reduced
+echelon basis of a row space is unique, so the results are the same
+Fractions a Fraction elimination gives.
 
 Products and kernel bases touch only nonzero entries, found by truth value,
 since the matrices of resolutions and Hom spaces are mostly zero.
@@ -130,6 +134,68 @@ def _primitive_row(row: list) -> list[int]:
     for (k, _, _), x in zip(nz, vals):
         ints[k] = x // g
     return ints
+
+
+def _combine(u: list, row: list, j: int, p: int | None) -> list:
+    """u minus the multiple of the reduced row ``row`` (pivot at j) that clears u[j].
+
+    Over GF(p) row[j] is 1.  Over Q both rows are primitive integer rows:
+    they are cross-multiplied, and the result is divided by its content.
+    """
+    c = u[j]
+    if p is not None:
+        return [(a - c * b) % p for a, b in zip(u, row)]
+    g = gcd(row[j], c)
+    a, b = row[j] // g, c // g
+    new = [a * x - b * y for x, y in zip(u, row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _insert_row(rows: dict[int, list], v: list, p: int | None) -> bool:
+    """One Gauss-Jordan step: add the fresh row v to the reduced rows, keyed by pivot.
+
+    v is reduced by the rows; if it survives, the rows are reduced by it and
+    it is stored under its pivot.  True if it was stored.  Over GF(p) rows are
+    normalized to pivot 1; over Q, v and the rows are primitive integer rows.
+    """
+    for j, row in rows.items():
+        if v[j]:
+            v = _combine(v, row, j, p)
+    for piv, c in enumerate(v):
+        if c:
+            break
+    else:
+        return False
+    if p is not None and c != 1:
+        inv = pow(c, p - 2, p)
+        v = [x * inv % p for x in v]
+    for j, row in rows.items():
+        if row[piv]:
+            rows[j] = _combine(row, v, piv, p)
+    rows[piv] = v
+    return True
+
+
+def _read_rows(rows: dict[int, list], p: int | None) -> list[list]:
+    """The reduced rows in pivot order as field elements, with pivot 1 over Q too."""
+    ordered = sorted(rows.items())
+    if p is not None:
+        return [r for _, r in ordered]
+    zero = Fraction(0)
+    return [[Fraction(x, r[j]) if x else zero for x in r] for j, r in ordered]
+
+
+def _rref_rows(data: list[list], ncols: int, p: int | None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of the rows ``data`` (left as they are) and its pivots."""
+    rows: dict[int, list] = {}
+    for row in data:
+        _insert_row(rows, list(row) if p is not None else _primitive_row(row), p)
+    out = _read_rows(rows, p)
+    if len(out) < len(data):
+        zero = 0 if p is not None else Fraction(0)
+        out += [[zero] * ncols for _ in range(len(data) - len(out))]
+    return out, sorted(rows)
 
 
 class Matrix:
@@ -278,73 +344,11 @@ class Matrix:
             [ra + rb for ra, rb in zip(self.data, other.data)],
         )
 
-    def _rref_inplace(self, m: list[list]) -> tuple[int, list[int]]:
-        """Reduce ``m`` to reduced row echelon form; return (rank, pivot columns).
-
-        Over Q the rows are eliminated as primitive integer vectors and turned
-        back into Fractions once, at the end.
-        """
-        nrows = len(m)
-        ncols = len(m[0]) if m else 0
-        p = self.field.p
-        if p is None:
-            for i, row in enumerate(m):
-                m[i] = _primitive_row(row)
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            row = m[r]
-            piv = row[c]
-            if p is None:
-                for i in range(nrows):
-                    if i == r:
-                        continue
-                    f = m[i][c]
-                    if f != 0:
-                        g = gcd(piv, f)
-                        a, b = piv // g, f // g
-                        new = [a * x - b * y for x, y in zip(m[i], row)]
-                        g = gcd(*new)
-                        if g > 1:
-                            new = [x // g for x in new]
-                        m[i] = new
-            else:
-                if piv != 1:
-                    inv = pow(piv, p - 2, p)
-                    m[r] = row = [x * inv % p for x in row]
-                for i in range(nrows):
-                    if i == r:
-                        continue
-                    f = m[i][c]
-                    if f != 0:
-                        mi = m[i]
-                        m[i] = [(a - f * b) % p for a, b in zip(mi, row)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        if p is None:
-            zero = Fraction(0)
-            for i in range(nrows):
-                piv = m[i][pivots[i]] if i < r else 1
-                m[i] = [Fraction(x, piv) if x else zero for x in m[i]]
-        return r, pivots
-
     def rref(self) -> tuple["Matrix", int, list[int]]:
         """Unique reduced row echelon form: (reduced, rank, pivot columns)."""
         if self._rref is None:
-            m = [row[:] for row in self.data]
-            rank, pivots = self._rref_inplace(m)
-            self._rref = (Matrix(self.field, self.rows, self.cols, m), rank, pivots)
+            data, pivots = _rref_rows(self.data, self.cols, self.field.p)
+            self._rref = (Matrix(self.field, self.rows, self.cols, data), len(pivots), pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -377,16 +381,12 @@ class Matrix:
         """Some x with self @ x = rhs, or None; free variables are set to zero."""
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        m = self.hstack(rhs).data
-        rank, pivots = self._rref_inplace(m)
-        f = self.field
-        for pc in pivots:
-            if pc >= self.cols:
-                return None
-        x = Matrix(f, self.cols, rhs.cols)
-        for i, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                x.data[pc][j] = m[i][self.cols + j]
+        m, pivots = _rref_rows(self.hstack(rhs).data, self.cols + rhs.cols, self.field.p)
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        x = Matrix(self.field, self.cols, rhs.cols)
+        for row, pc in zip(m, pivots):
+            x.data[pc] = row[self.cols:]
         return x
 
 
@@ -396,6 +396,9 @@ class SubspaceReducer:
     Supports membership tests, span growth and canonical reduction modulo the
     subspace; the reduction of any vector is supported on the complement of
     the pivot set, which doubles as a canonical basis of the quotient space.
+    ``rows`` maps each pivot to its reduced row: over GF(p) a row with pivot
+    1, over Q a primitive integer row, which `basis_rows` reads out as
+    Fractions with pivot 1.
     """
 
     def __init__(self, field: FieldSpec, dim: int, vectors=None):
@@ -411,14 +414,14 @@ class SubspaceReducer:
         return len(self.rows)
 
     def reduce(self, vec: list) -> list:
-        f = self.field
-        p = f.p
+        """vec minus its component in the span: v - sum of v[j] row_j / pivot_j."""
+        p = self.field.p
         v = list(vec)
-        for j in sorted(self.rows):
+        for j, row in self.rows.items():
             c = v[j]
             if c:
-                row = self.rows[j]
                 if p is None:
+                    c = Fraction(c, row[j])
                     v = [a - c * b if b else a for a, b in zip(v, row)]
                 else:
                     v = [(a - c * b) % p for a, b in zip(v, row)]
@@ -429,33 +432,8 @@ class SubspaceReducer:
 
     def insert(self, vec: list) -> bool:
         """Add vec to the span; True if the rank grew."""
-        f = self.field
-        p = f.p
-        v = self.reduce(vec)
-        piv = None
-        for j, c in enumerate(v):
-            if c:
-                piv = j
-                break
-        if piv is None:
-            return False
-        c = v[piv]
-        if c != f.one():
-            inv = f.inv(c)
-            if p is None:
-                v = [x * inv if x else x for x in v]
-            else:
-                v = [x * inv % p for x in v]
-        # keep existing rows reduced against the new one
-        for j, row in self.rows.items():
-            c = row[piv]
-            if c:
-                if p is None:
-                    self.rows[j] = [a - c * b if b else a for a, b in zip(row, v)]
-                else:
-                    self.rows[j] = [(a - c * b) % p for a, b in zip(row, v)]
-        self.rows[piv] = v
-        return True
+        p = self.field.p
+        return _insert_row(self.rows, _primitive_row(vec) if p is None else list(vec), p)
 
     def complement_indices(self) -> list[int]:
         pivs = self.rows
@@ -467,4 +445,4 @@ class SubspaceReducer:
         return [v[j] for j in self.complement_indices()]
 
     def basis_rows(self) -> list[list]:
-        return [self.rows[j] for j in sorted(self.rows)]
+        return _read_rows(self.rows, self.field.p)

@@ -163,6 +163,8 @@ def parse_algebra(text: str) -> Presentation:
                 _parse_relation_line(lineno, body, quiver, field or FieldSpec(), convention)
             )
             continue
+        if seen_end and head in ("field", "convention", "vertices", "arrow"):
+            raise ParseError(lineno, 1, f"{head!r} must come before the relations block")
         if head == "algebra":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "expected: algebra <name>")

@@ -152,9 +152,8 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     realizations = []
     for c in sorted(C_pos, key=word_key):
         v = vec_of({c: f.one()})
-        if not square.contains(v):
+        if square.insert(v):
             realizations.append(c)
-            square.insert(v)
     if any(len(c.arrows) == 0 for c in realizations):
         raise ConsistencyError("corner not admissible: trivial-path arrow candidate")
 
@@ -250,9 +249,8 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
                         if c:
                             vec[formal_index[word]] = c
                             terms.append((word, c, su, tu))
-                    if cons.contains(vec):
+                    if not cons.insert(vec):
                         continue
-                    cons.insert(vec)
                     add_consequences(terms)
                     relations.append(
                         tuple(

@@ -6,6 +6,9 @@ computes injective dimension from explicit socles and injective envelopes
 instead of the duality route, the normal-path oracle lists every path level
 by level with a suffix scan instead of counting on the lead automaton, the
 rref oracle eliminates on Fraction rows instead of primitive integer rows,
+the GF(p) rref oracle eliminates column by column on the whole matrix
+instead of inserting one row at a time, the subspace-reducer oracle keeps
+rows of field elements with pivot 1 instead of primitive integer rows over Q,
 the cover oracles take one product of arrow matrices per basis path instead
 of propagating columns along arrows, the projective-sum oracle multiplies
 every basis path by every arrow instead of copying cached blocks, the
@@ -271,6 +274,118 @@ def rref_by_fractions(rows: list[list]) -> tuple[list[list], int, list[int]]:
         if r == nrows:
             break
     return m, r, pivots
+
+
+def rref_mod_p(m: list[list], p: int) -> tuple[int, list[int]]:
+    """Gauss-Jordan over GF(p), column by column on the whole matrix: reduces
+    ``m`` in place and returns (rank, pivot columns)."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        row = m[r]
+        piv = row[c]
+        if piv != 1:
+            inv = pow(piv, p - 2, p)
+            m[r] = row = [x * inv % p for x in row]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f != 0:
+                mi = m[i]
+                m[i] = [(a - f * b) % p for a, b in zip(mi, row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots
+
+
+class FieldSubspaceReducer:
+    """Incremental reduced-echelon basis of a subspace of k^n, kept as rows of
+    field elements (Fractions over Q) normalized to pivot 1."""
+
+    def __init__(self, field, dim: int, vectors=None):
+        self.field = field
+        self.dim = dim
+        self.rows: dict[int, list] = {}  # pivot index -> reduced row
+        if vectors is not None:
+            for v in vectors:
+                self.insert(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list) -> list:
+        f = self.field
+        p = f.p
+        v = list(vec)
+        for j in sorted(self.rows):
+            c = v[j]
+            if c:
+                row = self.rows[j]
+                if p is None:
+                    v = [a - c * b if b else a for a, b in zip(v, row)]
+                else:
+                    v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec: list) -> bool:
+        return not any(self.reduce(vec))
+
+    def insert(self, vec: list) -> bool:
+        """Add vec to the span; True if the rank grew."""
+        f = self.field
+        p = f.p
+        v = self.reduce(vec)
+        piv = None
+        for j, c in enumerate(v):
+            if c:
+                piv = j
+                break
+        if piv is None:
+            return False
+        c = v[piv]
+        if c != f.one():
+            inv = f.inv(c)
+            if p is None:
+                v = [x * inv if x else x for x in v]
+            else:
+                v = [x * inv % p for x in v]
+        # keep existing rows reduced against the new one
+        for j, row in self.rows.items():
+            c = row[piv]
+            if c:
+                if p is None:
+                    self.rows[j] = [a - c * b if b else a for a, b in zip(row, v)]
+                else:
+                    self.rows[j] = [(a - c * b) % p for a, b in zip(row, v)]
+        self.rows[piv] = v
+        return True
+
+    def complement_indices(self) -> list[int]:
+        pivs = self.rows
+        return [j for j in range(self.dim) if j not in pivs]
+
+    def coords_in_complement(self, vec: list) -> list:
+        """Coordinates of vec + span in the complement basis."""
+        v = self.reduce(vec)
+        return [v[j] for j in self.complement_indices()]
+
+    def basis_rows(self) -> list[list]:
+        return [self.rows[j] for j in sorted(self.rows)]
 
 
 def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:

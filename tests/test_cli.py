@@ -84,6 +84,31 @@ def test_parse_left_to_right_convention():
     assert path.source == 0 and path.target == 0  # a then b: 1 -> 2 -> 1
 
 
+_LATE_DIRECTIVES = {
+    "arrow": "arrow b : 2 -> 1",  # would close the unbounded cycle a, b
+    "vertices": "vertices 3",
+    "field": "field gf 3",  # the relation c*c was read over Q
+    "convention": "convention left-to-right",
+}
+
+
+@pytest.mark.parametrize("directive", sorted(_LATE_DIRECTIVES))
+def test_directive_after_relations_block_is_a_parse_error(directive, capsys, tmp_path):
+    text = (
+        "algebra late\nvertices 1 2\narrow a : 1 -> 2\narrow c : 2 -> 2\n"
+        f"relations\n  c*c\nend\n{_LATE_DIRECTIVES[directive]}\n"
+    )
+    with pytest.raises(ParseError) as ei:
+        parse_algebra(text)
+    assert (ei.value.line, ei.value.col) == (8, 1)
+    message = f"{directive!r} must come before the relations block"
+    assert ei.value.message == message
+    alg = tmp_path / "late.alg"
+    alg.write_text(text)
+    code, out = run(capsys, "analyze", str(alg))
+    assert (code, out.out, out.err) == (2, "", f"qred: {alg}:8:1: {message}\n")
+
+
 def test_round_trip_text(bowtie):
     text = algebra_to_text(bowtie)
     again = complete(parse_algebra(text), 8)
@@ -360,6 +385,30 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
     code, out = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "unknown vertex" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("reduce", "bowtie", "--quotient", "zz"), "unknown vertex 'zz'"),
+        (("reduce", "bowtie", "--corner", "zz"), "unknown vertex 'zz'"),
+        (("check", "bowtie", "--property", "all", "--quotient", "1,zz"), "unknown vertex 'zz'"),
+        (("check", "bowtie", "--property", "all", "--corner", "1,zz"), "unknown vertex 'zz'"),
+        # vertex 1 is gone from the quotient the corner step applies to
+        (("reduce", "bowtie", "--quotient", "1", "--corner", "1,s"), "unknown vertex '1'"),
+        (("corner", "bowtie", "--vertices", "zz"), "unknown vertex 'zz'"),
+        (("witness", "dual_numbers", "--identity", "--syzygy"), "choose one of --identity, --syzygy, --pair M N"),
+        (("witness", "dual_numbers", "--syzygy", "--pair", "m.bim", "n.bim"), "choose one of --identity, --syzygy, --pair M N"),
+    ],
+    ids=[
+        "reduce-quotient", "reduce-corner", "check-quotient", "check-corner",
+        "corner-after-quotient", "corner-command", "identity-and-syzygy", "syzygy-and-pair",
+    ],
+)
+def test_cli_usage_errors_exit_2(capsys, argv, message):
+    command, name, *rest = argv
+    code, out = run(capsys, command, fixture(name), *rest)
+    assert (code, out.out, out.err) == (2, "", f"qred: {message}\n")
 
 
 def test_cli_missing_file(capsys):

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
 
-from oracles import rref_by_fractions
+from oracles import FieldSubspaceReducer, rref_by_fractions, rref_mod_p
 
 GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 
@@ -255,3 +257,110 @@ def test_matmul_and_is_zero_match_triple_loop(field):
                 outcomes.add(naive)
         assert (Matrix(field, rows, 2 * inner, cancel_a) @ Matrix(field, 2 * inner, cols, cancel_b)).is_zero()
     assert outcomes == {True, False}
+
+
+def _entry(rng, field, ints):
+    """A random scalar, zero half the time; over Q an int or a Fraction."""
+    if rng.random() < 0.5:
+        return field.zero() if not ints else 0
+    if field.p is not None:
+        return rng.randrange(1, field.p)
+    if ints:
+        return rng.choice((-3, -2, -1, 1, 2, 3, 6))
+    return Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _step_vector(rng, field, dim, inserted):
+    """A zero vector, a combination of inserted vectors or a fresh vector."""
+    ints = field.p is None and rng.random() < 0.5
+    roll = rng.random()
+    if roll < 0.15:
+        return [0 if ints else field.zero()] * dim
+    if roll < 0.45 and inserted:
+        v = [0 if ints else field.zero()] * dim
+        for w in rng.sample(inserted, min(len(inserted), rng.randint(1, 3))):
+            c = _entry(rng, field, ints) or 1
+            v = [field.add(a, field.mul(c, b)) for a, b in zip(v, w)]
+        return v
+    return [_entry(rng, field, ints) for _ in range(dim)]
+
+
+def _no_float(rows):
+    return not any(isinstance(x, float) for row in rows for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])
+def test_subspace_reducer_matches_field_row_oracle(field):
+    """Integer-row (over Q) reducer against the reducer on rows with pivot 1,
+    after every insert of fresh vectors, vectors of the span and zero vectors."""
+    rng = random.Random(1151)
+    outcomes = set()
+    for _ in range(120):
+        dim = rng.randint(0, 9)
+        red, oracle = SubspaceReducer(field, dim), FieldSubspaceReducer(field, dim)
+        inserted = []
+        for _ in range(rng.randint(1, 12)):
+            v = _step_vector(rng, field, dim, inserted)
+            grew = red.insert(v)
+            assert grew == oracle.insert(v)
+            outcomes.add(grew)
+            inserted.append(v)
+            assert red.rank == oracle.rank
+            assert red.complement_indices() == oracle.complement_indices()
+            basis = red.basis_rows()
+            assert basis == oracle.basis_rows() and _no_float(basis)
+            for probe in (v, _step_vector(rng, field, dim, inserted), _step_vector(rng, field, dim, [])):
+                got = (red.reduce(probe), red.coords_in_complement(probe))
+                assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe))
+                assert _no_float(got)
+                assert red.contains(probe) == oracle.contains(probe)
+            for j, row in red.rows.items():
+                assert min(k for k, x in enumerate(row) if x) == j
+                if field.p is None:  # a primitive integer row
+                    assert all(type(x) is int for x in row) and gcd(*row) == 1
+                else:
+                    assert row[j] == 1 and all(0 <= x < field.p for x in row)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=["GF2", "GF3", "GF5"])
+def test_rref_kernel_solve_match_column_elimination_mod_p(field):
+    """Row-at-a-time elimination over GF(p) against column-by-column Gauss-Jordan."""
+    p = field.p
+    rng = random.Random(1152 + p)
+    outcomes = set()
+    for rows, cols in _shapes(rng):
+        data = _sparse_rows(rng, field, rows, cols)
+        m = Matrix(field, rows, cols, [list(r) for r in data])
+        exp = [list(r) for r in data]
+        exp_rank, exp_pivots = rref_mod_p(exp, p)
+        assert m.rref()[0].data == exp and m.rref()[1:] == (exp_rank, exp_pivots)
+        assert m.data == data  # the input is left as it was
+
+        free = [j for j in range(cols) if j not in exp_pivots]
+        ker = m.kernel_basis()
+        assert (ker.rows, ker.cols) == (cols, len(free))
+        for k, j in enumerate(free):
+            expected = [0] * cols
+            expected[j] = 1
+            for i, pc in enumerate(exp_pivots):
+                expected[pc] = -exp[i][j] % p
+            assert ker.column(k) == expected
+
+        x0 = Matrix(field, cols, 2, _sparse_rows(rng, field, cols, 2))
+        for rhs in (m @ x0, Matrix(field, rows, 2, _sparse_rows(rng, field, rows, 2))):
+            aug = [r + s for r, s in zip(data, rhs.data)]
+            _, aug_pivots = rref_mod_p(aug, p)
+            x = m.solve(rhs)
+            if any(pc >= cols for pc in aug_pivots):
+                assert x is None
+                outcomes.add("unsolvable")
+                continue
+            expected = [[0] * 2 for _ in range(cols)]
+            for i, pc in enumerate(aug_pivots):
+                expected[pc] = aug[i][cols:]
+            assert x.data == expected
+            assert m @ x == rhs
+            outcomes.add("solvable")
+        outcomes.add("full rank" if exp_rank == min(rows, cols) else "rank deficient")
+    assert outcomes == {"solvable", "unsolvable", "full rank", "rank deficient"}
