@@ -153,9 +153,11 @@ def _parse_vertex_list(arg: str, A: AlgebraHandle) -> list[str]:
     out = [v for v in arg.split(",") if v]
     if not out:
         raise CliError("empty vertex list")
-    for v in out:
+    for i, v in enumerate(out):
         if v not in A.quiver.v_index:
             raise CliError(f"unknown vertex {v!r}")
+        if v in out[:i]:
+            raise CliError(f"vertex {v!r} listed twice")
     return out
 
 
@@ -317,6 +319,13 @@ def cmd_resolve(args, seed):
 def cmd_witness(args, seed):
     if (args.identity, args.syzygy, args.pair is not None).count(True) != 1:
         raise CliError("choose one of --identity, --syzygy, --pair M N")
+    # --identity and --syzygy build their pair over the first algebra alone;
+    # naming that same file again is harmless, any other file is not used
+    same = args.algebra2 and os.path.realpath(args.algebra2) == os.path.realpath(args.algebra)
+    if args.algebra2 and args.pair is None and not same:
+        raise CliError("a second algebra is used only with --pair")
+    if args.level_max is not None and not args.search:
+        raise CliError("--level-max needs --search")
     A = _load_algebra(args.algebra, args.bound)
     B = _load_algebra(args.algebra2, args.bound) if args.algebra2 else A
     if args.identity:

@@ -250,88 +250,50 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec) -> QuotientData:
     """
     q = A.quiver
     if J.is_zero:
-        qd = QuotientData(A, list(range(q.n_vertices)), list(range(q.n_arrows)))
-        return qd
+        return QuotientData(A, list(range(q.n_vertices)), list(range(q.n_arrows)))
     if J.vertices and J.elements:
         raise ValueError("mixed ideal specifications are not supported")
-    if J.elements:
-        # single-arrow generators delete the arrow; everything else must be an
-        # admissible combination (parallel paths of length >= 2)
-        deleted_arrows = set()
-        appended = []
-        for e in J.elements:
-            terms = list(e)
-            if len(terms) == 1 and len(terms[0][0].arrows) == 1:
-                deleted_arrows.add(terms[0][0].arrows[0])
-                continue
-            if any(len(p.arrows) < 2 for p, _ in terms):
-                raise ValueError(
-                    "unsupported ideal generator: mix of arrow and longer terms"
-                )
-            appended.append(tuple(terms))
-        amap = [None] * q.n_arrows
-        new_arrows = []
-        for a in range(q.n_arrows):
-            if a in deleted_arrows:
-                continue
-            amap[a] = len(new_arrows)
-            new_arrows.append(q.arrows[a])
-        new_quiver = Quiver(list(q.vertices), new_arrows) if deleted_arrows else q
-        rels = []
-        for rel in list(A.presentation.relations) + appended:
-            terms = []
-            for p, c in rel:
-                if any(a in deleted_arrows for a in p.arrows):
-                    continue
-                terms.append((Path(p.source, p.target, tuple(amap[a] for a in p.arrows)), c))
-            if terms:
-                rels.append(_monic(terms, A.field))
-        pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, A.name + "/J")
-        handle = complete(pres, A.degree_bound)
-        qd = QuotientData(handle, list(range(q.n_vertices)), amap)
-        if not deleted_arrows:
-            qd.arrow_map = list(range(q.n_arrows))
-        handle.quotient_of = (A, qd.vertex_map, qd.arrow_map)
-        return qd
     deleted = {q.v_index[name] for name in J.vertices}
     kept = [v for v in range(q.n_vertices) if v not in deleted]
     if not kept:
         raise ValueError("quotient by the whole algebra: keep at least one vertex")
+    # the arrows at a deleted vertex go, and so does every single-arrow
+    # generator; everything else must be an admissible combination (parallel
+    # paths of length >= 2)
+    deleted_arrows = {a for a in range(q.n_arrows) if {q.a_src[a], q.a_tgt[a]} & deleted}
+    appended = []
+    for e in J.elements:
+        terms = list(e)
+        if len(terms) == 1 and len(terms[0][0].arrows) == 1:
+            deleted_arrows.add(terms[0][0].arrows[0])
+            continue
+        if any(len(p.arrows) < 2 for p, _ in terms):
+            raise ValueError("unsupported ideal generator: mix of arrow and longer terms")
+        appended.append(tuple(terms))
     vmap = [None] * q.n_vertices
     for i, v in enumerate(kept):
         vmap[v] = i
     amap = [None] * q.n_arrows
     new_arrows = []
     for a in range(q.n_arrows):
-        if q.a_src[a] in deleted or q.a_tgt[a] in deleted:
-            continue
-        amap[a] = len(new_arrows)
-        name, s, t = q.arrows[a]
-        new_arrows.append((name, s, t))
-    new_quiver = Quiver([q.vertices[v] for v in kept], new_arrows)
-
-    def passes_deleted(p: Path) -> bool:
-        if p.source in deleted or p.target in deleted:
-            return True
-        v = p.source
-        for a in p.arrows:
-            v = q.a_tgt[a]
-            if v in deleted:
-                return True
-        return False
-
+        if a not in deleted_arrows:
+            amap[a] = len(new_arrows)
+            new_arrows.append(q.arrows[a])
+    new_quiver = q
+    if deleted or deleted_arrows:
+        new_quiver = Quiver([q.vertices[v] for v in kept], new_arrows)
     rels = []
-    for rel in A.presentation.relations:
-        terms = []
-        for p, c in rel:
-            if passes_deleted(p):
-                continue
-            terms.append(
-                (Path(vmap[p.source], vmap[p.target], tuple(amap[a] for a in p.arrows)), c)
-            )
+    for rel in list(A.presentation.relations) + appended:
+        # a term of length >= 1 through a deleted vertex uses one of its
+        # arrows, and every term has length >= 2
+        terms = [
+            (Path(vmap[p.source], vmap[p.target], tuple(amap[a] for a in p.arrows)), c)
+            for p, c in rel
+            if not any(a in deleted_arrows for a in p.arrows)
+        ]
         if terms:
             rels.append(_monic(terms, A.field))
-    name = A.name + "/(" + ",".join(J.vertices) + ")"
+    name = A.name + ("/(" + ",".join(J.vertices) + ")" if J.vertices else "/J")
     pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, name)
     handle = complete(pres, A.degree_bound)
     handle.quotient_of = (A, vmap, amap)

@@ -33,6 +33,7 @@ __all__ = [
     "standard_module",
     "regular_rep",
     "action_rep",
+    "path_bimodule",
     "rep_direct_sum",
     "path_action",
     "validate_rep",
@@ -216,10 +217,13 @@ def action_rep(A: AlgebraHandle, basis, image) -> Rep:
 
     basis[u] lists the keys spanning the component at vertex u, in order;
     arrow a sends the key k at its source to image(a, k), a dict from keys at
-    its target to coefficients.  Every module with a basis of normal paths is
-    built here (projectives, A, the regular bimodule, the corner modules eA
-    and Ae, the idempotent candidates), each caller stating only its basis
-    and its product.
+    its target to coefficients.  Every module with a keyed basis gets its
+    arrow matrices here, each caller stating only its basis and its action:
+    the projectives and A (normal paths), the path bimodules (the regular
+    bimodule and the idempotent candidates), the corner modules eA and Ae,
+    restrictions (product coordinates), quotients (complement coordinates of
+    the span) and tensor products (complement coordinates of the balanced
+    relations).
     """
     q = A.quiver
     index = [{key: i for i, key in enumerate(b)} for b in basis]
@@ -549,28 +553,22 @@ def quotient_rep(M: Rep, vectors_per_vertex):
         SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
         for u in range(q.n_vertices)
     ]
+    # the quotient at u has the basis of the complement coordinates comps[u]
     comps = [r.complement_indices() for r in reducers]
-    dims = [len(c) for c in comps]
-    projs = []
-    for u in range(q.n_vertices):
-        m = Matrix.zero(f, dims[u], M.dims[u])
-        for j in range(M.dims[u]):
-            vec = [f.one() if k == j else f.zero() for k in range(M.dims[u])]
-            col = reducers[u].coords_in_complement(vec)
-            for i in range(dims[u]):
-                m.data[i][j] = col[i]
-        projs.append(m)
-    mats = []
-    for a in range(q.n_arrows):
-        src, tgt = q.a_src[a], q.a_tgt[a]
-        m = Matrix.zero(f, dims[tgt], dims[src])
-        for jloc, jamb in enumerate(comps[src]):
-            col = M.mats[a].column(jamb)
-            red = reducers[tgt].coords_in_complement(col)
-            for i in range(dims[tgt]):
-                m.data[i][jloc] = red[i]
-        mats.append(m)
-    Q = Rep(A, dims, mats)
+
+    def image(a, j):
+        red = reducers[q.a_tgt[a]].reduce(M.mats[a].column(j))
+        return {k: red[k] for k in comps[q.a_tgt[a]] if red[k]}
+
+    Q = action_rep(A, comps, image)
+    projs = [
+        Matrix.from_columns(
+            f,
+            [red.coords_in_complement(_unit_vector(f, n, j)) for j in range(n)],
+            nrows=Q.dims[u],
+        )
+        for u, (red, n) in enumerate(zip(reducers, M.dims))
+    ]
     return Q, RepMap(M, Q, projs)
 
 
@@ -847,6 +845,26 @@ class Restriction(Rep):
         self.pos = pos
 
 
+def _factor_image(M: Rep, side: str, a: int, key) -> dict:
+    """The image of the coordinate key = (product vertex, index) of M over
+    L (x) R^op under arrow a of L (side 'left') or of R^op (side 'right'),
+    keyed by product coordinates.
+
+    This is the one place that reads the product coordinates of a bimodule:
+    arrow a of L acts on the strand of the product vertex (u, w) by the
+    product arrow (a, w), arrow a of R^op by the product arrow (u, a).
+    """
+    prod = M.algebra.product
+    pi, i = key
+    u, w = prod.vertex_pairs[pi]
+    if side == "left":
+        pa, tgt_pair = prod.left_arrow[(a, w)], prod.pair_index[(prod.left.quiver.a_tgt[a], w)]
+    else:
+        # arrow a of R^op is arrow a of R reversed, acting on the right
+        pa, tgt_pair = prod.right_arrow[(u, a)], prod.pair_index[(u, prod.right.quiver.a_src[a])]
+    return {(tgt_pair, r): row[i] for r, row in enumerate(M.mats[pa].data) if row[i]}
+
+
 def restrict(M: Rep, side: str) -> Restriction:
     """Forget one action of a bimodule; dimension is preserved.
 
@@ -875,27 +893,8 @@ def restrict(M: Rep, side: str) -> Restriction:
     for pi, pair in enumerate(prod.vertex_pairs):
         entries[pair[own]].extend((pi, i) for i in range(M.dims[pi]))
     pos = [{e: i for i, e in enumerate(es)} for es in entries]
-    dims = [len(es) for es in entries]
-    mats = []
-    for a in range(target.quiver.n_arrows):
-        src, tgt = target.quiver.a_src[a], target.quiver.a_tgt[a]
-        m = Matrix.zero(M.algebra.field, dims[tgt], dims[src])
-        for col, (pi, i) in enumerate(entries[src]):
-            u, w = prod.vertex_pairs[pi]
-            if side == "left":
-                pa = prod.left_arrow[(a, w)]
-                tgt_pair = prod.pair_index[(tgt, w)]
-            else:
-                # arrow a of R^op is arrow a of R reversed, acting on the right
-                pa = prod.right_arrow[(u, a)]
-                tgt_pair = prod.pair_index[(u, tgt)]
-            block = M.mats[pa]
-            for r in range(block.rows):
-                c = block.data[r][i]
-                if c:
-                    m.data[pos[tgt][(tgt_pair, r)]][col] = c
-        mats.append(m)
-    return Restriction(target, dims, mats, outer, entries, pos)
+    rep = action_rep(target, entries, lambda a, key: _factor_image(M, side, a, key))
+    return Restriction(target, rep.dims, rep.mats, outer, entries, pos)
 
 
 @dataclass
@@ -991,73 +990,36 @@ class TensorFunctor:
             def out_tag(w, ix, jy):
                 return x_pairs[x.entries[w][ix][0]][0]
 
-        comp_of = [out_tag(*space.coords[amb]) for amb in space.complement]
-        order = sorted(range(len(space.complement)), key=lambda i: (comp_of[i], i))
-        dims = [0] * env.quiver.n_vertices
-        local = {}
-        for i in order:
-            v = comp_of[i]
-            local[i] = (v, dims[v])
-            dims[v] += 1
-        # ambient action of each env arrow, reduced to complement coordinates
-        namb = len(space.coords)
-        mats = []
-        for pa in range(env.quiver.n_arrows):
-            src_v = env.quiver.a_src[pa]
-            tgt_v = env.quiver.a_tgt[pa]
+        # the basis at an env vertex lists its complement coordinates in
+        # ascending order
+        tag = {amb: out_tag(*space.coords[amb]) for amb in space.complement}
+        basis = [[] for _ in range(env.quiver.n_vertices)]
+        for amb, v in tag.items():
+            basis[v].append(amb)
+
+        def image(pa, amb):
+            # the ambient action of env arrow pa on the X or the Y factor,
+            # reduced to complement coordinates
             kind, a1, a2 = env.product.arrow_kind[pa] if y.outer is not None else ("L", pa, None)
-            m = Matrix.zero(f, dims[tgt_v], dims[src_v])
-            for i in order:
-                if comp_of[i] != src_v:
-                    continue
-                amb = space.complement[i]
-                w, ix, jy = space.coords[amb]
-                vec = [f.zero()] * namb
-                if kind == "L":
-                    self._left_image(space, a1, w, ix, jy, vec)
-                else:
-                    self._right_image(space, Y, a2, w, ix, jy, vec)
-                red = space.reducer.reduce(vec)
-                colv = [f.zero()] * dims[tgt_v]
-                for k, amb2 in enumerate(space.complement):
-                    c = red[amb2]
-                    if c:
-                        v2, loc2 = local[k]
-                        if v2 != tgt_v:
-                            raise ConsistencyError("tensor grading violated")
-                        colv[loc2] = c
-                _, src_loc = local[i]
-                for r in range(dims[tgt_v]):
-                    m.data[r][src_loc] = colv[r]
-            mats.append(m)
-        rep = Rep(env, dims, mats)
-        return TensorResult(sum(dims), rep)
+            w, ix, jy = space.coords[amb]
+            vec = [f.zero()] * len(space.coords)
+            if kind == "L":
+                for key, c in _factor_image(self.X, "left", a1, x.entries[w][ix]).items():
+                    vec[space.index[(w, x.pos[w][key], jy)]] = c
+            else:
+                for key, c in _factor_image(Y, "right", a2, y.entries[w][jy]).items():
+                    vec[space.index[(w, ix, y.pos[w][key])]] = c
+            red = space.reducer.reduce(vec)
+            out = {}
+            for amb2, v in tag.items():
+                if red[amb2]:
+                    if v != env.quiver.a_tgt[pa]:
+                        raise ConsistencyError("tensor grading violated")
+                    out[amb2] = red[amb2]
+            return out
 
-    def _left_image(self, space, b_arrow, w, ix, jy, vec):
-        # left outer action on the X part, inside group w
-        x = self.x
-        prod = self.X.algebra.product
-        xv, xi = x.entries[w][ix]
-        wmid = prod.vertex_pairs[xv][1]
-        amat = self.X.mats[prod.left_arrow[(b_arrow, wmid)]]
-        tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[b_arrow], wmid)]
-        for r in range(amat.rows):
-            c = amat.data[r][xi]
-            if c:
-                vec[space.index[(w, x.pos[w][(tgt_pair, r)], jy)]] = c
-
-    def _right_image(self, space, Y, a_arrow, w, ix, jy, vec):
-        # right outer action on the Y part, inside group w
-        y = space.y
-        prod = Y.algebra.product
-        yv, yi = y.entries[w][jy]
-        wmid = prod.vertex_pairs[yv][0]
-        amat = Y.mats[prod.right_arrow[(wmid, a_arrow)]]
-        tgt_pair = prod.pair_index[(wmid, prod.right.quiver.a_src[a_arrow])]
-        for r in range(amat.rows):
-            c = amat.data[r][yi]
-            if c:
-                vec[space.index[(w, ix, y.pos[w][(tgt_pair, r)])]] = c
+        rep = action_rep(env, basis, image)
+        return TensorResult(rep.total_dim, rep)
 
 
 def tensor_over(X: Rep, Y: Rep, env: AlgebraHandle | None = None) -> TensorResult:
@@ -1068,22 +1030,29 @@ def tensor_over(X: Rep, Y: Rep, env: AlgebraHandle | None = None) -> TensorResul
 # -- bimodule carriers ------------------------------------------------------
 
 
-def regular_bimodule(A: AlgebraHandle) -> Rep:
-    """A as a module over its enveloping algebra A (x) A^op.
+def path_bimodule(A: AlgebraHandle, E: AlgebraHandle, left, right) -> Rep:
+    """The L-R-bimodule of normal paths of A, as a module over E = L (x) R^op.
 
-    The component at the product vertex (u, w) is spanned by the normal paths
-    w -> u; the left factor acts by postcomposition, the right by
-    precomposition.
+    left = (vertex map, arrow paths) places L in A, and right places R.  The
+    component at the product vertex (l, r) is spanned by the normal paths
+    from right[0][r] to left[0][l]; an arrow x of L acts by postcomposition
+    with left[1][x], an arrow y of R by precomposition with right[1][y].
     """
-    env = A.enveloping()
-    prod = env.product
-    arrows = arrow_paths(A)
+    (lv, lpaths), (rv, rpaths) = left, right
+    prod = E.product
 
     def image(pa, p):
         kind, x, y = prod.arrow_kind[pa]
-        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(arrows[y], p)
+        return A.mul_paths(p, lpaths[x]) if kind == "L" else A.mul_paths(rpaths[y], p)
 
-    return action_rep(env, [A.paths_between(w, u) for (u, w) in prod.vertex_pairs], image)
+    return action_rep(E, [A.paths_between(rv[r], lv[l]) for l, r in prod.vertex_pairs], image)
+
+
+def regular_bimodule(A: AlgebraHandle) -> Rep:
+    """A as a module over its enveloping algebra A (x) A^op: the normal paths
+    w -> u at the product vertex (u, w)."""
+    own = (range(A.quiver.n_vertices), arrow_paths(A))
+    return path_bimodule(A, A.enveloping(), own, own)
 
 
 def regular_bimodule_coords(A: AlgebraHandle, elem) -> list[list]:

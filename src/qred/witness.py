@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .algebra import AlgebraHandle, tensor_with_opposite
 from .modules import (
     Rep,
-    action_rep,
     arrow_paths,
     is_projective,
     minimal_resolution,
+    path_bimodule,
     regular_bimodule,
     restrict,
     stable_isomorphic,
@@ -176,29 +176,11 @@ def idempotent_candidate(A: AlgebraHandle, corner: AlgebraHandle):
     cs = corner.corner
     if cs is None or cs.parent is not A:
         raise ValueError("corner does not present an idempotent of this algebra")
-    kept = cs.kept
-    realization = cs.realizations
-    arrows = arrow_paths(A)
-
-    # Ae: the left factor acts by p.a, the corner arrow b by r_b.p
-    E1 = tensor_with_opposite(A, corner)
-
-    def image1(pa, p):
-        kind, x, y = E1.product.arrow_kind[pa]
-        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(realization[y], p)
-
-    basis1 = [A.paths_between(kept[w], u) for (u, w) in E1.product.vertex_pairs]
-    M = action_rep(E1, basis1, image1)
-
-    # eA: the corner arrow b acts by p.r_b, the right factor by a.p
-    E2 = tensor_with_opposite(corner, A)
-
-    def image2(pa, p):
-        kind, x, y = E2.product.arrow_kind[pa]
-        return A.mul_paths(p, realization[x]) if kind == "L" else A.mul_paths(arrows[y], p)
-
-    basis2 = [A.paths_between(u, kept[w]) for (w, u) in E2.product.vertex_pairs]
-    N = action_rep(E2, basis2, image2)
+    # the corner sits in A on its kept vertices, each arrow b as the path r_b
+    own = (range(A.quiver.n_vertices), arrow_paths(A))
+    placed = (cs.kept, cs.realizations)
+    M = path_bimodule(A, tensor_with_opposite(A, corner), own, placed)
+    N = path_bimodule(A, tensor_with_opposite(corner, A), placed, own)
     for rep, label in ((M, "Ae"), (N, "eA")):
         problems = validate_rep(rep)
         if problems:

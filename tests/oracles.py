@@ -22,8 +22,11 @@ minimal resolutions instead of reducing rules modulo rad*I + I*rad, the
 Hom oracle writes the intertwining system N_a f_u = f_w M_a with its own row
 loops instead of the balanced relations shared with the tensor product, the
 minimal-relations oracle completes kQ/K for monomial algebras too instead of
-keeping every monomial rule, and the Gorenstein oracle resolves D(A) whole
-instead of its indecomposable summands one by one.
+keeping every monomial rule, the Gorenstein oracle resolves D(A) whole
+instead of its indecomposable summands one by one, and the restriction,
+tensor, quotient and bimodule oracles fill their arrow matrices with their
+own loops and closures instead of through one action builder and one reader
+of product coordinates.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qred.algebra import (
+    ConsistencyError,
     DimensionNotResolved,
     Path,
     Presentation,
     _complete,
     compose,
+    tensor_with_opposite,
     trivial_path,
     word_key,
 )
@@ -43,6 +48,12 @@ from qred.linalg import Matrix, SubspaceReducer
 from qred.modules import (
     Rep,
     RepMap,
+    Restriction,
+    TensorResult,
+    TensorSpace,
+    _balanced_relations,
+    action_rep,
+    arrow_paths,
     dual,
     hom_basis,
     hom_from_projective,
@@ -632,3 +643,248 @@ def gorenstein_bounded_whole(A, n: int):
     left = pd_bounded(dual(regular_rep(A)), n)
     right = pd_bounded(dual(regular_rep(A.opposite())), n)
     return left, right
+
+
+# -- action-matrix builders by hand -------------------------------------------
+#
+# The builders below fill their arrow matrices with their own loops and read
+# the product coordinates of a bimodule in place, instead of going through
+# `action_rep` and the one product-coordinate reader of qred.modules.
+
+
+def restrict_by_loops(M: Rep, side: str) -> Restriction:
+    """Forget one action of a bimodule, filling each arrow matrix by hand."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    prod = M.algebra.product
+    if prod is None:
+        if side == "right" and M.algebra._opposite is None:
+            raise ValueError(
+                "a right module must be a Rep over an opposite handle or a product"
+            )
+        entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
+        pos = [{e: i for i, e in enumerate(es)} for es in entries]
+        return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
+    if side == "left":
+        target, outer, own = prod.left, prod.right, 0
+    else:
+        target, outer, own = prod.right.opposite(), prod.left, 1
+    entries = [[] for _ in range(target.quiver.n_vertices)]
+    for pi, pair in enumerate(prod.vertex_pairs):
+        entries[pair[own]].extend((pi, i) for i in range(M.dims[pi]))
+    pos = [{e: i for i, e in enumerate(es)} for es in entries]
+    dims = [len(es) for es in entries]
+    mats = []
+    for a in range(target.quiver.n_arrows):
+        src, tgt = target.quiver.a_src[a], target.quiver.a_tgt[a]
+        m = Matrix.zero(M.algebra.field, dims[tgt], dims[src])
+        for col, (pi, i) in enumerate(entries[src]):
+            u, w = prod.vertex_pairs[pi]
+            if side == "left":
+                pa = prod.left_arrow[(a, w)]
+                tgt_pair = prod.pair_index[(tgt, w)]
+            else:
+                # arrow a of R^op is arrow a of R reversed, acting on the right
+                pa = prod.right_arrow[(u, a)]
+                tgt_pair = prod.pair_index[(u, tgt)]
+            block = M.mats[pa]
+            for r in range(block.rows):
+                c = block.data[r][i]
+                if c:
+                    m.data[pos[tgt][(tgt_pair, r)]][col] = c
+        mats.append(m)
+    return Restriction(target, dims, mats, outer, entries, pos)
+
+
+def _tensor_space_by_loops(x: Restriction, middle, Y: Rep) -> TensorSpace:
+    y = restrict_by_loops(Y, "left")
+    if y.algebra is not middle:
+        raise ValueError("middle algebras do not match")
+    f = middle.field
+    coords, index, rows = _balanced_relations(middle.quiver, f, x.mats, x.dims, y.mats, y.dims)
+    reducer = SubspaceReducer(f, len(coords), rows)
+    comp = reducer.complement_indices()
+    return TensorSpace(coords, index, reducer, comp, len(comp), y)
+
+
+def _left_image(X, x, space, b_arrow, w, ix, jy, vec):
+    # left outer action on the X part, inside group w
+    prod = X.algebra.product
+    xv, xi = x.entries[w][ix]
+    wmid = prod.vertex_pairs[xv][1]
+    amat = X.mats[prod.left_arrow[(b_arrow, wmid)]]
+    tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[b_arrow], wmid)]
+    for r in range(amat.rows):
+        c = amat.data[r][xi]
+        if c:
+            vec[space.index[(w, x.pos[w][(tgt_pair, r)], jy)]] = c
+
+
+def _right_image(space, Y, a_arrow, w, ix, jy, vec):
+    # right outer action on the Y part, inside group w
+    y = space.y
+    prod = Y.algebra.product
+    yv, yi = y.entries[w][jy]
+    wmid = prod.vertex_pairs[yv][0]
+    amat = Y.mats[prod.right_arrow[(wmid, a_arrow)]]
+    tgt_pair = prod.pair_index[(wmid, prod.right.quiver.a_src[a_arrow])]
+    for r in range(amat.rows):
+        c = amat.data[r][yi]
+        if c:
+            vec[space.index[(w, ix, y.pos[w][(tgt_pair, r)])]] = c
+
+
+def tensor_over_by_loops(X: Rep, Y: Rep, env=None) -> TensorResult:
+    """X (x)_C Y with its residual outer structure, each env arrow matrix
+    filled column by column from the ambient action reduced to the
+    complement, the columns grouped by outer vertex with a sort."""
+    x = restrict_by_loops(X, "right")
+    space = _tensor_space_by_loops(x, x.algebra._opposite, Y)
+    y = space.y
+    f = X.algebra.field
+    if x.outer is None and y.outer is None:
+        return TensorResult(space.dim, None)
+    if x.outer is None:
+        raise NotImplementedError("right-only outer structure is not needed here")
+    x_pairs = X.algebra.product.vertex_pairs
+    if y.outer is not None:
+        if env is None or env.product is None:
+            raise ValueError("a completed product algebra is required for a bimodule result")
+        if env.product.left is not x.outer or env.product.right is not y.outer:
+            raise ValueError("env does not match the outer algebras")
+        y_pairs = Y.algebra.product.vertex_pairs
+
+        def out_tag(w, ix, jy):
+            return env.product.pair_index[
+                (x_pairs[x.entries[w][ix][0]][0], y_pairs[y.entries[w][jy][0]][1])
+            ]
+
+    else:
+        env = x.outer
+
+        def out_tag(w, ix, jy):
+            return x_pairs[x.entries[w][ix][0]][0]
+
+    comp_of = [out_tag(*space.coords[amb]) for amb in space.complement]
+    order = sorted(range(len(space.complement)), key=lambda i: (comp_of[i], i))
+    dims = [0] * env.quiver.n_vertices
+    local = {}
+    for i in order:
+        v = comp_of[i]
+        local[i] = (v, dims[v])
+        dims[v] += 1
+    namb = len(space.coords)
+    mats = []
+    for pa in range(env.quiver.n_arrows):
+        src_v = env.quiver.a_src[pa]
+        tgt_v = env.quiver.a_tgt[pa]
+        kind, a1, a2 = env.product.arrow_kind[pa] if y.outer is not None else ("L", pa, None)
+        m = Matrix.zero(f, dims[tgt_v], dims[src_v])
+        for i in order:
+            if comp_of[i] != src_v:
+                continue
+            amb = space.complement[i]
+            w, ix, jy = space.coords[amb]
+            vec = [f.zero()] * namb
+            if kind == "L":
+                _left_image(X, x, space, a1, w, ix, jy, vec)
+            else:
+                _right_image(space, Y, a2, w, ix, jy, vec)
+            red = space.reducer.reduce(vec)
+            colv = [f.zero()] * dims[tgt_v]
+            for k, amb2 in enumerate(space.complement):
+                c = red[amb2]
+                if c:
+                    v2, loc2 = local[k]
+                    if v2 != tgt_v:
+                        raise ConsistencyError("tensor grading violated")
+                    colv[loc2] = c
+            _, src_loc = local[i]
+            for r in range(dims[tgt_v]):
+                m.data[r][src_loc] = colv[r]
+        mats.append(m)
+    rep = Rep(env, dims, mats)
+    return TensorResult(sum(dims), rep)
+
+
+def quotient_rep_by_loops(M: Rep, vectors_per_vertex):
+    """Quotient by the subrepresentation spanned by the vectors, with the
+    projection and every arrow matrix filled entry by entry."""
+    A = M.algebra
+    f = A.field
+    q = A.quiver
+    reducers = [
+        SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
+        for u in range(q.n_vertices)
+    ]
+    comps = [r.complement_indices() for r in reducers]
+    dims = [len(c) for c in comps]
+    projs = []
+    for u in range(q.n_vertices):
+        m = Matrix.zero(f, dims[u], M.dims[u])
+        for j in range(M.dims[u]):
+            vec = [f.one() if k == j else f.zero() for k in range(M.dims[u])]
+            col = reducers[u].coords_in_complement(vec)
+            for i in range(dims[u]):
+                m.data[i][j] = col[i]
+        projs.append(m)
+    mats = []
+    for a in range(q.n_arrows):
+        src, tgt = q.a_src[a], q.a_tgt[a]
+        m = Matrix.zero(f, dims[tgt], dims[src])
+        for jloc, jamb in enumerate(comps[src]):
+            col = M.mats[a].column(jamb)
+            red = reducers[tgt].coords_in_complement(col)
+            for i in range(dims[tgt]):
+                m.data[i][jloc] = red[i]
+        mats.append(m)
+    Q = Rep(A, dims, mats)
+    return Q, RepMap(M, Q, projs)
+
+
+def regular_bimodule_by_hand(A) -> Rep:
+    """A over A (x) A^op with its own action closure."""
+    env = A.enveloping()
+    prod = env.product
+    arrows = arrow_paths(A)
+
+    def image(pa, p):
+        kind, x, y = prod.arrow_kind[pa]
+        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(arrows[y], p)
+
+    return action_rep(env, [A.paths_between(w, u) for (u, w) in prod.vertex_pairs], image)
+
+
+def idempotent_candidate_by_hand(A, corner):
+    """(Ae, eA) against a presented corner, each with its own action closure."""
+    cs = corner.corner
+    if cs is None or cs.parent is not A:
+        raise ValueError("corner does not present an idempotent of this algebra")
+    kept = cs.kept
+    realization = cs.realizations
+    arrows = arrow_paths(A)
+
+    # Ae: the left factor acts by p.a, the corner arrow b by r_b.p
+    E1 = tensor_with_opposite(A, corner)
+
+    def image1(pa, p):
+        kind, x, y = E1.product.arrow_kind[pa]
+        return A.mul_paths(p, arrows[x]) if kind == "L" else A.mul_paths(realization[y], p)
+
+    basis1 = [A.paths_between(kept[w], u) for (u, w) in E1.product.vertex_pairs]
+    M = action_rep(E1, basis1, image1)
+
+    # eA: the corner arrow b acts by p.r_b, the right factor by a.p
+    E2 = tensor_with_opposite(corner, A)
+
+    def image2(pa, p):
+        kind, x, y = E2.product.arrow_kind[pa]
+        return A.mul_paths(p, realization[x]) if kind == "L" else A.mul_paths(arrows[y], p)
+
+    basis2 = [A.paths_between(u, kept[w]) for (w, u) in E2.product.vertex_pairs]
+    N = action_rep(E2, basis2, image2)
+    for rep, label in ((M, "Ae"), (N, "eA")):
+        problems = validate_rep(rep)
+        if problems:
+            raise ConsistencyError(f"{label} candidate is not a representation: {problems[0]}")
+    return M, N

@@ -399,16 +399,32 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
         (("corner", "bowtie", "--vertices", "zz"), "unknown vertex 'zz'"),
         (("witness", "dual_numbers", "--identity", "--syzygy"), "choose one of --identity, --syzygy, --pair M N"),
         (("witness", "dual_numbers", "--syzygy", "--pair", "m.bim", "n.bim"), "choose one of --identity, --syzygy, --pair M N"),
+        (("witness", "dual_numbers", "--syzygy", "--level-max", "3"), "--level-max needs --search"),
+        (("witness", "dual_numbers", "--identity", "--level", "0", "--level-max", "0"), "--level-max needs --search"),
+        (("reduce", "tri_dual", "--quotient", "1,1"), "vertex '1' listed twice"),
+        (("reduce", "tri_dual", "--corner", "1,1"), "vertex '1' listed twice"),
+        (("check", "bowtie", "--property", "all", "--corner", "s,2,s"), "vertex 's' listed twice"),
+        (("corner", "bowtie", "--vertices", "2,s,2"), "vertex '2' listed twice"),
     ],
     ids=[
         "reduce-quotient", "reduce-corner", "check-quotient", "check-corner",
         "corner-after-quotient", "corner-command", "identity-and-syzygy", "syzygy-and-pair",
+        "level-max-without-search", "level-max-with-level", "quotient-repeated-vertex",
+        "corner-repeated-vertex", "check-corner-repeated-vertex", "corner-command-repeated-vertex",
     ],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, message):
     command, name, *rest = argv
     code, out = run(capsys, command, fixture(name), *rest)
     assert (code, out.out, out.err) == (2, "", f"qred: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--identity", "--syzygy"])
+def test_cli_witness_second_algebra_needs_pair(capsys, flag):
+    # the pair is built over the first algebra alone; a verdict would read as
+    # one about both algebras
+    code, out = run(capsys, "witness", fixture("line2"), fixture("tri_dual"), flag)
+    assert (code, out.out, out.err) == (2, "", "qred: a second algebra is used only with --pair\n")
 
 
 def test_cli_missing_file(capsys):

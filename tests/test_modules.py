@@ -26,6 +26,7 @@ from qred.modules import (
     regular_bimodule,
     regular_rep,
     rep_direct_sum,
+    restrict,
     restrict_along,
     simple,
     socle_layer_dims,
@@ -40,7 +41,7 @@ from qred.modules import (
     zero_rep,
 )
 from qred.reduction import corner_module_Ae, corner_module_eA, corner_presentation
-from qred.witness import bimodule_syzygy, tensor_bimodules
+from qred.witness import bimodule_syzygy, idempotent_candidate, tensor_bimodules
 
 from conftest import load
 from corpus import completed_corpus
@@ -48,14 +49,19 @@ from oracles import (
     brute_tensor_dim,
     hom_basis_by_intertwining,
     hom_from_projective_by_path_action,
+    idempotent_candidate_by_hand,
     injective_dimension_direct,
     is_projective_by_rank,
     kernel_subrep_by_reducer,
     projective_cover_by_path_action,
     projective_sum_by_products,
+    quotient_rep_by_loops,
+    regular_bimodule_by_hand,
+    restrict_by_loops,
     socle_reducers,
     split_projective_summands_by_inverse,
     sub_rep_by_solve,
+    tensor_over_by_loops,
 )
 
 
@@ -134,6 +140,21 @@ def _random_gens(rng, M):
         else []
         for d in M.dims
     ]
+
+
+def _radical_gens(rng, M):
+    """At each vertex of M, one random combination of a basis of rad M, or
+    none: its span leaves a quotient with the top of M."""
+    f = M.algebra.field
+    gens = []
+    for red in radical_reducers(M):
+        rows = red.basis_rows()
+        vec = [f.zero()] * red.dim
+        for row in rows:
+            c = f.from_int(rng.randint(-2, 2))
+            vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+        gens.append([vec] if rows else [])
+    return gens
 
 
 def _sample_modules(A, rng):
@@ -469,6 +490,73 @@ def test_tensor_random_two_routes():
             rank = tf.map(tf.space(res.projectives[1]), s0, res.maps[1]).rank()
         assert got == s0.dim - rank
         assert got == brute_tensor_dim(X, A, Y)
+
+
+def _typed(m):
+    """Every entry of the matrix m, with its type."""
+    return [[(type(c), c) for c in row] for row in m.data]
+
+
+def _entries(rep):
+    return rep.dims, [_typed(m) for m in rep.mats]
+
+
+@pytest.mark.parametrize(
+    "seed, field", [(61, QQ), (62, FieldSpec(2)), (63, FieldSpec(3)), (64, FieldSpec(5))],
+    ids=["QQ", "GF2", "GF3", "GF5"],
+)
+def test_action_builders_match_hand_filled_oracles(seed, field):
+    """Restrictions, tensor products, quotients and path bimodules built
+    through `action_rep` equal, entry for entry and type for type, the same
+    modules built by the hand-filled loops of `tests/oracles.py`: both
+    restrictions of the regular bimodule, of its first syzygy and of both
+    idempotent candidates; the bimodule tensor products among them; the
+    regular bimodule over A tensored with A and with the quotients below; and
+    the quotient of each projective and of A by a random stable span, with
+    its projection.  Tensor pairs with more than 300 products of basis
+    vectors are left out, as their elimination over Q takes seconds."""
+    rng = random.Random(seed)
+    seen = {"restrictions": 0, "tensors": 0, "quotients": 0, "proper quotients": 0}
+    for A in completed_corpus(seed, 6, field, bound=8, dim_cap=8, max_vertices=3, max_arrows=4):
+        reg = regular_bimodule(A)
+        assert _entries(reg) == _entries(regular_bimodule_by_hand(A))
+        names = A.quiver.vertices
+        corner = corner_presentation(A, rng.sample(names, rng.randint(1, len(names))))
+        Ae, eA = idempotent_candidate(A, corner)
+        for got, want in zip((Ae, eA), idempotent_candidate_by_hand(A, corner)):
+            assert _entries(got) == _entries(want)
+        syz = bimodule_syzygy(A, 1)
+        for M in (reg, syz, Ae, eA):
+            for side in ("left", "right"):
+                got, want = restrict(M, side), restrict_by_loops(M, side)
+                assert got.algebra is want.algebra and got.outer is want.outer
+                assert (got.entries, got.pos) == (want.entries, want.pos)
+                assert _entries(got) == _entries(want)
+                seen["restrictions"] += 1
+        pairs = [(reg, reg), (syz, reg), (reg, syz), (Ae, eA), (eA, Ae), (reg, Ae), (eA, reg)]
+        for M, N in pairs:
+            if M.total_dim * N.total_dim > 300:
+                continue
+            got = tensor_bimodules(M, N)
+            assert _entries(got) == _entries(tensor_over_by_loops(M, N, got.algebra).rep)
+            seen["tensors"] += 1
+        Ys = [regular_rep(A)]
+        for P in [projective(A, v)[0] for v in range(A.quiver.n_vertices)] + [regular_rep(A)]:
+            gens = _radical_gens(rng, P) if rng.random() < 0.7 else _random_gens(rng, P)
+            vecs = stable_span(P, gens)
+            got, want = quotient_rep(P, vecs), quotient_rep_by_loops(P, vecs)
+            assert _entries(got[0]) == _entries(want[0])
+            assert got[1].source is P and got[1].target is got[0]
+            assert [_typed(m) for m in got[1].mats] == [_typed(m) for m in want[1].mats]
+            Ys.append(got[0])
+            seen["quotients"] += 1
+            seen["proper quotients"] += 0 < got[0].total_dim < P.total_dim
+        for Y in Ys:
+            got, want = tensor_over(reg, Y), tensor_over_by_loops(reg, Y)
+            assert got.rep.algebra is A and want.rep.algebra is A
+            assert _entries(got.rep) == _entries(want.rep)
+            seen["tensors"] += 1
+    assert min(seen.values()) >= 4, seen
 
 
 # -- isomorphism machinery ---------------------------------------------------
