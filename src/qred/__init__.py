@@ -35,7 +35,6 @@ from .homology import (
     IdealSpec,
     bimodule_pd_bounded,
     bongartz,
-    derived_tensor_bounded,
     gldim_bounded,
     gorenstein_bounded,
     homological_ideal_check,
@@ -47,6 +46,7 @@ from .reduction import (
     PROPERTIES,
     corner_conditions,
     corner_presentation,
+    derived_tensor_bounded,
     eligible_vertices,
     property_verdict,
     quotient_conditions,

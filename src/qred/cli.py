@@ -23,6 +23,7 @@ from .algebra import (
     DimensionNotResolved,
     InvalidPresentation,
     complete,
+    tensor_with_opposite,
 )
 from .homology import IdealSpec, gldim_bounded, serial_check
 from .modules import dual, minimal_resolution, standard_module
@@ -168,28 +169,26 @@ def _reduction_steps(A, args, bound):
     """
     steps = []
     current = A
-    if getattr(args, "quotient", None):
+    if args.quotient:
         J = IdealSpec.from_vertices(_parse_vertex_list(args.quotient, current))
-        sr = quotient_conditions(current, J, bound)
-        steps.append(sr)
-        if sr.status == "refuted":
-            return steps, current
-        current = sr.output
-    if getattr(args, "corner", None):
-        sr = corner_conditions(current, _parse_vertex_list(args.corner, current), bound, args.variant)
-        steps.append(sr)
-        current = sr.output
-    if getattr(args, "triangular", False):
-        sr = triangular_split(current, bound)
-        if sr is not None:
-            steps.append(sr)
-            current = sr.output
-    return steps, current
+        steps.append(quotient_conditions(current, J, bound))
+        if steps[-1].output is None:
+            return steps
+        current = steps[-1].output
+    if args.corner:
+        vertices = _parse_vertex_list(args.corner, current)
+        steps.append(corner_conditions(current, vertices, bound, args.variant))
+        current = steps[-1].output
+    if args.triangular:
+        step = triangular_split(current, bound)
+        if step is not None:
+            steps.append(step)
+    return steps
 
 
 def _refuted_report(A, steps):
     """The report of a command whose requested steps ended in a refutation."""
-    trace = [_step_json(sr.step) for sr in steps]
+    trace = [_step_json(step) for step in steps]
     results = {"refuted": True, "failures": steps[-1].failures}
     return A, results, trace, [], False, EXIT_FAIL
 
@@ -218,12 +217,12 @@ def _basis_profile(A):
 
 def cmd_reduce(args, seed):
     A = _load_algebra(args.algebra, args.bound)
-    steps, current = _reduction_steps(A, args, args.bound)
+    steps = _reduction_steps(A, args, args.bound)
     if steps and steps[-1].status == "refuted":
         return _refuted_report(A, steps)
-    terminal, fsteps, _ = reduce_fixpoint(current)
-    trace = [_step_json(sr.step) for sr in steps] + [_step_json(s) for s in fsteps]
-    conditional = any(sr.status != "certified" for sr in steps)
+    terminal, fsteps = reduce_fixpoint(steps[-1].output if steps else A)
+    trace = [_step_json(s) for s in steps + fsteps]
+    conditional = any(not s.certified for s in steps)
     results = {
         "terminal": _algebra_summary(terminal),
         "trace_length": len(trace),
@@ -235,7 +234,7 @@ def cmd_reduce(args, seed):
 
 def cmd_check(args, seed):
     A = _load_algebra(args.algebra, args.bound)
-    steps, current = _reduction_steps(A, args, args.bound)
+    steps = _reduction_steps(A, args, args.bound)
     if steps and steps[-1].status == "refuted":
         return _refuted_report(A, steps)
     props = PROPERTIES if args.property == "all" else (args.property,)
@@ -378,8 +377,6 @@ def cmd_witness(args, seed):
 
 
 def _product_handles(A, B):
-    from .algebra import tensor_with_opposite
-
     if B is A:
         return A.enveloping(), A.enveloping()
     return tensor_with_opposite(A, B), tensor_with_opposite(B, A)
@@ -414,12 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_analyze)
 
+    def step_flags(p):
+        p.add_argument("--quotient", help="vertex list for an AeA homological-quotient step")
+        p.add_argument("--corner", help="vertex list for a conditioned corner step")
+        p.add_argument("--variant", choices=("pd", "id", "tor"), default="pd")
+        p.add_argument("--triangular", action="store_true", help="try a triangular split")
+
     p = sub.add_parser("reduce", help="vertex-removal fixpoint plus optional steps")
     common(p)
-    p.add_argument("--quotient", help="vertex list for an AeA homological-quotient step")
-    p.add_argument("--corner", help="vertex list for a conditioned corner step")
-    p.add_argument("--variant", choices=("pd", "id", "tor"), default="pd")
-    p.add_argument("--triangular", action="store_true", help="try a triangular split")
+    step_flags(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("check", help="certificate-based property verdict")
@@ -429,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=PROPERTIES + ("all",),
     )
-    p.add_argument("--quotient", help="vertex list for an AeA homological-quotient step")
-    p.add_argument("--corner", help="vertex list for a conditioned corner step")
-    p.add_argument("--variant", choices=("pd", "id", "tor"), default="pd")
-    p.add_argument("--triangular", action="store_true")
+    step_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("corner", help="emit the corner presentation as an algebra file")

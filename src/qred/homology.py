@@ -3,8 +3,8 @@
 Bounded Tor, global and Gorenstein dimension, the relation-endpoint
 (Bongartz) criterion for pd/id <= 1 of a vertex simple over minimal
 relations, read modulo rad*I + I*rad, homological-ideal detection via Tor
-vanishing, bimodule projective dimension over the enveloping algebra,
-derived-tensor boundedness over a corner, and serial detection.
+vanishing, bimodule projective dimension over the enveloping algebra, and
+serial detection.
 "< infinity" is only ever asserted from a terminating resolution; everything
 else stays explicit evidence.
 """
@@ -56,8 +56,6 @@ __all__ = [
     "HomologicalIdealReport",
     "homological_ideal_check",
     "bimodule_pd_bounded",
-    "DerivedTensorReport",
-    "derived_tensor_bounded",
     "serial_check",
     "self_injective",
 ]
@@ -358,30 +356,6 @@ def bimodule_pd_bounded(A: AlgebraHandle, M: Rep, n: int) -> BoundedDim:
     if M.algebra is not A.enveloping():
         raise ValueError("bimodule must be a Rep over the enveloping algebra")
     return pd_bounded(M, n)
-
-
-@dataclass
-class DerivedTensorReport:
-    status: str  # 'certified' | 'evidence'
-    tor_dims: list[int]
-
-
-def derived_tensor_bounded(
-    A: AlgebraHandle, vertex_names, n: int, corner: AlgebraHandle | None = None
-) -> DerivedTensorReport:
-    """Boundedness of the derived tensor of Ae and eA over the corner eAe.
-
-    Certified when eA resolves over eAe within the bound (all higher Tor then
-    vanish); otherwise the Tor dimensions up to n are reported as evidence.
-    """
-    from .reduction import corner_module_Ae, corner_module_eA, corner_presentation
-
-    B = corner or corner_presentation(A, vertex_names)
-    eA = corner_module_eA(B)
-    Ae = corner_module_Ae(B)
-    tor = tor_bounded(Ae, eA, n)
-    status = "certified" if tor.terminated else "evidence"
-    return DerivedTensorReport(status, tor.dims)
 
 
 # -- algebra class tests ----------------------------------------------------

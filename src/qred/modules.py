@@ -514,6 +514,23 @@ def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     return radical_layer_dims(dual(M))
 
 
+def _span_images(M: Rep, reducers, rows) -> list[list]:
+    """Per arrow a, the images under M_a of the span's basis rows at its source.
+
+    rows[u] is the basis of the span reducers[u].  Raises ValueError when an
+    image leaves the span at the target, that is when the span is not stable
+    under the arrow actions.
+    """
+    q = M.algebra.quiver
+    images = []
+    for a in range(q.n_arrows):
+        image = [M.mats[a].apply(row) for row in rows[q.a_src[a]]]
+        if not all(reducers[q.a_tgt[a]].contains(col) for col in image):
+            raise ValueError("span is not stable under the arrow actions")
+        images.append(image)
+    return images
+
+
 def sub_rep(M: Rep, vectors_per_vertex):
     """Subrepresentation spanned by the given vectors; (rep, inclusion).
 
@@ -530,13 +547,9 @@ def sub_rep(M: Rep, vectors_per_vertex):
     basis_rows = [red.basis_rows() for red in reducers]
     dims = [len(rows) for rows in basis_rows]
     mats = []
-    for a in range(q.n_arrows):
+    for a, image in enumerate(_span_images(M, reducers, basis_rows)):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        image = [M.mats[a].apply(row) for row in basis_rows[src]]
-        red = reducers[tgt]
-        if not all(red.contains(col) for col in image):
-            raise ValueError("span is not stable under the arrow actions")
-        pivots = sorted(red.rows)
+        pivots = sorted(reducers[tgt].rows)
         mats.append(Matrix(f, dims[tgt], dims[src], [[col[j] for col in image] for j in pivots]))
     bases = [Matrix.from_columns(f, rows, nrows=M.dims[u]) for u, rows in enumerate(basis_rows)]
     S = Rep(A, dims, mats)
@@ -545,7 +558,11 @@ def sub_rep(M: Rep, vectors_per_vertex):
 
 
 def quotient_rep(M: Rep, vectors_per_vertex):
-    """Quotient by the subrepresentation spanned by the vectors; (rep, projection)."""
+    """Quotient by the subrepresentation spanned by the vectors; (rep, projection).
+
+    Raises ValueError, as `sub_rep` does, when the span is not stable under
+    the arrow actions; `stable_span` closes a spanning set first.
+    """
     A = M.algebra
     f = A.field
     q = A.quiver
@@ -553,6 +570,7 @@ def quotient_rep(M: Rep, vectors_per_vertex):
         SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
         for u in range(q.n_vertices)
     ]
+    _span_images(M, reducers, [red.basis_rows() for red in reducers])
     # the quotient at u has the basis of the complement coordinates comps[u]
     comps = [r.complement_indices() for r in reducers]
 

@@ -1,12 +1,12 @@
 """The reduction engine.
 
 Vertex removal at relation-endpoint-free vertices, corner presentations of
-eAe, homological-ideal quotients, triangular splitting, and certificate-based
-property verdicts propagated along reduction traces.  Every implemented step
-is an if-and-only-if transport of syzygy-finiteness, the Igusa-Todorov
-property, injectives generation and projectives cogeneration, provided its
-side conditions are certified; otherwise the step taints the verdict with a
-conditional flag.
+eAe, derived-tensor boundedness over a corner, homological-ideal quotients,
+triangular splitting, and certificate-based property verdicts propagated
+along reduction traces.  Every implemented step is an if-and-only-if
+transport of syzygy-finiteness, the Igusa-Todorov property, injectives
+generation and projectives cogeneration, provided its side conditions are
+certified; otherwise the step taints the verdict with a conditional flag.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .homology import (
     IdealSpec,
     bimodule_pd_bounded,
     bongartz,
-    derived_tensor_bounded,
     gldim_bounded,
     gorenstein_bounded,
     homological_ideal_check,
     ideal_bimodule,
     serial_check,
+    tor_bounded,
 )
 from .linalg import Matrix, SubspaceReducer
 from .modules import (
@@ -51,13 +51,14 @@ from .modules import (
 __all__ = [
     "Condition",
     "ReductionStep",
-    "StepResult",
     "PropertyCertificate",
     "Verdict",
     "PROPERTIES",
     "corner_presentation",
     "corner_module_eA",
     "corner_module_Ae",
+    "DerivedTensorReport",
+    "derived_tensor_bounded",
     "eligible_vertices",
     "remove_vertex",
     "reduce_fixpoint",
@@ -83,25 +84,39 @@ class Condition:
     detail: str = ""
 
 
+def _condition(name: str, ok: bool, bound: int | None = None, detail: str = "") -> Condition:
+    """A condition that is certified when ok holds, conditional otherwise."""
+    return Condition(name, "certified" if ok else "conditional", bound, detail)
+
+
 @dataclass
 class ReductionStep:
+    """One reduction step: its side conditions and the algebra it reaches.
+
+    output is None once a condition is refuted; status and failures are read
+    off the conditions.
+    """
+
     kind: str  # vertex_removal | corner | homological_quotient | triangular_split
     input_name: str
     output_name: str
     params: dict
     conditions: list
+    output: AlgebraHandle | None
+
+    @property
+    def failures(self) -> list[str]:
+        return [c.name for c in self.conditions if c.verdict != "certified"]
 
     @property
     def certified(self) -> bool:
-        return all(c.verdict == "certified" for c in self.conditions)
+        return not self.failures
 
-
-@dataclass
-class StepResult:
-    status: str  # 'certified' | 'conditional' | 'refuted'
-    step: ReductionStep | None
-    output: AlgebraHandle | None
-    failures: list
+    @property
+    def status(self) -> str:  # 'certified' | 'conditional' | 'refuted'
+        if any(c.verdict == "refuted" for c in self.conditions):
+            return "refuted"
+        return "certified" if self.certified else "conditional"
 
 
 # -- corner presentations ---------------------------------------------------
@@ -328,7 +343,7 @@ def eligible_vertices(A: AlgebraHandle) -> list[tuple[str, str]]:
     return out
 
 
-def remove_vertex(A: AlgebraHandle, vertex_name: str):
+def remove_vertex(A: AlgebraHandle, vertex_name: str) -> ReductionStep:
     """Corner reduction at all vertices except one endpoint-free vertex."""
     no_starts, no_ends = bongartz(A, vertex_name)
     if not (no_starts or no_ends):
@@ -341,7 +356,7 @@ def remove_vertex(A: AlgebraHandle, vertex_name: str):
     dim_cond = (
         f"pd(S_{vertex_name}) <= 1" if side == "starts" else f"id(S_{vertex_name}) <= 1"
     )
-    step = ReductionStep(
+    return ReductionStep(
         kind="vertex_removal",
         input_name=A.name,
         output_name=out.name,
@@ -350,36 +365,56 @@ def remove_vertex(A: AlgebraHandle, vertex_name: str):
             Condition(f"no relation {side} at {vertex_name}", "certified"),
             Condition(dim_cond, "certified", detail="by the relation-endpoint criterion"),
         ],
+        output=out,
     )
-    return out, step
 
 
 def reduce_fixpoint(A: AlgebraHandle):
-    """Iterated vertex removal; deterministic, never drops the last vertex."""
+    """Iterated vertex removal; deterministic, never drops the last vertex.
+
+    Returns (terminal, steps); each step's output is the next step's input.
+    """
     steps = []
-    handles = [A]
     current = A
     while current.quiver.n_vertices > 1:
         elig = eligible_vertices(current)
         if not elig:
             break
-        v, _side = elig[0]
-        current, step = remove_vertex(current, v)
-        steps.append(step)
-        handles.append(current)
-    return current, steps, handles
+        steps.append(remove_vertex(current, elig[0][0]))
+        current = steps[-1].output
+    return current, steps
 
 
 # -- conditioned reduction steps --------------------------------------------
 
 
 def _bd_condition(name: str, bd, bound: int) -> Condition:
-    return Condition(
-        name, "certified" if bd.exact else "conditional", bound, str(bd)
-    )
+    return _condition(name, bd.exact, bound, str(bd))
 
 
-def corner_conditions(A: AlgebraHandle, vertex_names, bound: int, variant: str = "pd") -> StepResult:
+@dataclass
+class DerivedTensorReport:
+    status: str  # 'certified' | 'evidence'
+    tor_dims: list[int]
+
+
+def derived_tensor_bounded(
+    A: AlgebraHandle, vertex_names, n: int, corner: AlgebraHandle | None = None
+) -> DerivedTensorReport:
+    """Boundedness of the derived tensor of Ae and eA over the corner eAe.
+
+    Certified when eA resolves over eAe within the bound (all higher Tor then
+    vanish); otherwise the Tor dimensions up to n are reported as evidence.
+    """
+    B = corner or corner_presentation(A, vertex_names)
+    tor = tor_bounded(corner_module_Ae(B), corner_module_eA(B), n)
+    status = "certified" if tor.terminated else "evidence"
+    return DerivedTensorReport(status, tor.dims)
+
+
+def corner_conditions(
+    A: AlgebraHandle, vertex_names, bound: int, variant: str = "pd"
+) -> ReductionStep:
     """Check the side conditions for the corner reduction A -> eAe.
 
     variant 'pd': pd of the removed simples and pd of eA over the corner;
@@ -407,78 +442,48 @@ def corner_conditions(A: AlgebraHandle, vertex_names, bound: int, variant: str =
         conds.append(_bd_condition("pd of Ae over the corner finite", bd, bound))
     else:
         rep = derived_tensor_bounded(A, vertex_names, bound, corner)
-        conds.append(
-            Condition(
-                "derived tensor of (Ae, eA) over the corner bounded",
-                "certified" if rep.status == "certified" else "conditional",
-                bound,
-                f"Tor dims {rep.tor_dims}",
-            )
-        )
+        name = "derived tensor of (Ae, eA) over the corner bounded"
+        conds.append(_condition(name, rep.status == "certified", bound, f"Tor dims {rep.tor_dims}"))
         for v in removed:
             pdv = pd_bounded(simple(A, A.quiver.v_index[v]), bound)
             idv = pd_bounded(simple(A, A.quiver.v_index[v]), bound, "injective")
             ok = pdv.exact or idv.exact
-            conds.append(
-                Condition(
-                    f"pd or id of S_{v} finite",
-                    "certified" if ok else "conditional",
-                    bound,
-                    f"pd {pdv}, id {idv}",
-                )
-            )
-    step = ReductionStep(
+            conds.append(_condition(f"pd or id of S_{v} finite", ok, bound, f"pd {pdv}, id {idv}"))
+    return ReductionStep(
         kind="corner",
         input_name=A.name,
         output_name=corner.name,
         params={"vertices": sorted(S), "variant": variant},
         conditions=conds,
+        output=corner,
     )
-    failures = [c.name for c in conds if c.verdict != "certified"]
-    status = "certified" if not failures else "conditional"
-    return StepResult(status, step, corner, failures)
 
 
-def quotient_conditions(A: AlgebraHandle, J: IdealSpec, bound: int) -> StepResult:
+def quotient_conditions(A: AlgebraHandle, J: IdealSpec, bound: int) -> ReductionStep:
     """Check that J is homological with finite bimodule pd; step to A/J."""
     hic = homological_ideal_check(A, J, bound)
-    conds = []
+    name = "homological ideal: Tor vanishing"
     if hic.status == "refuted":
-        conds.append(
-            Condition(
-                "homological ideal: Tor vanishing",
-                "refuted",
-                bound,
-                f"Tor_{hic.refuted_at} has dimension {hic.tor_dims[hic.refuted_at]}",
-            )
-        )
-        step = ReductionStep(
-            "homological_quotient", A.name, hic.quotient.handle.name, {"ideal": J}, conds
-        )
-        return StepResult("refuted", step, None, [conds[0].name])
-    conds.append(
-        Condition(
-            "homological ideal: Tor vanishing",
-            "certified" if hic.status == "certified" else "conditional",
-            bound,
-            f"Tor dims {hic.tor_dims}",
-        )
-    )
-    bpd = bimodule_pd_bounded(A, ideal_bimodule(A, J), bound)
-    conds.append(_bd_condition("ideal has finite pd as a bimodule", bpd, bound))
-    step = ReductionStep(
+        detail = f"Tor_{hic.refuted_at} has dimension {hic.tor_dims[hic.refuted_at]}"
+        conds = [Condition(name, "refuted", bound, detail)]
+    else:
+        bpd = bimodule_pd_bounded(A, ideal_bimodule(A, J), bound)
+        conds = [
+            _condition(name, hic.status == "certified", bound, f"Tor dims {hic.tor_dims}"),
+            _bd_condition("ideal has finite pd as a bimodule", bpd, bound),
+        ]
+    out = hic.quotient.handle
+    return ReductionStep(
         "homological_quotient",
         A.name,
-        hic.quotient.handle.name,
+        out.name,
         {"ideal": J},
         conds,
+        None if hic.status == "refuted" else out,
     )
-    failures = [c.name for c in conds if c.verdict != "certified"]
-    status = "certified" if not failures else "conditional"
-    return StepResult(status, step, hic.quotient.handle, failures)
 
 
-def triangular_split(A: AlgebraHandle, bound: int) -> StepResult | None:
+def triangular_split(A: AlgebraHandle, bound: int) -> ReductionStep | None:
     """Find a one-directional vertex bipartition and discard a block.
 
     The discarded block must have finite projective dimension as a bimodule
@@ -506,7 +511,7 @@ def triangular_split(A: AlgebraHandle, bound: int) -> StepResult | None:
             direction = "no paths from the block to the rest" if not t_to_r else (
                 "no paths from the rest to the block"
             )
-            step = ReductionStep(
+            return ReductionStep(
                 kind="triangular_split",
                 input_name=A.name,
                 output_name=out.name,
@@ -517,8 +522,8 @@ def triangular_split(A: AlgebraHandle, bound: int) -> StepResult | None:
                         "discarded block has finite bimodule pd", "certified", bound, str(bd)
                     ),
                 ],
+                output=out,
             )
-            return StepResult("certified", step, out, [])
     return None
 
 
@@ -527,16 +532,12 @@ def triangular_split(A: AlgebraHandle, bound: int) -> StepResult | None:
 
 @dataclass
 class PropertyCertificate:
-    property: str
     verdict: str  # 'holds' | 'inconclusive'; no failure rule exists
     rule: str | None
-    conditional: bool
 
 
 @dataclass
 class Verdict:
-    algebra: str
-    property: str | None
     certificates: dict
     steps: list
     terminal: AlgebraHandle
@@ -583,26 +584,24 @@ def property_verdict(
     A: AlgebraHandle,
     prop: str | None,
     budget: int,
-    extra_steps: list[StepResult] | None = None,
+    extra_steps: list[ReductionStep] | None = None,
 ) -> Verdict:
     """Reduce, certify the terminal algebra, and propagate along the trace."""
     if prop is not None and prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    steps = []
+    steps = list(extra_steps or [])
     current = A
-    for sr in extra_steps or []:
-        if sr.status == "refuted" or sr.output is None:
+    for step in steps:
+        if step.output is None:
             raise ValueError("cannot propagate across a refuted step")
-        steps.append(sr.step)
-        current = sr.output
-    terminal, fsteps, _handles = reduce_fixpoint(current)
+        current = step.output
+    terminal, fsteps = reduce_fixpoint(current)
     steps.extend(fsteps)
     rules = terminal_certificates(terminal, budget)
-    conditional = any(not s.certified for s in steps)
-    certs = {}
-    for p in PROPERTIES:
-        if p in rules:
-            certs[p] = PropertyCertificate(p, "holds", rules[p] + " (terminal)", conditional)
-        else:
-            certs[p] = PropertyCertificate(p, "inconclusive", None, conditional)
-    return Verdict(A.name, prop, certs, steps, terminal, conditional)
+    certs = {
+        p: PropertyCertificate("holds", rules[p] + " (terminal)")
+        if p in rules
+        else PropertyCertificate("inconclusive", None)
+        for p in PROPERTIES
+    }
+    return Verdict(certs, steps, terminal, any(not s.certified for s in steps))

@@ -15,7 +15,7 @@ from qred import cli
 from qred.algebra import complete, corner_basis
 from qred.homology import IdealSpec, bongartz, homological_ideal_check, bimodule_pd_bounded, ideal_bimodule, quotient_algebra
 from qred.linalg import FieldSpec, QQ
-from qred.modules import ResolutionCapExceeded, pd_bounded, projective, quotient_rep, radical_reducers, simple, regular_rep, dual
+from qred.modules import ResolutionCapExceeded, pd_bounded, projective, quotient_rep, radical_reducers, simple, regular_rep, dual, stable_span
 from qred.homology import tor_bounded
 from qred.parser import parse_algebra
 from qred.reduction import PROPERTIES, corner_conditions, corner_presentation, eligible_vertices, property_verdict, quotient_conditions, reduce_fixpoint
@@ -40,7 +40,7 @@ def _announce(n, elapsed, limit, detail=""):
 def test_criterion_1_triangular_end_to_end(tri_dual, capsys):
     t0 = time.monotonic()
     assert eligible_vertices(tri_dual) == [("1", "starts")]
-    terminal, steps, _ = reduce_fixpoint(tri_dual)
+    terminal, steps = reduce_fixpoint(tri_dual)
     assert len(steps) == 1
     assert terminal.quiver.n_vertices == 1
     assert terminal.quiver.n_arrows == 1
@@ -48,7 +48,7 @@ def test_criterion_1_triangular_end_to_end(tri_dual, capsys):
     assert terminal.dim == 2
     sr = corner_conditions(tri_dual, ["2"], 10, "pd")
     assert sr.status == "certified"
-    details = {c.name: c.detail for c in sr.step.conditions}
+    details = {c.name: c.detail for c in sr.conditions}
     assert details["pd(S_1) finite"] == "Exact(0)"
     assert details["pd of eA over the corner finite"] == "Exact(0)"
     code = cli.main(["check", fixture("tri_dual"), "--property", "all", "--bound", "12"])
@@ -185,7 +185,7 @@ def test_criterion_7_duality_and_tor_identities(capsys):
                 rows = red[u].basis_rows()
                 if rows and rng.random() < 0.6:
                     vecs[u].append(rows[rng.randrange(len(rows))])
-            M, _ = quotient_rep(P, vecs)
+            M, _ = quotient_rep(P, stable_span(P, vecs))
             if M.is_zero():
                 continue
             via_duality = pd_bounded(M, 8, "injective")

@@ -11,7 +11,6 @@ from qred.homology import (
     IdealSpec,
     bimodule_pd_bounded,
     bongartz,
-    derived_tensor_bounded,
     gldim_bounded,
     gorenstein_bounded,
     homological_ideal_check,
@@ -31,6 +30,7 @@ from qred.modules import (
     simple,
     dual,
 )
+from qred.reduction import derived_tensor_bounded
 
 from conftest import load
 from corpus import completed_corpus

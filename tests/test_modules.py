@@ -8,6 +8,7 @@ from qred.modules import (
     BoundedDim,
     Rep,
     RepMap,
+    TensorFunctor,
     dual,
     hom_basis,
     hom_from_projective,
@@ -258,6 +259,20 @@ def test_sub_rep_rejects_unstable_span(line2):
     assert S.dims == [1, 1] and S.mats[0].data == [[one]]
 
 
+def test_quotient_rep_rejects_unstable_span(line2):
+    P1 = projective(line2, 0)[0]  # dims [1, 1]; the arrow maps the top onto the socle
+    one = line2.field.one()
+    with pytest.raises(ValueError, match="not stable under the arrow actions"):
+        quotient_rep(P1, [[[one]], []])
+    P, _ = rep_direct_sum([P1, P1])  # the arrow acts as the identity of k^2
+    zero = line2.field.zero()
+    with pytest.raises(ValueError, match="not stable under the arrow actions"):
+        quotient_rep(P, [[[one, zero]], [[zero, one]]])
+    Q, proj = quotient_rep(P, stable_span(P, [[[one, zero]], []]))
+    assert Q.dims == [1, 1] and Q.mats[0].data == [[one]]
+    assert proj.mats[0].data == [[zero, one]]
+
+
 def _kernel_cases(A, M, rng):
     """The cover of M, the first two basis maps M -> P_v for each v (the maps
     split_projective_summands takes kernels of), and a sparse random
@@ -453,8 +468,6 @@ def test_tensor_two_route_agreement(tri_dual):
     eA = corner_module_eA(corner)
     res = minimal_resolution(eA, 2)
     d1 = res.maps[1] if len(res.maps) > 1 else None
-    from qred.modules import TensorFunctor
-
     tf = TensorFunctor(Ae)
     s0 = tf.space(res.projectives[0])
     if d1 is not None:
@@ -478,9 +491,7 @@ def test_tensor_random_two_routes():
             rows = red[u].basis_rows()
             if rows and rng.random() < 0.7:
                 vecs[u].append(rows[0])
-        from qred.modules import quotient_rep, TensorFunctor
-
-        Y, _ = quotient_rep(P, vecs)
+        Y, _ = quotient_rep(P, stable_span(P, vecs))
         got = tensor_over(X, Y).dim
         res = minimal_resolution(Y, 2)
         tf = TensorFunctor(X)

@@ -22,6 +22,7 @@ from qred.reduction import (
     triangular_split,
 )
 
+from conftest import load
 from corpus import completed_corpus
 
 GF5 = FieldSpec(5)
@@ -193,12 +194,13 @@ def test_loewy_length_counts_radical_layers_not_path_lengths():
 
 
 def test_remove_vertex(tri_dual, line2, bowtie):
-    out, step = remove_vertex(tri_dual, "1")
+    step = remove_vertex(tri_dual, "1")
+    out = step.output
     assert out.dim == 2 and out.quiver.n_vertices == 1
     assert step.kind == "vertex_removal" and step.certified
     assert step.params == {"vertex": "1", "side": "starts"}
 
-    out, _ = remove_vertex(line2, "1")
+    out = remove_vertex(line2, "1").output
     assert out.dim == 1
 
     with pytest.raises(ValueError):
@@ -206,18 +208,18 @@ def test_remove_vertex(tri_dual, line2, bowtie):
 
 
 def test_reduce_fixpoint_traces(tri_dual, bowtie, line2, dual_numbers):
-    term, steps, handles = reduce_fixpoint(tri_dual)
+    term, steps = reduce_fixpoint(tri_dual)
     assert len(steps) == 1 and term.dim == 2
-    assert handles[0] is tri_dual and handles[-1] is term
+    assert steps[0].input_name == tri_dual.name and steps[-1].output is term
 
-    term, steps, _ = reduce_fixpoint(bowtie)
+    term, steps = reduce_fixpoint(bowtie)
     assert steps == [] and term is bowtie
 
-    term, steps, _ = reduce_fixpoint(line2)
+    term, steps = reduce_fixpoint(line2)
     assert len(steps) == 1 and term.dim == 1 and term.quiver.n_vertices == 1
 
     # the last vertex is never removed
-    term, steps, _ = reduce_fixpoint(dual_numbers)
+    term, steps = reduce_fixpoint(dual_numbers)
     assert steps == [] and term is dual_numbers
 
 
@@ -225,7 +227,7 @@ def test_reduce_fixpoint_deterministic(tri_dual):
     t1 = reduce_fixpoint(tri_dual)
     t2 = reduce_fixpoint(tri_dual)
     assert [s.params for s in t1[1]] == [s.params for s in t2[1]]
-    assert [h.name for h in t1[2]] == [h.name for h in t2[2]]
+    assert [s.output.name for s in t1[1]] == [s.output.name for s in t2[1]]
 
 
 def test_stepwise_vs_direct_corner(line2):
@@ -237,10 +239,10 @@ def test_stepwise_vs_direct_corner(line2):
             continue
         v, w = sorted(set(elig))[:2]
         try:
-            out1, _ = remove_vertex(A, v)
+            out1 = remove_vertex(A, v).output
             if all(name != w for name, _ in eligible_vertices(out1)):
                 continue
-            out2, _ = remove_vertex(out1, w)
+            out2 = remove_vertex(out1, w).output
         except (ValueError, ConsistencyError):
             continue
         S = [u for u in A.quiver.vertices if u not in (v, w)]
@@ -257,7 +259,7 @@ def test_stepwise_vs_direct_corner(line2):
 def test_corner_conditions_tri(tri_dual):
     sr = corner_conditions(tri_dual, ["2"], 10, "pd")
     assert sr.status == "certified"
-    details = {c.name: c.detail for c in sr.step.conditions}
+    details = {c.name: c.detail for c in sr.conditions}
     assert details["pd(S_1) finite"] == "Exact(0)"
     assert details["pd of eA over the corner finite"] == "Exact(0)"
 
@@ -278,7 +280,7 @@ def test_corner_conditions_id_variant(tri_dual):
     # id(S_1) over the triangular fixture is infinite (the socle pulls in the
     # loop), so the injective-side variant stays conditional here
     assert sr.status in ("certified", "conditional")
-    names = [c.name for c in sr.step.conditions]
+    names = [c.name for c in sr.conditions]
     assert any("id(S_1)" in n for n in names)
     assert any("Ae" in n for n in names)
 
@@ -286,7 +288,7 @@ def test_corner_conditions_id_variant(tri_dual):
 def test_corner_conditions_tor_variant(tri_dual):
     sr = corner_conditions(tri_dual, ["2"], 8, "tor")
     assert sr.status == "certified"
-    assert any("derived tensor" in c.name for c in sr.step.conditions)
+    assert any("derived tensor" in c.name for c in sr.conditions)
 
 
 def test_quotient_conditions(bowtie, tri_dual, dual_numbers):
@@ -307,7 +309,7 @@ def test_quotient_conditions(bowtie, tri_dual, dual_numbers):
 def test_triangular_split(tri_dual, dual_numbers, bowtie):
     sr = triangular_split(tri_dual, 8)
     assert sr is not None and sr.status == "certified"
-    assert sr.step.params["discarded"] == ["1"]
+    assert sr.params["discarded"] == ["1"]
     assert sr.output.dim == 2
 
     assert triangular_split(dual_numbers, 8) is None
@@ -348,7 +350,7 @@ def test_verdict_consistency_direct_vs_propagated(tri_dual):
 
 
 def test_certified_steps_only_certified_conditions(tri_dual):
-    _, steps, _ = reduce_fixpoint(tri_dual)
+    _, steps = reduce_fixpoint(tri_dual)
     for s in steps:
         assert s.certified
         for c in s.conditions:
@@ -360,3 +362,44 @@ def test_property_verdict_bowtie_direct_inconclusive(bowtie):
     assert v.certificates["syzygy-finite"].verdict == "inconclusive"
     assert v.certificates["projectives-cogenerate"].verdict == "inconclusive"
     assert v.steps == []
+
+
+def test_step_record_derives_status_failures_and_output(tri_dual, line2, bowtie):
+    """Every kind of step the fixtures reach: status is 'refuted' exactly
+    when output is None, failures are the non-certified condition names, and
+    a refuted step cannot be propagated across."""
+    line3z = load("line3z")
+    steps = [(tri_dual, remove_vertex(tri_dual, "1")), (line2, remove_vertex(line2, "1"))]
+    for A, corner in ((tri_dual, ["2"]), (bowtie, ["s", "2"])):
+        steps += [(A, corner_conditions(A, corner, 8, v)) for v in ("pd", "id", "tor")]
+    steps += [
+        (bowtie, quotient_conditions(bowtie, IdealSpec.from_vertices(["1"]), 8)),
+        (line3z, quotient_conditions(line3z, IdealSpec.from_vertices(["2"]), 8)),
+        (tri_dual, triangular_split(tri_dual, 8)),
+    ]
+    for A, step in steps:
+        assert (step.status == "refuted") == (step.output is None)
+        assert step.failures == [c.name for c in step.conditions if c.verdict != "certified"]
+        assert step.certified == (step.status == "certified") == (step.failures == [])
+        if step.output is None:
+            with pytest.raises(ValueError, match="refuted step"):
+                property_verdict(A, None, 8, extra_steps=[step])
+        else:
+            assert step.output.name == step.output_name
+    assert [(s.kind, s.status, s.failures) for _, s in steps] == [
+        ("vertex_removal", "certified", []),
+        ("vertex_removal", "certified", []),
+        ("corner", "certified", []),
+        ("corner", "conditional", ["id(S_1) finite", "pd of Ae over the corner finite"]),
+        ("corner", "certified", []),
+        ("corner", "conditional", ["pd(S_1) finite", "pd of eA over the corner finite"]),
+        ("corner", "conditional", ["id(S_1) finite", "pd of Ae over the corner finite"]),
+        (
+            "corner",
+            "conditional",
+            ["derived tensor of (Ae, eA) over the corner bounded", "pd or id of S_1 finite"],
+        ),
+        ("homological_quotient", "certified", []),
+        ("homological_quotient", "refuted", ["homological ideal: Tor vanishing"]),
+        ("triangular_split", "certified", []),
+    ]
