@@ -224,7 +224,6 @@ class AlgebraHandle:
         self.is_monomial = all(not rest for _, rest in rules)
         self.product: ProductStructure | None = None
         self.corner: CornerStructure | None = None
-        self.quotient_of = None  # (parent, vertex_map, arrow_map)
         self._by_first = _index_by_first(rules)
         self._nf_cache: dict[Path, Element] = {}
         self._mul_cache: dict[tuple[Path, Path], Element] = {}

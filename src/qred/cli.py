@@ -238,8 +238,7 @@ def cmd_check(args, seed):
     if steps and steps[-1].status == "refuted":
         return _refuted_report(A, steps)
     props = PROPERTIES if args.property == "all" else (args.property,)
-    verdict = property_verdict(A, None if args.property == "all" else args.property,
-                               args.bound, extra_steps=steps)
+    verdict = property_verdict(A, args.bound, extra_steps=steps)
     trace = [_step_json(s) for s in verdict.steps]
     certs = [
         {

@@ -27,8 +27,8 @@ from .linalg import SubspaceReducer
 from .modules import (
     BoundedDim,
     Rep,
-    TensorFunctor,
     dual,
+    hom_basis,
     minimal_resolution,
     pd_bounded,
     projective,
@@ -36,10 +36,12 @@ from .modules import (
     regular_bimodule,
     regular_bimodule_coords,
     regular_rep,
+    restrict,
     restrict_along,
     simple,
     stable_span,
     sub_rep,
+    top_dims,
 )
 
 __all__ = [
@@ -74,27 +76,28 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
     """Dimensions of Tor_0..Tor_n over the middle algebra.
 
     X is a right module (a Rep over the opposite handle or a product with the
-    middle on the right), Y a left module; the Tor groups are the homology of
-    X tensored with a minimal resolution of Y.
+    middle on the right), Y a left module.  Tor_i(X, Y) is dual to
+    Ext^i(Y, N) for the left module N = DX, so it is counted with Hom
+    dimensions along the minimal resolution of Y: Tor_0 = dim Hom(Y, N), and
+    for i >= 1 the sequence 0 -> Omega^i -> P_{i-1} -> Omega^{i-1} -> 0 gives
+
+        Tor_i = dim Hom(Omega^i, N) - dim Hom(P_{i-1}, N) + dim Hom(Omega^{i-1}, N),
+
+    where Hom(P_v, N) = e_v N counts the middle term off the top of P_{i-1}.
+    The resolution runs n + 2 steps, so `terminated` certifies that every
+    Tor_i with i > n vanishes too.
     """
     res = minimal_resolution(Y, n + 2)
-    tf = TensorFunctor(X)
-    spaces = [tf.space(P) for P in res.projectives]
-    mats = [
-        tf.map(spaces[i], spaces[i - 1], res.maps[i]) for i in range(1, len(spaces))
-    ]
-    ranks = [m.rank() for m in mats]
-    dims = []
-    for i in range(n + 1):
-        if i >= len(spaces):
+    N = dual(restrict(X, "right"))
+    syzygies = [Y] + res.syzygies  # Omega^0 .. Omega^k; Omega^k = 0 once terminated
+    hom = [len(hom_basis(M, N)) for M in syzygies[: n + 1]]
+    dims = hom[:1]
+    for i in range(1, n + 1):
+        if i >= len(hom):
             dims.append(0)
             continue
-        if i == 0:
-            ker = spaces[0].dim
-        else:
-            ker = spaces[i].dim - ranks[i - 1]
-        im = ranks[i] if i < len(ranks) else 0
-        dims.append(ker - im)
+        free = sum(t * d for t, d in zip(top_dims(res.projectives[i - 1]), N.dims))
+        dims.append(hom[i] - free + hom[i - 1])
     return TorResult(dims, res.terminated)
 
 
@@ -293,9 +296,7 @@ def quotient_algebra(A: AlgebraHandle, J: IdealSpec) -> QuotientData:
             rels.append(_monic(terms, A.field))
     name = A.name + ("/(" + ",".join(J.vertices) + ")" if J.vertices else "/J")
     pres = Presentation(A.field, new_quiver, rels, A.presentation.convention, name)
-    handle = complete(pres, A.degree_bound)
-    handle.quotient_of = (A, vmap, amap)
-    return QuotientData(handle, vmap, amap)
+    return QuotientData(complete(pres, A.degree_bound), vmap, amap)
 
 
 def ideal_bimodule(A: AlgebraHandle, J: IdealSpec) -> Rep:

@@ -9,7 +9,9 @@ balanced tensor products over a middle algebra, and isomorphism testing
 Hom and the tensor product share one linear system, the balanced relations
 x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
 them, and Hom(M, N) = D(DN (x) M) is read as the null space of the relations
-of DN (x) M.
+of DN (x) M.  The derived tensor goes through Hom alone: Tor_i(X, Y) is dual
+to Ext^i(Y, DX), whose dimensions `homology.tor_bounded` counts with
+`hom_basis` along a minimal resolution of Y.
 """
 
 from __future__ import annotations
@@ -647,9 +649,15 @@ def is_projective(M: Rep) -> bool:
 
 @dataclass
 class Resolution:
-    module: Rep
+    """A minimal projective resolution, kept as its terms and syzygies.
+
+    The differentials P_i -> P_{i-1} are not kept.  Each P_i is the minimal
+    cover of Omega^i with kernel Omega^{i+1}, and that short exact sequence
+    is all that projective dimension and Tor (by dimension shifting, see
+    `homology.tor_bounded`) need.
+    """
+
     projectives: list[Rep]
-    maps: list[RepMap]  # maps[0]: P0 -> M; maps[i]: P_i -> P_{i-1}
     syzygies: list[Rep]  # syzygies[i] = Omega^{i+1}(M)
     terminated: bool
 
@@ -663,29 +671,21 @@ class Resolution:
 
 def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolution:
     """Iterated minimal covers; stops early when a syzygy vanishes."""
-    projs, maps, syz = [], [], []
+    projs, syz = [], []
     current = M
-    incl_prev = None
-    terminated = M.is_zero()
     for _ in range(steps):
         if current.is_zero():
-            terminated = True
             break
         if dim_cap is not None and current.total_dim > dim_cap:
             raise ResolutionCapExceeded(
                 f"syzygy dimension {current.total_dim} exceeds cap {dim_cap}"
             )
         P, pi, _ = projective_cover(current)
-        d = pi if incl_prev is None else incl_prev.compose_after(pi)
-        K, incl = kernel_subrep(pi)
+        K, _ = kernel_subrep(pi)
         projs.append(P)
-        maps.append(d)
         syz.append(K)
-        incl_prev = incl
         current = K
-    if current.is_zero():
-        terminated = True
-    return Resolution(M, projs, maps, syz, terminated)
+    return Resolution(projs, syz, current.is_zero())
 
 
 def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None) -> BoundedDim:
@@ -954,24 +954,6 @@ class TensorFunctor:
         reducer = SubspaceReducer(self.f, len(coords), rows)
         comp = reducer.complement_indices()
         return TensorSpace(coords, index, reducer, comp, len(comp), y)
-
-    def map(self, space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> Matrix:
-        """Induced matrix of id (x) g between the two quotient spaces."""
-        f = self.f
-        out_cols = []
-        y_src, y_tgt = space_src.y, space_tgt.y
-        for amb in space_src.complement:
-            w, ix, jy = space_src.coords[amb]
-            yv, yi = y_src.entries[w][jy]
-            vec = [f.zero()] * len(space_tgt.coords)
-            gm = g.mats[yv]
-            # g preserves the vertex of Y, hence the middle group
-            for r in range(gm.rows):
-                c = gm.data[r][yi]
-                if c:
-                    vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
-            out_cols.append(space_tgt.reducer.coords_in_complement(vec))
-        return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
 
     def quotient_rep(self, Y: Rep, env: AlgebraHandle | None) -> TensorResult:
         """The tensor product with its residual outer structure.

@@ -582,13 +582,14 @@ def terminal_certificates(T: AlgebraHandle, budget: int) -> dict:
 
 def property_verdict(
     A: AlgebraHandle,
-    prop: str | None,
     budget: int,
     extra_steps: list[ReductionStep] | None = None,
 ) -> Verdict:
-    """Reduce, certify the terminal algebra, and propagate along the trace."""
-    if prop is not None and prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}")
+    """Reduce, certify the terminal algebra, and propagate along the trace.
+
+    The verdict covers every property in PROPERTIES; a caller reports the
+    ones it asks about.
+    """
     steps = list(extra_steps or [])
     current = A
     for step in steps:

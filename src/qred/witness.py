@@ -18,12 +18,13 @@ from .algebra import AlgebraHandle, tensor_with_opposite
 from .modules import (
     Rep,
     arrow_paths,
+    is_isomorphic,
     is_projective,
     minimal_resolution,
     path_bimodule,
     regular_bimodule,
     restrict,
-    stable_isomorphic,
+    split_projective_summands,
     tensor_over,
     validate_rep,
     zero_rep,
@@ -132,8 +133,12 @@ def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
     # across processes and would break report determinism)
     rng_a = random.Random(seed * 1000003 + 2 * pair.level)
     rng_b = random.Random(seed * 1000003 + 2 * pair.level + 1)
-    iso_a = stable_isomorphic(mn, bimodule_syzygy(A, pair.level), rng_a)
-    iso_b = stable_isomorphic(nm, bimodule_syzygy(B, pair.level), rng_b)
+    # stable isomorphism compares the cores left after splitting off the
+    # projective summands; the syzygy core is split once per algebra
+    core_a, _ = split_projective_summands(bimodule_syzygy(A, pair.level))
+    core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
+    iso_a = is_isomorphic(split_projective_summands(mn)[0], core_a, rng_a)
+    iso_b = is_isomorphic(split_projective_summands(nm)[0], core_b, rng_b)
     if all(proj) and iso_a.kind == "yes" and iso_b.kind == "yes":
         verdict = "holds"
     elif (not all(proj)) or iso_a.kind == "no" or iso_b.kind == "no":
@@ -146,17 +151,17 @@ def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
 def search_level(M: Rep, N: Rep, n_max: int, seed: int = 0):
     """Smallest level at which (M, N) verifies, or None up to n_max.
 
-    Positive answers are re-verified with an independent seed before being
-    reported.
+    A level holds only on exact evidence: projective restrictions and, on
+    both sides, an invertible homomorphism verified entry by entry.  The
+    seed steers only the search for that homomorphism, so another seed
+    could not overturn a level that holds.
     """
     reports = []
     for n in range(n_max + 1):
         rep = verify_level(WitnessPair(M, N, n), seed)
         reports.append((n, rep))
         if rep.verdict == "holds":
-            recheck = verify_level(WitnessPair(M, N, n), seed + 7919)
-            if recheck.verdict == "holds":
-                return n, reports
+            return n, reports
     return None, reports
 
 

@@ -23,7 +23,10 @@ Hom oracle writes the intertwining system N_a f_u = f_w M_a with its own row
 loops instead of the balanced relations shared with the tensor product, the
 minimal-relations oracle completes kQ/K for monomial algebras too instead of
 keeping every monomial rule, the Gorenstein oracle resolves D(A) whole
-instead of its indecomposable summands one by one, and the restriction,
+instead of its indecomposable summands one by one, the Tor oracle takes the
+homology of X tensored with a minimal resolution of Y, through composed
+differentials, instead of counting Hom dimensions by dimension shifting,
+and the restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
 of product coordinates.
@@ -49,6 +52,7 @@ from qred.modules import (
     Rep,
     RepMap,
     Restriction,
+    TensorFunctor,
     TensorResult,
     TensorSpace,
     _balanced_relations,
@@ -888,3 +892,53 @@ def idempotent_candidate_by_hand(A, corner):
         if problems:
             raise ConsistencyError(f"{label} candidate is not a representation: {problems[0]}")
     return M, N
+
+
+def _induced_map(space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> Matrix:
+    """The matrix of id (x) g between two quotient spaces of one X."""
+    f = g.source.algebra.field
+    out_cols = []
+    y_src, y_tgt = space_src.y, space_tgt.y
+    for amb in space_src.complement:
+        w, ix, jy = space_src.coords[amb]
+        yv, yi = y_src.entries[w][jy]
+        vec = [f.zero()] * len(space_tgt.coords)
+        gm = g.mats[yv]
+        # g preserves the vertex of Y, hence the middle group
+        for r in range(gm.rows):
+            c = gm.data[r][yi]
+            if c:
+                vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
+        out_cols.append(space_tgt.reducer.coords_in_complement(vec))
+    return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
+
+
+def tor_by_tensoring(X: Rep, Y: Rep, n: int) -> tuple[list[int], bool]:
+    """(dims of Tor_0..Tor_n, terminated) as the homology of X (x) P_*.
+
+    P_* is the minimal resolution of Y over n + 2 steps; its differential
+    P_i -> P_{i-1} is the cover P_i -> Omega^i composed with the inclusion
+    of Omega^i in P_{i-1}.  Tor_i is the kernel of id (x) d_i modulo the
+    image of id (x) d_{i+1}, read off the ranks of the induced matrices.
+    """
+    projs, diffs = [], []
+    current, incl_prev = Y, None
+    for _ in range(n + 2):
+        if current.is_zero():
+            break
+        P, pi, _ = projective_cover(current)
+        diffs.append(pi if incl_prev is None else incl_prev.compose_after(pi))
+        projs.append(P)
+        current, incl_prev = kernel_subrep(pi)
+    tf = TensorFunctor(X)
+    spaces = [tf.space(P) for P in projs]
+    ranks = [
+        _induced_map(spaces[i], spaces[i - 1], diffs[i]).rank() for i in range(1, len(spaces))
+    ] + [0]
+    dims = []
+    for i in range(n + 1):
+        if i >= len(spaces):
+            dims.append(0)
+        else:
+            dims.append(spaces[i].dim - (ranks[i - 1] if i else 0) - ranks[i])
+    return dims, current.is_zero()

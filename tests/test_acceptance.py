@@ -75,7 +75,7 @@ def test_criterion_2_bowtie_end_to_end(bowtie, capsys):
     assert sr.status == "certified"
     assert sr.output.dim == 5
     assert sr.output.is_monomial
-    verdict = property_verdict(bowtie, None, 8, extra_steps=[sr])
+    verdict = property_verdict(bowtie, 8, extra_steps=[sr])
     assert verdict.certificates["syzygy-finite"].verdict == "holds"
     assert verdict.certificates["injectives-generate"].verdict == "holds"
     assert not verdict.conditional
@@ -91,7 +91,7 @@ def test_criterion_3_corner_monomial(corner_mono, capsys):
     words = {tuple(q.arrow_name(a) for a in p.arrows) for p in corner_mono.normal_basis}
     assert {(), ("ta",), ("tg",), ("teb",)} <= words
     assert corner_mono.is_monomial
-    verdict = property_verdict(corner_mono, None, 10)
+    verdict = property_verdict(corner_mono, 10)
     assert verdict.certificates["syzygy-finite"].verdict == "holds"
     assert verdict.certificates["injectives-generate"].verdict == "holds"
     elapsed = time.monotonic() - t0

@@ -24,17 +24,29 @@ from qred.homology import (
 from qred.modules import (
     BoundedDim,
     pd_bounded,
+    restrict_along,
     projective,
     regular_bimodule,
     regular_rep,
     simple,
     dual,
 )
-from qred.reduction import derived_tensor_bounded
+from qred.reduction import (
+    corner_module_Ae,
+    corner_module_eA,
+    corner_presentation,
+    derived_tensor_bounded,
+)
+from qred.witness import idempotent_candidate
 
 from conftest import load
 from corpus import completed_corpus
-from oracles import ext2_dims, gorenstein_bounded_whole, minimal_relations_by_completion
+from oracles import (
+    ext2_dims,
+    gorenstein_bounded_whole,
+    minimal_relations_by_completion,
+    tor_by_tensoring,
+)
 
 GF5 = FieldSpec(5)
 
@@ -349,3 +361,48 @@ def test_tor_side_swap_random():
                 left = tor_bounded(X, Y, 3).dims
                 right = tor_bounded(Y, X, 3).dims
                 assert left == right, (A.name, v, w)
+
+
+def _tor_cases(bowtie, tri_dual, corner_mono):
+    """(label, X, Y, n) cases for the Tor oracle: a seeded corpus per field,
+    a product X, and the pairs the reduction steps resolve on the fixtures.
+    The corpus runs at every n up to 4, so that resolutions of length n + 1
+    and n + 2 tell the n + 2 steps behind `terminated` from n + 1 or n + 3."""
+    for seed, field in ((8200, QQ), (8202, FieldSpec(2)), (8203, FieldSpec(3)), (8205, FieldSpec(5))):
+        for A in completed_corpus(seed, 4, field, bound=8, dim_cap=10, max_vertices=3, max_arrows=4):
+            op = A.opposite()
+            rights = [simple(op, v) for v in range(op.quiver.n_vertices)] + [regular_rep(op)]
+            for i, X in enumerate(rights):
+                for w in range(A.quiver.n_vertices):
+                    for n in range(5):
+                        yield f"{A.name} X{i} S{w} n={n}", X, simple(A, w), n
+    corner = corner_presentation(bowtie, ["s", "2"])
+    M, _ = idempotent_candidate(bowtie, corner)  # over bowtie (x) corner^op
+    for w in range(corner.quiver.n_vertices):
+        yield f"bowtie Ae-bimodule S{w}", M, simple(corner, w), 4
+    qd = quotient_algebra(bowtie, IdealSpec.from_vertices(["1"]))
+    Y = restrict_along(regular_rep(qd.handle), qd.vertex_map, qd.arrow_map, bowtie)
+    X = restrict_along(
+        regular_rep(qd.handle.opposite()), qd.vertex_map, qd.arrow_map, bowtie.opposite()
+    )
+    yield "bowtie/(1)", X, Y, 8
+    for A, kept in ((tri_dual, ["2"]), (bowtie, ["s", "2"]), (corner_mono, ["1"])):
+        B = corner_presentation(A, kept)
+        yield f"{A.name} corner {kept}", corner_module_Ae(B), corner_module_eA(B), 6
+
+
+def test_tor_matches_tensoring_oracle(bowtie, tri_dual, corner_mono):
+    """tor_bounded counts Hom dimensions along the resolution of Y; the
+    oracle takes the homology of X tensored with that resolution.  Both the
+    dimensions and the termination flag agree on every case."""
+    mismatches, cases, nonzero_higher = [], 0, 0
+    for label, X, Y, n in _tor_cases(bowtie, tri_dual, corner_mono):
+        got = tor_bounded(X, Y, n)
+        want = tor_by_tensoring(X, Y, n)
+        if (got.dims, got.terminated) != want:
+            mismatches.append((label, got.dims, got.terminated, want))
+        cases += 1
+        nonzero_higher += any(want[0][1:])
+    assert mismatches == []
+    assert cases >= 500
+    assert nonzero_higher >= 50  # the higher Tor groups are exercised, not only Tor_0

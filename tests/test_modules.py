@@ -3,12 +3,12 @@ import random
 import pytest
 
 from qred.algebra import Path
+from qred.homology import tor_bounded
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
 from qred.modules import (
     BoundedDim,
     Rep,
     RepMap,
-    TensorFunctor,
     dual,
     hom_basis,
     hom_from_projective,
@@ -462,20 +462,11 @@ def test_corner_tensor_dims(tri_dual):
 
 
 def test_tensor_two_route_agreement(tri_dual):
-    # quotient construction vs tensoring a projective presentation
+    # quotient construction vs Tor_0 = dim Hom(eA, D(Ae))
     corner = corner_presentation(tri_dual, ["2"])
     Ae = corner_module_Ae(corner)
     eA = corner_module_eA(corner)
-    res = minimal_resolution(eA, 2)
-    d1 = res.maps[1] if len(res.maps) > 1 else None
-    tf = TensorFunctor(Ae)
-    s0 = tf.space(res.projectives[0])
-    if d1 is not None:
-        s1 = tf.space(res.projectives[1])
-        rank = tf.map(s1, s0, d1).rank()
-    else:
-        rank = 0
-    assert s0.dim - rank == tensor_over(Ae, eA).dim
+    assert tor_bounded(Ae, eA, 0).dims[0] == tensor_over(Ae, eA).dim
 
 
 def test_tensor_random_two_routes():
@@ -493,13 +484,7 @@ def test_tensor_random_two_routes():
                 vecs[u].append(rows[0])
         Y, _ = quotient_rep(P, stable_span(P, vecs))
         got = tensor_over(X, Y).dim
-        res = minimal_resolution(Y, 2)
-        tf = TensorFunctor(X)
-        s0 = tf.space(res.projectives[0])
-        rank = 0
-        if len(res.projectives) > 1:
-            rank = tf.map(tf.space(res.projectives[1]), s0, res.maps[1]).rank()
-        assert got == s0.dim - rank
+        assert got == tor_bounded(X, Y, 0).dims[0]
         assert got == brute_tensor_dim(X, A, Y)
 
 

@@ -1,8 +1,8 @@
 """Import hygiene of the qred package, read from its source with ast.
 
-Every import sits at module level, and the intra-package graph of
-``from .x import`` edges has no cycle, so no module needs a lazy import to
-break one.
+Every import sits at module level, every imported name is used or
+re-exported, and the intra-package graph of ``from .x import`` edges has no
+cycle, so no module needs a lazy import to break one.
 """
 
 import ast
@@ -58,3 +58,39 @@ def test_package_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def _exported(tree):
+    """The names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used_or_exported():
+    """A name a module imports is read in it or listed in its ``__all__``, so
+    deleting the last caller of a function cannot leave its import behind.
+    The package ``__init__`` only re-exports and is not checked."""
+    found = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = _exported(tree)
+        found += [
+            f"{name}.py:{line} imports {alias} unused"
+            for alias, line in sorted(imported.items())
+            if alias not in used and alias not in exported
+        ]
+    assert found == []

@@ -317,7 +317,7 @@ def test_triangular_split(tri_dual, dual_numbers, bowtie):
 
 
 def test_property_verdict_tri(tri_dual):
-    v = property_verdict(tri_dual, "syzygy-finite", 10)
+    v = property_verdict(tri_dual, 10)
     assert v.certificates["syzygy-finite"].verdict == "holds"
     assert v.certificates["syzygy-finite"].rule == "monomial (terminal)"
     assert all(v.certificates[p].verdict == "holds" for p in PROPERTIES)
@@ -327,14 +327,14 @@ def test_property_verdict_tri(tri_dual):
 
 def test_property_verdict_bowtie_with_quotient(bowtie):
     sr = quotient_conditions(bowtie, IdealSpec.from_vertices(["1"]), 8)
-    v = property_verdict(bowtie, "injectives-generate", 8, extra_steps=[sr])
+    v = property_verdict(bowtie, 8, extra_steps=[sr])
     assert v.certificates["injectives-generate"].verdict == "holds"
     assert v.certificates["syzygy-finite"].verdict == "holds"
     assert not v.conditional
 
 
 def test_property_verdict_corner_mono(corner_mono):
-    v = property_verdict(corner_mono, "syzygy-finite", 10)
+    v = property_verdict(corner_mono, 10)
     assert v.certificates["syzygy-finite"].verdict == "holds"
     assert v.certificates["injectives-generate"].verdict == "holds"
     assert "monomial" in v.certificates["syzygy-finite"].rule
@@ -344,7 +344,7 @@ def test_verdict_consistency_direct_vs_propagated(tri_dual):
     # the original and the terminal are both monomial: direct certificates
     # agree with the propagated ones
     direct = terminal_certificates(tri_dual, 10)
-    v = property_verdict(tri_dual, None, 10)
+    v = property_verdict(tri_dual, 10)
     for p in ("syzygy-finite", "injectives-generate"):
         assert (p in direct) == (v.certificates[p].verdict == "holds")
 
@@ -358,7 +358,7 @@ def test_certified_steps_only_certified_conditions(tri_dual):
 
 
 def test_property_verdict_bowtie_direct_inconclusive(bowtie):
-    v = property_verdict(bowtie, "syzygy-finite", 6)
+    v = property_verdict(bowtie, 6)
     assert v.certificates["syzygy-finite"].verdict == "inconclusive"
     assert v.certificates["projectives-cogenerate"].verdict == "inconclusive"
     assert v.steps == []
@@ -383,7 +383,7 @@ def test_step_record_derives_status_failures_and_output(tri_dual, line2, bowtie)
         assert step.certified == (step.status == "certified") == (step.failures == [])
         if step.output is None:
             with pytest.raises(ValueError, match="refuted step"):
-                property_verdict(A, None, 8, extra_steps=[step])
+                property_verdict(A, 8, extra_steps=[step])
         else:
             assert step.output.name == step.output_name
     assert [(s.kind, s.status, s.failures) for _, s in steps] == [

@@ -257,3 +257,28 @@ def test_witness_level_validation(tri_dual):
         WitnessPair(reg, reg, -1).check_shapes()
     with pytest.raises(ValueError):
         WitnessPair(regular_rep(tri_dual), reg, 0).check_shapes()
+
+
+def test_search_level_rechecked_with_an_independent_seed(dual_numbers, line2, tri_dual):
+    """Oracle for the search: every level it reports gets the same verdict
+    again under an independent seed.  The seed only steers the search for an
+    invertible homomorphism, and a level holds on an exact one, so the found
+    level needs no rerun inside search_level."""
+    pairs = []
+    for A in (dual_numbers, line2, tri_dual):
+        reg = regular_bimodule(A)
+        pairs += [(reg, reg), (bimodule_syzygy(A, 1), reg)]
+    pairs.append(idempotent_candidate(tri_dual, corner_presentation(tri_dual, ["2"])))
+    found = []
+    for M, N in pairs:
+        n, reports = search_level(M, N, 3, seed=0)
+        found.append(n)
+        assert [k for k, _ in reports] == list(range(len(reports)))
+        for k, rep in reports:
+            again = verify_level(WitnessPair(M, N, k), seed=7919)
+            assert (again.verdict, again.iso_left, again.iso_right) == (
+                rep.verdict,
+                rep.iso_left,
+                rep.iso_right,
+            ), (M.algebra.name, k)
+    assert found == [0, 1, 0, 1, 0, 1, None]
