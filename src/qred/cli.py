@@ -169,13 +169,13 @@ def _reduction_steps(A, args, bound):
     """
     steps = []
     current = A
-    if args.quotient:
+    if args.quotient is not None:
         J = IdealSpec.from_vertices(_parse_vertex_list(args.quotient, current))
         steps.append(quotient_conditions(current, J, bound))
         if steps[-1].output is None:
             return steps
         current = steps[-1].output
-    if args.corner:
+    if args.corner is not None:
         vertices = _parse_vertex_list(args.corner, current)
         steps.append(corner_conditions(current, vertices, bound, args.variant))
         current = steps[-1].output

@@ -1,23 +1,26 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Everything downstream (normal forms, resolutions, Tor, isomorphism tests)
 reduces to rank/kernel/solve questions over an exact field, so this module
 deliberately avoids floating point: scalars are `fractions.Fraction` over the
 rationals and plain ints in ``[0, p)`` over GF(p).
 
-All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
-reduced by the reduced rows kept so far, keyed by pivot column, and if it
-survives the other rows are reduced by it.  `Matrix.rref` runs the step on
-each row of the matrix in turn; `SubspaceReducer.insert` runs it on one
-vector.  Over GF(p) the rows are normalized to pivot 1.  Over Q they are
-primitive integer rows (denominators cleared, content divided out), combined
-by integer cross-multiplication and divided by their content again; they are
-read back as `Fraction` entries by dividing each by its pivot.  The reduced
-echelon basis of a row space is unique, so the results are the same
-Fractions a Fraction elimination gives.
+`Matrix` is the dense interface the rest of the package reads; the rows that
+elimination works on are sparse.  All elimination is one Gauss-Jordan step,
+`_insert_row`: a fresh row is reduced by the reduced rows kept so far, keyed
+by pivot column, and if it survives the other rows are reduced by it.  Rows
+are {column: value} dicts that store no zero, since the matrices of
+resolutions and Hom spaces are mostly zero.  `Matrix.rref`, `Matrix.solve`
+and `kernel_vectors` run the step on each row of a matrix in turn;
+`SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows are
+normalized to pivot 1.  Over Q they are primitive integer rows (denominators
+cleared, content divided out), combined by integer cross-multiplication and
+divided by their content again; they are read back as `Fraction` entries by
+dividing each by its pivot.  The reduced echelon basis of a row space is
+unique, so the results are the same Fractions a Fraction elimination gives.
+Dense rows are built only where a result is read out as a `Matrix`.
 
-Products and kernel bases touch only nonzero entries, found by truth value,
-since the matrices of resolutions and Hom spaces are mostly zero.
+Products touch only nonzero entries, found by truth value.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "Matrix",
     "SubspaceReducer",
     "QQ",
+    "kernel_vectors",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -124,78 +128,133 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-def _primitive_row(row: list) -> list[int]:
-    """The integer row with coprime entries on the same line as a rational row."""
-    nz = [(k, x.numerator, x.denominator) for k, x in enumerate(row) if x]
-    den = lcm(*(d for _, _, d in nz))
-    vals = [n * (den // d) for _, n, d in nz]
+def _primitive_row(items) -> dict[int, int]:
+    """The integer row with coprime entries on the same line as a rational row,
+    given by its (column, value) pairs; zeros are dropped."""
+    nz = [(k, x) for k, x in items if x]
+    if not nz:
+        return {}
+    den = lcm(*(x.denominator for _, x in nz))
+    vals = [x.numerator * (den // x.denominator) for _, x in nz]
     g = gcd(*vals)
-    ints = [0] * len(row)
-    for (k, _, _), x in zip(nz, vals):
-        ints[k] = x // g
-    return ints
+    return {k: x // g for (k, _), x in zip(nz, vals)}
 
 
-def _combine(u: list, row: list, j: int, p: int | None) -> list:
-    """u minus the multiple of the reduced row ``row`` (pivot at j) that clears u[j].
+def _fresh_row(row, p: int | None) -> dict:
+    """An elimination row from a dense list or a {column: value} dict: its
+    nonzero entries over GF(p), its primitive integer row over Q."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    if p is not None:
+        return {k: x for k, x in items if x}
+    return _primitive_row(items)
+
+
+def _combine(u: dict, row: dict, j: int, p: int | None) -> None:
+    """Clear u[j], in place, by the multiple of the reduced row ``row`` (pivot at j).
 
     Over GF(p) row[j] is 1.  Over Q both rows are primitive integer rows:
-    they are cross-multiplied, and the result is divided by its content.
+    they are cross-multiplied, and u is divided by its content.  Entries that
+    cancel are deleted, so u stores no zero.
     """
     c = u[j]
     if p is not None:
-        return [(a - c * b) % p for a, b in zip(u, row)]
+        for k, y in row.items():
+            x = (u.get(k, 0) - c * y) % p
+            if x:
+                u[k] = x
+            else:
+                del u[k]
+        return
     g = gcd(row[j], c)
     a, b = row[j] // g, c // g
-    new = [a * x - b * y for x, y in zip(u, row)]
-    g = gcd(*new)
-    return [x // g for x in new] if g > 1 else new
+    if a != 1:
+        for k in u:
+            u[k] *= a
+    for k, y in row.items():
+        x = u.get(k, 0) - b * y
+        if x:
+            u[k] = x
+        else:
+            del u[k]
+    g = gcd(*u.values())
+    if g > 1:
+        for k in u:
+            u[k] //= g
 
 
-def _insert_row(rows: dict[int, list], v: list, p: int | None) -> bool:
+def _insert_row(rows: dict[int, dict], v: dict, p: int | None) -> bool:
     """One Gauss-Jordan step: add the fresh row v to the reduced rows, keyed by pivot.
 
     v is reduced by the rows; if it survives, the rows are reduced by it and
-    it is stored under its pivot.  True if it was stored.  Over GF(p) rows are
-    normalized to pivot 1; over Q, v and the rows are primitive integer rows.
+    it is stored under its pivot, its smallest column.  True if it was stored.
+    Rows are {column: value} dicts that store no zero: over GF(p) normalized
+    to pivot 1, over Q primitive integer rows.  v becomes one of them.
     """
-    for j, row in rows.items():
-        if v[j]:
-            v = _combine(v, row, j, p)
-    for piv, c in enumerate(v):
-        if c:
-            break
-    else:
+    # a reduced row is zero at every other pivot, so clearing v at one pivot
+    # leaves its entries at the others as they were
+    for j in [k for k in v if k in rows]:
+        _combine(v, rows[j], j, p)
+    if not v:
         return False
-    if p is not None and c != 1:
-        inv = pow(c, p - 2, p)
-        v = [x * inv % p for x in v]
-    for j, row in rows.items():
-        if row[piv]:
-            rows[j] = _combine(row, v, piv, p)
+    piv = min(v)
+    if p is not None and v[piv] != 1:
+        inv = pow(v[piv], p - 2, p)
+        for k in v:
+            v[k] = v[k] * inv % p
+    for row in rows.values():
+        if piv in row:
+            _combine(row, v, piv, p)
     rows[piv] = v
     return True
 
 
-def _read_rows(rows: dict[int, list], p: int | None) -> list[list]:
-    """The reduced rows in pivot order as field elements, with pivot 1 over Q too."""
-    ordered = sorted(rows.items())
-    if p is not None:
-        return [r for _, r in ordered]
-    zero = Fraction(0)
-    return [[Fraction(x, r[j]) if x else zero for x in r] for j, r in ordered]
-
-
-def _rref_rows(data: list[list], ncols: int, p: int | None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of the rows ``data`` (left as they are) and its pivots."""
-    rows: dict[int, list] = {}
+def _eliminate(data, p: int | None) -> dict[int, dict]:
+    """The reduced rows, keyed by pivot, of the rows ``data`` (lists or dicts)."""
+    rows: dict[int, dict] = {}
     for row in data:
-        _insert_row(rows, list(row) if p is not None else _primitive_row(row), p)
-    out = _read_rows(rows, p)
-    if len(out) < len(data):
-        zero = 0 if p is not None else Fraction(0)
-        out += [[zero] * ncols for _ in range(len(data) - len(out))]
-    return out, sorted(rows)
+        _insert_row(rows, _fresh_row(row, p), p)
+    return rows
+
+
+def _field_row(row: dict, j: int, p: int | None) -> dict:
+    """The reduced row with pivot j as field elements, with pivot 1 over Q too."""
+    if p is not None:
+        return row
+    d = row[j]
+    return {k: Fraction(x, d) for k, x in row.items()}
+
+
+def _read_rows(rows: dict[int, dict], ncols: int, p: int | None) -> list[list]:
+    """The reduced rows in pivot order as dense rows of field elements."""
+    zero = 0 if p is not None else Fraction(0)
+    out = []
+    for j in sorted(rows):
+        dense = [zero] * ncols
+        for k, x in _field_row(rows[j], j, p).items():
+            dense[k] = x
+        out.append(dense)
+    return out
+
+
+def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list[int]]:
+    """A basis of the right null space of ``rows`` and its free columns.
+
+    The rows are dense lists or {column: value} dicts with ``ncols`` columns.
+    The basis vector of the free column j is a {column: value} dict with a 1
+    at j and the negated reduced coefficients of column j at the pivots; the
+    vectors are ordered by free column.  `Matrix.kernel_basis` is these
+    vectors as dense columns.
+    """
+    p = field.p
+    red = _eliminate(rows, p)
+    free = [j for j in range(ncols) if j not in red]
+    one = field.one()
+    vecs = {j: {j: one} for j in free}
+    for pc, row in red.items():
+        for j, x in _field_row(row, pc, p).items():
+            if j != pc:
+                vecs[j][pc] = field.neg(x)
+    return [vecs[j] for j in free], free
 
 
 class Matrix:
@@ -334,21 +393,15 @@ class Matrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols + other.cols,
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-        )
-
     def rref(self) -> tuple["Matrix", int, list[int]]:
         """Unique reduced row echelon form: (reduced, rank, pivot columns)."""
         if self._rref is None:
-            data, pivots = _rref_rows(self.data, self.cols, self.field.p)
-            self._rref = (Matrix(self.field, self.rows, self.cols, data), len(pivots), pivots)
+            p = self.field.p
+            rows = _eliminate(self.data, p)
+            data = _read_rows(rows, self.cols, p)
+            zero = self.field.zero()
+            data += [[zero] * self.cols for _ in range(self.rows - len(rows))]
+            self._rref = (Matrix(self.field, self.rows, self.cols, data), len(rows), sorted(rows))
         return self._rref
 
     def rank(self) -> int:
@@ -361,32 +414,32 @@ class Matrix:
         reduced coefficients in the pivot positions; columns are ordered by
         free column index.  Its rows at the free positions form the identity.
         """
-        red, rank, pivots = self.rref()
-        f = self.field
-        pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        zero, one = f.zero(), f.one()
+        return self.kernel_with_free()[0]
+
+    def kernel_with_free(self) -> tuple["Matrix", list[int]]:
+        """`kernel_basis` and its free column indices, from one elimination."""
+        vecs, free = kernel_vectors(self.field, self.data, self.cols)
+        zero = self.field.zero()
         data = [[zero] * len(free) for _ in range(self.cols)]
-        for k, j in enumerate(free):
-            data[j][k] = one
-        for row, pc in zip(red.data, pivots):
-            out = data[pc]
-            for k, j in enumerate(free):
-                c = row[j]
-                if c:
-                    out[k] = f.neg(c)
-        return Matrix(f, self.cols, len(free), data)
+        for k, vec in enumerate(vecs):
+            for i, x in vec.items():
+                data[i][k] = x
+        return Matrix(self.field, self.cols, len(free), data), free
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Some x with self @ x = rhs, or None; free variables are set to zero."""
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        m, pivots = _rref_rows(self.hstack(rhs).data, self.cols + rhs.cols, self.field.p)
-        if pivots and pivots[-1] >= self.cols:
+        p, n = self.field.p, self.cols
+        rows = _eliminate((a + b for a, b in zip(self.data, rhs.data)), p)
+        if rows and max(rows) >= n:
             return None
-        x = Matrix(self.field, self.cols, rhs.cols)
-        for row, pc in zip(m, pivots):
-            x.data[pc] = row[self.cols:]
+        x = Matrix(self.field, n, rhs.cols)
+        for pc, row in rows.items():
+            out = x.data[pc]
+            for k, c in _field_row(row, pc, p).items():
+                if k >= n:
+                    out[k - n] = c
         return x
 
 
@@ -396,15 +449,15 @@ class SubspaceReducer:
     Supports membership tests, span growth and canonical reduction modulo the
     subspace; the reduction of any vector is supported on the complement of
     the pivot set, which doubles as a canonical basis of the quotient space.
-    ``rows`` maps each pivot to its reduced row: over GF(p) a row with pivot
-    1, over Q a primitive integer row, which `basis_rows` reads out as
-    Fractions with pivot 1.
+    ``rows`` maps each pivot to its reduced row, a {column: value} dict that
+    stores no zero: over GF(p) a row with pivot 1, over Q a primitive integer
+    row, which `basis_rows` reads out as dense Fraction rows with pivot 1.
     """
 
     def __init__(self, field: FieldSpec, dim: int, vectors=None):
         self.field = field
         self.dim = dim
-        self.rows: dict[int, list] = {}  # pivot index -> reduced row
+        self.rows: dict[int, dict] = {}  # pivot index -> reduced row
         if vectors is not None:
             for v in vectors:
                 self.insert(v)
@@ -422,18 +475,21 @@ class SubspaceReducer:
             if c:
                 if p is None:
                     c = Fraction(c, row[j])
-                    v = [a - c * b if b else a for a, b in zip(v, row)]
+                    for k, b in row.items():
+                        v[k] -= c * b
                 else:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
+                    for k, b in row.items():
+                        v[k] = (v[k] - c * b) % p
         return v
 
     def contains(self, vec: list) -> bool:
         return not any(self.reduce(vec))
 
-    def insert(self, vec: list) -> bool:
-        """Add vec to the span; True if the rank grew."""
+    def insert(self, vec) -> bool:
+        """Add vec, a dense list or a {column: value} dict, to the span; True
+        if the rank grew."""
         p = self.field.p
-        return _insert_row(self.rows, _primitive_row(vec) if p is None else list(vec), p)
+        return _insert_row(self.rows, _fresh_row(vec, p), p)
 
     def complement_indices(self) -> list[int]:
         pivs = self.rows
@@ -445,4 +501,4 @@ class SubspaceReducer:
         return [v[j] for j in self.complement_indices()]
 
     def basis_rows(self) -> list[list]:
-        return _read_rows(self.rows, self.field.p)
+        return _read_rows(self.rows, self.dim, self.field.p)

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import AlgebraHandle, ConsistencyError, Path
-from .linalg import Matrix, SubspaceReducer
+from .linalg import Matrix, SubspaceReducer, kernel_vectors
 
 __all__ = [
     "BoundedDim",
@@ -354,6 +354,11 @@ def validate_rep(M: Rep) -> list[str]:
 # -- Hom spaces -------------------------------------------------------------
 
 
+def _column_entries(m: Matrix) -> list[list[tuple[int, object]]]:
+    """The nonzero entries (row, value) of each column of m."""
+    return [[(k, row[j]) for k, row in enumerate(m.data) if row[j]] for j in range(m.cols)]
+
+
 def _balanced_relations(quiver, field, xmats, xdims, ymats, ydims):
     """The relations x.c (x) y - x (x) c.y of X (x) Y over the path algebra of quiver.
 
@@ -361,34 +366,35 @@ def _balanced_relations(quiver, field, xmats, xdims, ymats, ydims):
     xmats[c] and Y_s -> Y_t by ymats[c].  The coordinates (w, ix, jy) of
     the space sum_w X_w (x) Y_w are ordered by w, then ix, then jy; there is
     one row per (c, ix in X_t, jy in Y_s), skipped when it has no entry.
-    Returns (coords, index of each coordinate, rows).
+    Returns (coords, index of each coordinate, rows), each row a
+    {coordinate index: value} dict that stores no zero.
     """
     f = field
     coords = [
         (w, ix, jy) for w in range(quiver.n_vertices) for ix in range(xdims[w]) for jy in range(ydims[w])
     ]
     index = {c: i for i, c in enumerate(coords)}
-    n = len(coords)
+    offset = [0] * quiver.n_vertices
+    for w in range(1, quiver.n_vertices):
+        offset[w] = offset[w - 1] + xdims[w - 1] * ydims[w - 1]
+    zero = f.zero()
     rows = []
     for a in range(quiver.n_arrows):
         s, t = quiver.a_src[a], quiver.a_tgt[a]
-        Rc, Lc = xmats[a], ymats[a]
-        for ix in range(xdims[t]):
-            for jy in range(ydims[s]):
-                vec = [f.zero()] * n
-                any_entry = False
-                for k in range(Rc.rows):
-                    c = Rc.data[k][ix]
-                    if c:
-                        vec[index[(s, k, jy)]] = f.add(vec[index[(s, k, jy)]], c)
-                        any_entry = True
-                for l in range(Lc.rows):
-                    c = Lc.data[l][jy]
-                    if c:
-                        vec[index[(t, ix, l)]] = f.sub(vec[index[(t, ix, l)]], c)
-                        any_entry = True
-                if any_entry:
-                    rows.append(vec)
+        xcols, ycols = _column_entries(xmats[a]), _column_entries(ymats[a])
+        for ix, xcol in enumerate(xcols):
+            for jy, ycol in enumerate(ycols):
+                # the two halves share a coordinate only when the arrow is a loop
+                row = {offset[s] + k * ydims[s] + jy: c for k, c in xcol}
+                for l, c in ycol:
+                    key = offset[t] + ix * ydims[t] + l
+                    x = f.sub(row.get(key, zero), c)
+                    if x:
+                        row[key] = x
+                    else:
+                        row.pop(key, None)
+                if row:
+                    rows.append(row)
     return coords, index, rows
 
 
@@ -407,14 +413,12 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
     coords, _, rows = _balanced_relations(
         A.quiver, f, [m.transpose() for m in N.mats], N.dims, M.mats, M.dims
     )
-    if not coords:
-        return []
-    sol = Matrix.from_rows(f, rows).kernel_basis() if rows else Matrix.identity(f, len(coords))
     out = []
-    for jcol in range(sol.cols):
+    for vec in kernel_vectors(f, rows, len(coords))[0]:
         mats = [Matrix.zero(f, n, m) for n, m in zip(N.dims, M.dims)]
-        for (u, i, j), row in zip(coords, sol.data):
-            mats[u].data[i][j] = row[jcol]
+        for idx, x in vec.items():
+            u, i, j = coords[idx]
+            mats[u].data[i][j] = x
         out.append(RepMap(M, N, mats))
     return out
 
@@ -597,19 +601,20 @@ def kernel_subrep(f_map: RepMap):
 
     The basis at each vertex u is the columns K_u of
     ``f_map.mats[u].kernel_basis()``.  They are the identity at the free
-    rows, so the coordinates of a vector of the kernel are its entries there,
-    and the arrow a: u -> w acts by the free rows of M_a K_u.  Raises
-    ValueError when f_w M_a K_u is not zero, that is when the kernel is not
-    stable under the arrow actions (never for a homomorphism).
+    rows, which the same elimination reports, so the coordinates of a vector
+    of the kernel are its entries there, and the arrow a: u -> w acts by the
+    free rows of M_a K_u.  Raises ValueError when f_w M_a K_u is not zero,
+    that is when the kernel is not stable under the arrow actions (never for
+    a homomorphism).
     """
     M = f_map.source
     A = M.algebra
     q = A.quiver
     bases, free = [], []
     for m in f_map.mats:
-        bases.append(m.kernel_basis())
-        pivots = set(m.rref()[2])  # cached by kernel_basis
-        free.append([j for j in range(m.cols) if j not in pivots])
+        basis, fr = m.kernel_with_free()
+        bases.append(basis)
+        free.append(fr)
     dims = [K.cols for K in bases]
     mats = []
     for a in range(q.n_arrows):

@@ -7,8 +7,10 @@ instead of the duality route, the normal-path oracle lists every path level
 by level with a suffix scan instead of counting on the lead automaton, the
 rref oracle eliminates on Fraction rows instead of primitive integer rows,
 the GF(p) rref oracle eliminates column by column on the whole matrix
-instead of inserting one row at a time, the subspace-reducer oracle keeps
-rows of field elements with pivot 1 instead of primitive integer rows over Q,
+instead of inserting one row at a time, the dense-step oracle runs the
+Gauss-Jordan step on dense rows instead of sparse ones, the
+subspace-reducer oracle keeps rows of field elements with pivot 1 instead
+of primitive integer rows over Q,
 the cover oracles take one product of arrow matrices per basis path instead
 of propagating columns along arrows, the projective-sum oracle multiplies
 every basis path by every arrow instead of copying cached blocks, the
@@ -35,6 +37,7 @@ of product coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from qred.algebra import (
     ConsistencyError,
@@ -401,6 +404,143 @@ class FieldSubspaceReducer:
 
     def basis_rows(self) -> list[list]:
         return [self.rows[j] for j in sorted(self.rows)]
+
+
+def dense_primitive_row(row: list) -> list[int]:
+    """The integer row with coprime entries on the same line as a rational row."""
+    nz = [(k, x.numerator, x.denominator) for k, x in enumerate(row) if x]
+    den = lcm(*(d for _, _, d in nz))
+    vals = [n * (den // d) for _, n, d in nz]
+    g = gcd(*vals)
+    ints = [0] * len(row)
+    for (k, _, _), x in zip(nz, vals):
+        ints[k] = x // g
+    return ints
+
+
+def dense_combine(u: list, row: list, j: int, p: int | None) -> list:
+    """u minus the multiple of the reduced row ``row`` (pivot at j) that clears u[j]."""
+    c = u[j]
+    if p is not None:
+        return [(a - c * b) % p for a, b in zip(u, row)]
+    g = gcd(row[j], c)
+    a, b = row[j] // g, c // g
+    new = [a * x - b * y for x, y in zip(u, row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def dense_insert_row(rows: dict[int, list], v: list, p: int | None) -> bool:
+    """The Gauss-Jordan step on dense rows: primitive integer rows over Q,
+    rows with pivot 1 over GF(p)."""
+    for j, row in rows.items():
+        if v[j]:
+            v = dense_combine(v, row, j, p)
+    for piv, c in enumerate(v):
+        if c:
+            break
+    else:
+        return False
+    if p is not None and c != 1:
+        inv = pow(c, p - 2, p)
+        v = [x * inv % p for x in v]
+    for j, row in rows.items():
+        if row[piv]:
+            rows[j] = dense_combine(row, v, piv, p)
+    rows[piv] = v
+    return True
+
+
+def _dense_read_rows(rows: dict[int, list], p: int | None) -> list[list]:
+    ordered = sorted(rows.items())
+    if p is not None:
+        return [r for _, r in ordered]
+    return [[Fraction(x, r[j]) if x else Fraction(0) for x in r] for j, r in ordered]
+
+
+def _dense_fresh(row: list, p: int | None) -> list:
+    return list(row) if p is not None else dense_primitive_row(row)
+
+
+def dense_rref(field, data: list[list], ncols: int) -> tuple[list[list], int, list[int]]:
+    """(reduced rows padded with zero rows, rank, pivots) by the dense step."""
+    rows: dict[int, list] = {}
+    for row in data:
+        dense_insert_row(rows, _dense_fresh(row, field.p), field.p)
+    out = _dense_read_rows(rows, field.p)
+    out += [[field.zero()] * ncols for _ in range(len(data) - len(out))]
+    return out, len(rows), sorted(rows)
+
+
+def dense_kernel_basis(field, data: list[list], ncols: int) -> list[list]:
+    """Kernel columns read off the dense rref: 1 at the free column j and the
+    negated reduced entries of column j at the pivots."""
+    red, rank, pivots = dense_rref(field, data, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    cols = []
+    for j in free:
+        col = [field.zero()] * ncols
+        col[j] = field.one()
+        for row, pc in zip(red, pivots):
+            if row[j]:
+                col[pc] = field.neg(row[j])
+        cols.append(col)
+    return cols
+
+
+def dense_solve(field, data: list[list], ncols: int, rhs: list[list], width: int) -> list[list] | None:
+    """Some x with data @ x = rhs (free variables zero), or None, by the dense
+    step; rhs has ``width`` columns."""
+    red, _, pivots = dense_rref(field, [r + s for r, s in zip(data, rhs)], ncols + width)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    x = [[field.zero()] * width for _ in range(ncols)]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols:]
+    return x
+
+
+class DenseStepReducer:
+    """The subspace reducer on dense rows, by the dense Gauss-Jordan step."""
+
+    def __init__(self, field, dim: int):
+        self.field = field
+        self.dim = dim
+        self.rows: dict[int, list] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list) -> list:
+        """vec minus its component in the span: v - sum of v[j] row_j / pivot_j."""
+        p = self.field.p
+        v = list(vec)
+        for j, row in self.rows.items():
+            c = v[j]
+            if c:
+                if p is None:
+                    c = Fraction(c, row[j])
+                    v = [a - c * b if b else a for a, b in zip(v, row)]
+                else:
+                    v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec: list) -> bool:
+        return not any(self.reduce(vec))
+
+    def insert(self, vec: list) -> bool:
+        return dense_insert_row(self.rows, _dense_fresh(vec, self.field.p), self.field.p)
+
+    def complement_indices(self) -> list[int]:
+        return [j for j in range(self.dim) if j not in self.rows]
+
+    def coords_in_complement(self, vec: list) -> list:
+        v = self.reduce(vec)
+        return [v[j] for j in self.complement_indices()]
+
+    def basis_rows(self) -> list[list]:
+        return _dense_read_rows(self.rows, self.field.p)
 
 
 def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:

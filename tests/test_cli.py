@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,24 @@ def test_cli_witness_identity_redundant_long_relation(capsys, tmp_path):
     assert json.loads(out.out)["results"]["verdict"] == "holds"
 
 
+def test_cli_witness_syzygy_at_bimodule_scale(capsys, tmp_path):
+    # k<x, y>/(x^2, xy, y^4), dimension 8: the enveloping algebra has
+    # dimension 64 and the first bimodule syzygy dimension 56, so each Hom
+    # solve of the check has thousands of unknowns
+    alg = tmp_path / "two_loops.alg"
+    alg.write_text(
+        "algebra two_loops\nfield rational\nvertices 1\narrow x : 1 -> 1\narrow y : 1 -> 1\n"
+        "relations\n  x*x\n  x*y\n  y*y*y*y\nend\n"
+    )
+    t0 = time.monotonic()
+    code, out = run(capsys, "witness", str(alg), "--syzygy")
+    elapsed = time.monotonic() - t0
+    report = json.loads(out.out)
+    assert report["algebra"]["dimension"] == 8
+    assert (code, report["results"]["level"], report["results"]["verdict"]) == (0, 1, "holds")
+    assert elapsed < 30.0, f"witness --syzygy took {elapsed:.1f}s"
+
+
 def test_cli_bound_zero(capsys, tmp_path):
     point = tmp_path / "pt.alg"
     point.write_text("algebra pt\nfield rational\nvertices 1\n")
@@ -405,12 +424,17 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
         (("reduce", "tri_dual", "--corner", "1,1"), "vertex '1' listed twice"),
         (("check", "bowtie", "--property", "all", "--corner", "s,2,s"), "vertex 's' listed twice"),
         (("corner", "bowtie", "--vertices", "2,s,2"), "vertex '2' listed twice"),
+        (("check", "line2", "--property", "all", "--corner", ""), "empty vertex list"),
+        (("check", "line2", "--property", "all", "--quotient", ""), "empty vertex list"),
+        (("reduce", "line2", "--corner", ""), "empty vertex list"),
+        (("reduce", "line2", "--quotient", ""), "empty vertex list"),
     ],
     ids=[
         "reduce-quotient", "reduce-corner", "check-quotient", "check-corner",
         "corner-after-quotient", "corner-command", "identity-and-syzygy", "syzygy-and-pair",
         "level-max-without-search", "level-max-with-level", "quotient-repeated-vertex",
         "corner-repeated-vertex", "check-corner-repeated-vertex", "corner-command-repeated-vertex",
+        "check-empty-corner", "check-empty-quotient", "reduce-empty-corner", "reduce-empty-quotient",
     ],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, message):

@@ -4,9 +4,17 @@ from math import gcd
 
 import pytest
 
-from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
+from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer, kernel_vectors
 
-from oracles import FieldSubspaceReducer, rref_by_fractions, rref_mod_p
+from oracles import (
+    DenseStepReducer,
+    FieldSubspaceReducer,
+    dense_kernel_basis,
+    dense_rref,
+    dense_solve,
+    rref_by_fractions,
+    rref_mod_p,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -315,11 +323,13 @@ def test_subspace_reducer_matches_field_row_oracle(field):
                 assert _no_float(got)
                 assert red.contains(probe) == oracle.contains(probe)
             for j, row in red.rows.items():
-                assert min(k for k, x in enumerate(row) if x) == j
+                # a {column: value} dict whose smallest key is the pivot
+                assert min(row) == j and all(0 <= k < dim for k in row)
+                assert all(x != 0 for x in row.values())  # no zero is stored
                 if field.p is None:  # a primitive integer row
-                    assert all(type(x) is int for x in row) and gcd(*row) == 1
+                    assert all(type(x) is int for x in row.values()) and gcd(*row.values()) == 1
                 else:
-                    assert row[j] == 1 and all(0 <= x < field.p for x in row)
+                    assert row[j] == 1 and all(0 < x < field.p for x in row.values())
     assert outcomes == {True, False}
 
 
@@ -364,3 +374,67 @@ def test_rref_kernel_solve_match_column_elimination_mod_p(field):
             outcomes.add("solvable")
         outcomes.add("full rank" if exp_rank == min(rows, cols) else "rank deficient")
     assert outcomes == {"solvable", "unsolvable", "full rank", "rank deficient"}
+
+
+def _as_dict(rng, field, vec: list, zeros: bool) -> dict:
+    """vec as a {column: value} dict; with ``zeros`` some zero entries are
+    kept as explicit zero values."""
+    zero = rng.choice((0, field.zero()))
+    return {k: x if x else zero for k, x in enumerate(vec) if x or (zeros and rng.random() < 0.5)}
+
+
+def _densify(vec: dict, n: int, field) -> list:
+    out = [field.zero()] * n
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])
+def test_sparse_step_matches_dense_step_oracle(field):
+    """The Gauss-Jordan step on sparse rows against the same step on dense
+    rows: rref, rank, pivots, kernel and solve of mostly-zero matrices, and
+    the subspace reducer after every insert, with rows given as dense lists,
+    as dicts and as dicts that hold explicit zeros."""
+    rng = random.Random(1515 + (field.p or 0))
+    outcomes = set()
+    for rows, cols in _shapes(rng):
+        data = _sparse_rows(rng, field, rows, cols)
+        m = Matrix(field, rows, cols, [list(r) for r in data])
+        red, rank, pivots = m.rref()
+        exp = dense_rref(field, data, cols)
+        assert (red.data, rank, pivots) == exp and _no_float(red.data)
+        ker = dense_kernel_basis(field, data, cols)
+        basis, free = m.kernel_with_free()
+        assert (basis.rows, basis.cols, basis.columns()) == (cols, len(ker), ker)
+        assert free == [j for j in range(cols) if j not in pivots]
+        for given in (data, [_as_dict(rng, field, r, False) for r in data], [_as_dict(rng, field, r, True) for r in data]):
+            vecs, vfree = kernel_vectors(field, given, cols)
+            assert vfree == free and [_densify(v, cols, field) for v in vecs] == ker
+            assert all(x != 0 for v in vecs for x in v.values())
+        x0 = Matrix(field, cols, 2, _sparse_rows(rng, field, cols, 2))
+        for rhs in (m @ x0, Matrix(field, rows, 2, _sparse_rows(rng, field, rows, 2))):
+            x, expected = m.solve(rhs), dense_solve(field, data, cols, rhs.data, rhs.cols)
+            assert (x if x is None else x.data) == expected
+            outcomes.add("unsolvable" if x is None else "solvable")
+        outcomes.add("full rank" if rank == min(rows, cols) else "rank deficient")
+    assert outcomes == {"solvable", "unsolvable", "full rank", "rank deficient"}
+
+    for _ in range(120):
+        dim = rng.randint(0, 9)
+        red, oracle = SubspaceReducer(field, dim), DenseStepReducer(field, dim)
+        inserted = []
+        for _ in range(rng.randint(1, 12)):
+            v = _step_vector(rng, field, dim, inserted)
+            given = rng.choice((v, _as_dict(rng, field, v, False), _as_dict(rng, field, v, True)))
+            grew = red.insert(given)
+            assert grew == oracle.insert(v)
+            outcomes.add(grew)
+            inserted.append(v)
+            assert (red.rank, red.complement_indices()) == (oracle.rank, oracle.complement_indices())
+            assert red.basis_rows() == oracle.basis_rows()
+            for probe in (v, _step_vector(rng, field, dim, inserted), _step_vector(rng, field, dim, [])):
+                got = (red.reduce(probe), red.coords_in_complement(probe), red.contains(probe))
+                assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe), oracle.contains(probe))
+                assert _no_float(got[:2])
+    assert {True, False} <= outcomes
