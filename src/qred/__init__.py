@@ -27,7 +27,6 @@ from .modules import (
     regular_bimodule,
     regular_rep,
     split_projective_summands,
-    stable_isomorphic,
     standard_module,
     tensor_over,
 )

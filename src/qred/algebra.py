@@ -297,6 +297,12 @@ class AlgebraHandle:
         return f"AlgebraHandle({self.name!r}, dim={self.dim})"
 
 
+def rule_relations(A: AlgebraHandle) -> list[dict]:
+    """The rules of A read as the relations lead - rest, each with its lead first."""
+    f = A.field
+    return [{lead: f.one()} | {w: f.neg(c) for w, c in rest.items()} for lead, rest in A.rules]
+
+
 def _index_by_first(rules) -> dict:
     """Rules grouped by the first arrow of their lead, each group sorted by lead."""
     out = {}
@@ -705,21 +711,16 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
 
     one = A.field.one()
     neg_one = A.field.neg(one)
-
-    def rule_relations(H: AlgebraHandle):
-        # the reduced rules lead - rest generate the ideal, and every proper
-        # subword of a lead is normal, so no lead is longer than the Loewy
-        # length; a redundant input relation may be longer than the bound
-        neg = H.field.neg
-        return [[(lead, one)] + [(w, neg(c)) for w, c in rest.items()] for lead, rest in H.rules]
-
+    # the reduced rules lead - rest generate the ideal, and every proper
+    # subword of a lead is normal, so no lead is longer than the Loewy
+    # length; a redundant input relation may be longer than the bound
     relations = []
     for rel in rule_relations(A):
         for w in range(qb.n_vertices):
-            relations.append(tuple((lpath(p, w), c) for p, c in rel))
+            relations.append(tuple((lpath(p, w), c) for p, c in rel.items()))
     for rel in rule_relations(B):
         for v in range(qa.n_vertices):
-            relations.append(tuple((rpath(v, p), c) for p, c in rel))
+            relations.append(tuple((rpath(v, p), c) for p, c in rel.items()))
     for a in range(qa.n_arrows):
         u, u2 = qa.a_src[a], qa.a_tgt[a]
         for b in range(qb.n_arrows):

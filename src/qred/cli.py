@@ -151,10 +151,12 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _parse_vertex_list(arg: str, A: AlgebraHandle) -> list[str]:
     """The comma-separated vertex names of arg, each a vertex of A."""
-    out = [v for v in arg.split(",") if v]
-    if not out:
+    out = arg.split(",")
+    if out == [""]:
         raise CliError("empty vertex list")
     for i, v in enumerate(out):
+        if not v:
+            raise CliError(f"empty vertex name in {arg!r}")
         if v not in A.quiver.v_index:
             raise CliError(f"unknown vertex {v!r}")
         if v in out[:i]:
@@ -324,6 +326,8 @@ def cmd_witness(args, seed):
         raise CliError("a second algebra is used only with --pair")
     if args.level_max is not None and not args.search:
         raise CliError("--level-max needs --search")
+    if args.level is not None and args.search:
+        raise CliError("--level cannot be used with --search")
     A = _load_algebra(args.algebra, args.bound)
     B = _load_algebra(args.algebra2, args.bound) if args.algebra2 else A
     if args.identity:
@@ -464,7 +468,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("QRED_SEED", "0") or "0")
+        text = os.environ.get("QRED_SEED") or "0"
+        try:
+            seed = int(text)
+        except ValueError:
+            sys.stderr.write(f"qred: QRED_SEED must be an integer, got {text!r}\n")
+            return EXIT_USAGE
     t0 = time.monotonic()
     try:
         A, results, trace, certs, conditional, code = args.func(args, seed)

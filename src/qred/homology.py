@@ -21,6 +21,7 @@ from .algebra import (
     _complete,
     complete,
     compose,
+    rule_relations,
     word_key,
 )
 from .linalg import SubspaceReducer
@@ -159,7 +160,7 @@ def minimal_relations(A: AlgebraHandle) -> list[dict]:
         return A._extra[key]
     f = A.field
     q = A.quiver
-    gens = [{lead: f.one()} | {w: f.neg(c) for w, c in rest.items()} for lead, rest in A.rules]
+    gens = rule_relations(A)
     if A.is_monomial:
         A._extra[key] = gens
         return gens

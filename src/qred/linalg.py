@@ -10,10 +10,10 @@ elimination works on are sparse.  All elimination is one Gauss-Jordan step,
 `_insert_row`: a fresh row is reduced by the reduced rows kept so far, keyed
 by pivot column, and if it survives the other rows are reduced by it.  Rows
 are {column: value} dicts that store no zero, since the matrices of
-resolutions and Hom spaces are mostly zero.  `Matrix.rref`, `Matrix.solve`
-and `kernel_vectors` run the step on each row of a matrix in turn;
-`SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows are
-normalized to pivot 1.  Over Q they are primitive integer rows (denominators
+resolutions and Hom spaces are mostly zero.  `Matrix.rank`, `Matrix.rref`,
+`Matrix.solve` and `kernel_vectors` run the step on each row of a matrix in
+turn; `SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows
+are normalized to pivot 1.  Over Q they are primitive integer rows (denominators
 cleared, content divided out), combined by integer cross-multiplication and
 divided by their content again; they are read back as `Fraction` entries by
 dividing each by its pivot.  The reduced echelon basis of a row space is
@@ -405,7 +405,7 @@ class Matrix:
         return self._rref
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return len(_eliminate(self.data, self.field.p))
 
     def kernel_basis(self) -> "Matrix":
         """Columns spanning the right null space, in echelon-canonical form.

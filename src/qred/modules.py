@@ -5,6 +5,8 @@ per arrow.  On top of that sit Hom spaces, minimal projective covers and
 resolutions, bounded projective/injective dimension, standard duality,
 balanced tensor products over a middle algebra, and isomorphism testing
 (invariant battery plus a seeded search for an invertible homomorphism).
+`projective_cover` returns (P, pi, basis), the basis of P listing per vertex
+its (summand, normal path) keys.
 
 Hom and the tensor product share one linear system, the balanced relations
 x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
@@ -40,7 +42,6 @@ __all__ = [
     "path_action",
     "validate_rep",
     "hom_basis",
-    "hom_from_projective",
     "projective_cover",
     "minimal_resolution",
     "pd_bounded",
@@ -53,7 +54,6 @@ __all__ = [
     "is_isomorphic",
     "IsoResult",
     "split_projective_summands",
-    "stable_isomorphic",
     "tensor_over",
     "restrict",
     "Restriction",
@@ -116,15 +116,6 @@ class RepMap:
         self.source = source
         self.target = target
         self.mats = list(mats)
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats)
-
-    def compose_after(self, other: "RepMap") -> "RepMap":
-        """self o other (apply other first)."""
-        return RepMap(
-            other.source, self.target, [a @ b for a, b in zip(self.mats, other.mats)]
-        )
 
 
 def zero_rep(A: AlgebraHandle) -> Rep:
@@ -207,13 +198,6 @@ def rep_direct_sum(reps: list[Rep]):
 # -- standard modules -------------------------------------------------------
 
 
-@dataclass
-class ProjectiveInfo:
-    summands: list[int]  # vertex index of each indecomposable summand
-    basis: list[list[tuple[int, Path]]]  # per vertex: ordered (summand, path)
-    gen_pos: list[tuple[int, int]]  # per summand: (vertex, row within that vertex)
-
-
 def action_rep(A: AlgebraHandle, basis, image) -> Rep:
     """The Rep over A with an ordered basis of keys at each vertex.
 
@@ -249,31 +233,28 @@ def arrow_paths(A: AlgebraHandle) -> list[Path]:
 
 def _projective_sum(A: AlgebraHandle, vertices: list[int]):
     """P_{v_0} (+) P_{v_1} (+) ..., assembled block-diagonally from the
-    cached indecomposable projectives.
+    cached indecomposable projectives; (sum, basis).
 
     Its basis at u lists (j, p) for the normal paths p to u of summand j, in
     summand order.
     """
     parts = [projective(A, v) for v in vertices]
-    dims, mats, offsets = _block_diagonal(A, [P for P, _ in parts])
+    dims, mats, _ = _block_diagonal(A, [P for P, _ in parts])
     basis = [[] for _ in range(A.quiver.n_vertices)]
-    gen_pos = []
-    for j, (v, (_, info)) in enumerate(zip(vertices, parts)):
-        for u, keys in enumerate(info.basis):
+    for j, (_, keys_by_vertex) in enumerate(parts):
+        for u, keys in enumerate(keys_by_vertex):
             basis[u].extend((j, p) for _, p in keys)
-        gen_pos.append((v, offsets[j][v] + info.gen_pos[0][1]))
-    return Rep(A, dims, mats), ProjectiveInfo(list(vertices), basis, gen_pos)
+    return Rep(A, dims, mats), basis
 
 
 def projective(A: AlgebraHandle, v: int):
-    """The indecomposable projective Ae_v with its basis of normal paths from
-    v, cached on A; callers must not mutate it."""
+    """The indecomposable projective Ae_v and its basis, listing (0, p) at u
+    for the normal paths p from v to u; cached on A, callers must not mutate
+    either."""
     key = ("projective", v)
     if key not in A._extra:
         basis = [[] for _ in range(A.quiver.n_vertices)]
         for p in A.paths_from(v):
-            if not p.arrows:
-                gen_pos = [(v, len(basis[v]))]
             basis[p.target].append((0, p))
         arrows = arrow_paths(A)
 
@@ -281,7 +262,7 @@ def projective(A: AlgebraHandle, v: int):
             product = A.mul_paths(key[1], arrows[a])  # most often zero: no dict to build
             return {(0, w): c for w, c in product.items()} if product else product
 
-        A._extra[key] = (action_rep(A, basis, image), ProjectiveInfo([v], basis, gen_pos))
+        A._extra[key] = (action_rep(A, basis, image), basis)
     return A._extra[key]
 
 
@@ -423,7 +404,7 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
     return out
 
 
-def _map_from_projective(P: Rep, info: ProjectiveInfo, M: Rep, images) -> RepMap:
+def _map_from_projective(P: Rep, basis, M: Rep, images) -> RepMap:
     """The map P -> M sending the generator of summand j to images[j].
 
     The column of a basis path p of summand j is p acting on images[j]; it is
@@ -442,7 +423,7 @@ def _map_from_projective(P: Rep, info: ProjectiveInfo, M: Rep, images) -> RepMap
 
     f = M.algebra.field
     mats = [
-        Matrix.from_columns(f, [column(j, p.arrows) for j, p in info.basis[u]], nrows=M.dims[u])
+        Matrix.from_columns(f, [column(j, p.arrows) for j, p in basis[u]], nrows=M.dims[u])
         for u in range(len(M.dims))
     ]
     return RepMap(P, M, mats)
@@ -452,15 +433,6 @@ def _unit_vector(f, n: int, i: int) -> list:
     vec = [f.zero()] * n
     vec[i] = f.one()
     return vec
-
-
-def hom_from_projective(A: AlgebraHandle, v: int, M: Rep) -> list[RepMap]:
-    """Basis of Hom(P_v, M) via Hom(Ae_v, M) = e_v M; no linear solve."""
-    P, info = projective(A, v)
-    return [
-        _map_from_projective(P, info, M, [_unit_vector(A.field, M.dims[v], t)])
-        for t in range(M.dims[v])
-    ]
 
 
 # -- radical, socle, covers -------------------------------------------------
@@ -628,7 +600,7 @@ def kernel_subrep(f_map: RepMap):
 
 
 def projective_cover(M: Rep):
-    """Minimal projective cover (P, pi, info); kernel of pi lies in rad P.
+    """Minimal projective cover (P, pi, basis); kernel of pi lies in rad P.
 
     P has one summand P_u per basis vector e_i of M_u outside the echelon
     pivots of rad M, and pi sends its generator to e_i.
@@ -636,9 +608,9 @@ def projective_cover(M: Rep):
     A = M.algebra
     red = radical_reducers(M)
     gens = [(u, idx) for u in range(A.quiver.n_vertices) for idx in red[u].complement_indices()]
-    P, info = _projective_sum(A, [u for u, _ in gens])
+    P, basis = _projective_sum(A, [u for u, _ in gens])
     images = [_unit_vector(A.field, M.dims[u], idx) for u, idx in gens]
-    return P, _map_from_projective(P, info, M, images), info
+    return P, _map_from_projective(P, basis, M, images), basis
 
 
 def is_projective(M: Rep) -> bool:
@@ -729,9 +701,6 @@ class IsoResult:
     kind: str  # 'yes' | 'no' | 'inconclusive'
     witness: RepMap | None = None
     invariant: str | None = None
-
-    def __bool__(self):
-        return self.kind == "yes"
 
 
 def _invariant_battery(M: Rep):
@@ -839,13 +808,6 @@ def split_projective_summands(M: Rep):
             return current, stripped
         current, _ = kernel_subrep(g)
         stripped.append(q.vertices[v])
-
-
-def stable_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult:
-    """Isomorphism in the projectively stable category."""
-    coreM, _ = split_projective_summands(M)
-    coreN, _ = split_projective_summands(N)
-    return is_isomorphic(coreM, coreN, rng)
 
 
 # -- one-sided restrictions and balanced tensor products --------------------

@@ -242,12 +242,15 @@ def parse_module(text: str, A: AlgebraHandle):
     f = A.field
     name = ""
     dims = [0] * q.n_vertices
+    dim_seen: set[int] = set()
     mat_lines: dict[int, tuple[int, str]] = {}
     header_seen = False
     for lineno, body in _Lines(text).logical():
         tokens = body.split()
         head = tokens[0]
         if head in ("module", "bimodule"):
+            if header_seen:
+                raise ParseError(lineno, 1, "repeated module header")
             if len(tokens) < 4 or tokens[2] != "over":
                 raise ParseError(lineno, 1, f"expected: {head} <name> over <algebra>")
             name = tokens[1]
@@ -276,12 +279,18 @@ def parse_module(text: str, A: AlgebraHandle):
                     raise ValueError
             except ValueError:
                 raise ParseError(lineno, 1, f"bad dimension {tokens[3]!r}")
-            dims[q.v_index[tokens[1]]] = d
+            v = q.v_index[tokens[1]]
+            if v in dim_seen:
+                raise ParseError(lineno, 1, f"repeated dim line for vertex {tokens[1]!r}")
+            dim_seen.add(v)
+            dims[v] = d
         elif head == "map":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected: map <arrow> = [[...]]")
             if tokens[1] not in q.a_index:
                 raise ParseError(lineno, body.find(tokens[1]) + 1, f"unknown arrow {tokens[1]!r}")
+            if q.a_index[tokens[1]] in mat_lines:
+                raise ParseError(lineno, 1, f"repeated map line for arrow {tokens[1]!r}")
             mat_lines[q.a_index[tokens[1]]] = (lineno, body.split("=", 1)[1])
         else:
             raise ParseError(lineno, 1, f"unknown directive {head!r}")
@@ -305,13 +314,18 @@ def parse_module(text: str, A: AlgebraHandle):
 # -- printing ---------------------------------------------------------------
 
 
-def format_path(A: AlgebraHandle, p: Path) -> str:
-    if not p.arrows:
-        return f"e_{A.quiver.vertices[p.source]}"
+def written_arrow_names(A: AlgebraHandle, p: Path) -> list[str]:
+    """The arrow names of p in the order A's convention writes them."""
     names = [A.quiver.arrow_name(a) for a in p.arrows]
     if A.presentation.convention == "right-to-left":
         names.reverse()
-    return "*".join(names)
+    return names
+
+
+def format_path(A: AlgebraHandle, p: Path) -> str:
+    if not p.arrows:
+        return f"e_{A.quiver.vertices[p.source]}"
+    return "*".join(written_arrow_names(A, p))
 
 
 def format_element(A: AlgebraHandle, items) -> str:

@@ -38,15 +38,15 @@ from .homology import (
     serial_check,
     tor_bounded,
 )
-from .linalg import Matrix, SubspaceReducer
+from .linalg import SubspaceReducer, kernel_vectors
 from .modules import (
     Rep,
     action_rep,
     pd_bounded,
     regular_bimodule,
     simple,
-    validate_rep,
 )
+from .parser import written_arrow_names
 
 __all__ = [
     "Condition",
@@ -122,13 +122,6 @@ class ReductionStep:
 # -- corner presentations ---------------------------------------------------
 
 
-def _written_arrow_names(A: AlgebraHandle, p: Path) -> list[str]:
-    names = [A.quiver.arrow_name(a) for a in p.arrows]
-    if A.presentation.convention == "right-to-left":
-        names.reverse()
-    return names
-
-
 def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> AlgebraHandle:
     """Present the corner algebra eAe on the given vertex set.
 
@@ -151,26 +144,17 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     C_index = {p: i for i, p in enumerate(C)}
     C_pos = [p for p in C if len(p.arrows) >= 1]
 
-    def vec_of(elem) -> list:
-        v = [f.zero()] * len(C)
-        for p, c in elem.items():
-            v[C_index[p]] = c
-        return v
-
     # (e rad e)^2
     square = SubspaceReducer(f, len(C))
     for a in C_pos:
         for b in C_pos:
             prod = A.mul_paths(a, b)
             if prod:
-                square.insert(vec_of(prod))
+                square.insert({C_index[p]: c for p, c in prod.items()})
     realizations = []
     for c in sorted(C_pos, key=word_key):
-        v = vec_of({c: f.one()})
-        if square.insert(v):
+        if square.insert({C_index[c]: f.one()}):
             realizations.append(c)
-    if any(len(c.arrows) == 0 for c in realizations):
-        raise ConsistencyError("corner not admissible: trivial-path arrow candidate")
 
     loewy = _loewy_length(A, C, C_pos)
 
@@ -179,7 +163,7 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     arrow_names = []
     used = {}
     for c in realizations:
-        base = "t_" + "_".join(_written_arrow_names(A, c))
+        base = "t_" + "_".join(written_arrow_names(A, c))
         k = used.get(base, 0)
         used[base] = k + 1
         arrow_names.append(base if k == 0 else f"{base}_{k + 1}")
@@ -227,20 +211,16 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     cons = SubspaceReducer(f, len(formal))
     relations = []
 
-    def add_consequences(rel_terms):
+    def add_consequences(rel_terms, r_src, r_tgt):
         # formal products u * r * v inside the degree window
-        maxdeg = max(len(w) for w, _, _, _ in rel_terms)
-        r_src, r_tgt = rel_terms[0][2], rel_terms[0][3]
+        maxdeg = max(len(w) for w, _ in rel_terms)
         for (usrc, uword) in by_tgt.get(r_src, ()):
             for (vtgt, vword) in by_src.get(r_tgt, ()):
                 extra = len(uword) + len(vword)
                 if extra == 0 or extra + maxdeg > loewy:
                     continue
-                vec = [f.zero()] * len(formal)
-                for w, c, _, _ in rel_terms:
-                    word = uword + w + vword
-                    vec[formal_index[word]] = f.add(vec[formal_index[word]], c)
-                cons.insert(vec)
+                # the words of r are distinct, so each word u * w * v occurs once
+                cons.insert({formal_index[uword + w + vword]: c for w, c in rel_terms})
 
     for d in range(2, loewy + 1):
         for su in range(len(S)):
@@ -252,26 +232,17 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
                 ]
                 if not cols:
                     continue
-                mat = Matrix.from_columns(
-                    f, [vec_of(ev[word]) for (_, _, word) in cols], nrows=len(C)
-                )
-                ker = mat.kernel_basis()
-                for jc in range(ker.cols):
-                    vec = [f.zero()] * len(formal)
-                    terms = []
-                    for i, (_, _, word) in enumerate(cols):
-                        c = ker.data[i][jc]
-                        if c:
-                            vec[formal_index[word]] = c
-                            terms.append((word, c, su, tu))
-                    if not cons.insert(vec):
+                # the evaluation: one row per corner basis path, one column per word
+                rows: dict[int, dict] = {}
+                for i, (_, _, word) in enumerate(cols):
+                    for p, c in ev[word].items():
+                        rows.setdefault(C_index[p], {})[i] = c
+                for vec in kernel_vectors(f, rows.values(), len(cols))[0]:
+                    terms = [(cols[i][2], c) for i, c in sorted(vec.items())]
+                    if not cons.insert({formal_index[word]: c for word, c in terms}):
                         continue
-                    add_consequences(terms)
-                    relations.append(
-                        tuple(
-                            (Path(su, tu, word), c) for word, c, _, _ in terms
-                        )
-                    )
+                    add_consequences(terms, su, tu)
+                    relations.append(tuple((Path(su, tu, word), c) for word, c in terms))
 
     pres = Presentation(
         f,
@@ -301,9 +272,6 @@ def corner_module_eA(B: AlgebraHandle) -> Rep:
     A = cs.parent
     basis = [A.paths_to(cs.kept[v]) for v in range(B.quiver.n_vertices)]
     rep = action_rep(B, basis, lambda i, p: A.mul_paths(p, cs.realizations[i]))
-    problems = validate_rep(rep)
-    if problems:
-        raise ConsistencyError("eA is not a module over the presented corner: " + problems[0])
     B._extra[key] = rep
     return rep
 
@@ -321,9 +289,6 @@ def corner_module_Ae(B: AlgebraHandle) -> Rep:
     # with its realization
     basis = [A.paths_from(cs.kept[v]) for v in range(B.quiver.n_vertices)]
     rep = action_rep(B.opposite(), basis, lambda i, p: A.mul_paths(cs.realizations[i], p))
-    problems = validate_rep(rep)
-    if problems:
-        raise ConsistencyError("Ae is not a module over the corner opposite: " + problems[0])
     B._extra[key] = rep
     return rep
 

@@ -32,6 +32,10 @@ and the restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
 of product coordinates.
+
+`compose_after`, `hom_from_projective` and `stable_isomorphic` are library
+routines that the engine no longer calls; they live on here, where the
+summand and Tor oracles use them and their tests keep checking them.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from qred.algebra import (
 )
 from qred.linalg import Matrix, SubspaceReducer
 from qred.modules import (
+    IsoResult,
     Rep,
     RepMap,
     Restriction,
@@ -59,12 +64,14 @@ from qred.modules import (
     TensorResult,
     TensorSpace,
     _balanced_relations,
+    _map_from_projective,
+    _unit_vector,
     action_rep,
     arrow_paths,
     dual,
     hom_basis,
-    hom_from_projective,
     injective,
+    is_isomorphic,
     kernel_subrep,
     minimal_resolution,
     path_action,
@@ -75,6 +82,7 @@ from qred.modules import (
     radical_reducers,
     regular_rep,
     simple,
+    split_projective_summands,
     sub_rep,
     top_dims,
     validate_rep,
@@ -578,11 +586,11 @@ def projective_cover_by_path_action(M: Rep):
     return [v for v, _ in gens], basis, _columns_by_path_action(M, basis, images)
 
 
-def projective_sum_by_products(A, vertices: list[int]):
-    """(arrow matrices, generator positions) of the sum of the P_v, v in
-    vertices, in the basis of projective_cover_by_path_action: the column of
-    a basis path p of summand j under an arrow a is the normal form of p a,
-    multiplied out in the algebra."""
+def projective_sum_by_products(A, vertices: list[int]) -> list[Matrix]:
+    """The arrow matrices of the sum of the P_v, v in vertices, in the basis
+    of projective_cover_by_path_action: the column of a basis path p of
+    summand j under an arrow a is the normal form of p a, multiplied out in
+    the algebra."""
     q = A.quiver
     basis = [
         [(j, p) for j, v in enumerate(vertices) for p in A.paths_from(v) if p.target == u]
@@ -597,17 +605,37 @@ def projective_sum_by_products(A, vertices: list[int]):
             for w, c in A.mul_paths(p, Path(src, tgt, (a,))).items():
                 m.data[index[tgt][(j, w)]][col] = c
         mats.append(m)
-    gen_pos = [(v, index[v][(j, trivial_path(v))]) for j, v in enumerate(vertices)]
-    return mats, gen_pos
+    return mats
+
+
+def compose_after(g: RepMap, f: RepMap) -> RepMap:
+    """g o f (apply f first)."""
+    return RepMap(f.source, g.target, [a @ b for a, b in zip(g.mats, f.mats)])
+
+
+def hom_from_projective(A, v: int, M: Rep) -> list[RepMap]:
+    """Basis of Hom(P_v, M) via Hom(Ae_v, M) = e_v M; no linear solve."""
+    P, basis = projective(A, v)
+    return [
+        _map_from_projective(P, basis, M, [_unit_vector(A.field, M.dims[v], t)])
+        for t in range(M.dims[v])
+    ]
+
+
+def stable_isomorphic(M: Rep, N: Rep, rng=None) -> IsoResult:
+    """Isomorphism in the projectively stable category."""
+    coreM, _ = split_projective_summands(M)
+    coreN, _ = split_projective_summands(N)
+    return is_isomorphic(coreM, coreN, rng)
 
 
 def hom_from_projective_by_path_action(A, v: int, M: Rep) -> list[list[Matrix]]:
     """The matrices of the basis of Hom(P_v, M) dual to the standard basis of M_v."""
     f = A.field
-    _, info = projective(A, v)
+    _, basis = projective(A, v)
     return [
         _columns_by_path_action(
-            M, info.basis, [[f.one() if k == t else f.zero() for k in range(M.dims[v])]]
+            M, basis, [[f.one() if k == t else f.zero() for k in range(M.dims[v])]]
         )
         for t in range(M.dims[v])
     ]
@@ -661,7 +689,7 @@ def split_projective_summands_by_inverse(M: Rep):
                     (fm, gm)
                     for fm in hom_from_projective(A, v, current)
                     for gm in homs_mp
-                    if gm.compose_after(fm).mats[v].data[0][0] != 0
+                    if compose_after(gm, fm).mats[v].data[0][0] != 0
                 ),
                 None,
             )
@@ -670,9 +698,9 @@ def split_projective_summands_by_inverse(M: Rep):
         else:
             return current, stripped
         fm, gm = pair
-        h = gm.compose_after(fm)
+        h = compose_after(gm, fm)
         hinv = RepMap(P, P, [m.solve(Matrix.identity(f, m.rows)) for m in h.mats])
-        current, _ = kernel_subrep(fm.compose_after(hinv.compose_after(gm)))
+        current, _ = kernel_subrep(compose_after(fm, compose_after(hinv, gm)))
         stripped.append(q.vertices[v])
 
 
@@ -1067,7 +1095,7 @@ def tor_by_tensoring(X: Rep, Y: Rep, n: int) -> tuple[list[int], bool]:
         if current.is_zero():
             break
         P, pi, _ = projective_cover(current)
-        diffs.append(pi if incl_prev is None else incl_prev.compose_after(pi))
+        diffs.append(pi if incl_prev is None else compose_after(incl_prev, pi))
         projs.append(P)
         current, incl_prev = kernel_subrep(pi)
     tf = TensorFunctor(X)

@@ -137,6 +137,29 @@ def test_module_file_shape_mismatch(line2):
     assert "shape" in ei.value.message
 
 
+_P1 = "module P1 over line2\ndim 1 = 1\ndim 2 = 1\nmap a = [[1]]\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("module P2 over line2\n", "repeated module header"),
+        ("dim 2 = 0\n", "repeated dim line for vertex '2'"),
+        ("map a = [[0]]\n", "repeated map line for arrow 'a'"),
+    ],
+    ids=["header", "dim", "map"],
+)
+def test_module_file_repeated_line(line2, capsys, tmp_path, extra, message):
+    # the last line used to win silently: a second map line made a zero
+    with pytest.raises(ParseError) as ei:
+        parse_module(_P1 + extra, line2)
+    assert (ei.value.line, ei.value.col, ei.value.message) == (5, 1, message)
+    path = tmp_path / "p1.mod"
+    path.write_text(_P1 + extra)
+    code, out = run(capsys, "resolve", fixture("line2"), "--module", str(path))
+    assert (code, out.out, out.err) == (2, "", f"qred: {path}:5:1: {message}\n")
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -428,6 +451,11 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
         (("check", "line2", "--property", "all", "--quotient", ""), "empty vertex list"),
         (("reduce", "line2", "--corner", ""), "empty vertex list"),
         (("reduce", "line2", "--quotient", ""), "empty vertex list"),
+        (("check", "bowtie", "--property", "all", "--corner", "s,,2", "--bound", "8"), "empty vertex name in 's,,2'"),
+        (("check", "line2", "--property", "all", "--quotient", "1,"), "empty vertex name in '1,'"),
+        (("reduce", "line2", "--corner", ",2"), "empty vertex name in ',2'"),
+        (("corner", "bowtie", "--vertices", "s,2,"), "empty vertex name in 's,2,'"),
+        (("witness", "tri_dual", "--identity", "--level", "2", "--search"), "--level cannot be used with --search"),
     ],
     ids=[
         "reduce-quotient", "reduce-corner", "check-quotient", "check-corner",
@@ -435,6 +463,8 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
         "level-max-without-search", "level-max-with-level", "quotient-repeated-vertex",
         "corner-repeated-vertex", "check-corner-repeated-vertex", "corner-command-repeated-vertex",
         "check-empty-corner", "check-empty-quotient", "reduce-empty-corner", "reduce-empty-quotient",
+        "check-corner-empty-name", "check-quotient-empty-name", "reduce-corner-empty-name",
+        "corner-command-empty-name", "level-with-search",
     ],
 )
 def test_cli_usage_errors_exit_2(capsys, argv, message):
@@ -551,6 +581,12 @@ def test_cli_seed_env_fallback(capsys, monkeypatch):
     code, out = run(capsys, "analyze", fixture("line2"))
     assert code == 0
     assert json.loads(out.out)["seed"] == 41
+
+
+def test_cli_seed_env_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QRED_SEED", "abc")
+    code, out = run(capsys, "analyze", fixture("line2"))
+    assert (code, out.out, out.err) == (2, "", "qred: QRED_SEED must be an integer, got 'abc'\n")
 
 
 def test_cli_text_format(capsys):

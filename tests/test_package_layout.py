@@ -94,3 +94,38 @@ def test_every_import_is_used_or_exported():
             if alias not in used and alias not in exported
         ]
     assert found == []
+
+
+def _private_definitions(trees):
+    """(module, def) for every module-level function and every method whose
+    name starts with an underscore and is not a dunder."""
+    for name, tree in trees.items():
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if (
+                    isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")
+                    and not fn.name.endswith("__")
+                ):
+                    yield name, fn
+
+
+def test_every_private_function_is_called():
+    """Every private function and method of the package is referenced in it
+    outside its own body, by name or as an attribute, so deleting the last
+    caller of a helper cannot leave the helper behind."""
+    trees = _trees()
+    refs = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    defs = list(_private_definitions(trees))
+    assert len(defs) > 40  # the definitions are read at all
+    found = []
+    for module, fn in defs:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(name == fn.name and ref not in own for name, ref in refs):
+            found.append(f"{module}.py:{fn.lineno} {fn.name} is never called")
+    assert found == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from qred.algebra import ConsistencyError, Path, _loewy_length, complete, corner_basis
 from qred.linalg import FieldSpec, QQ
 from qred.homology import IdealSpec, quotient_algebra
-from qred.modules import pd_bounded, radical_layer_dims, regular_rep, simple
+from qred.modules import pd_bounded, radical_layer_dims, regular_rep, simple, validate_rep
 from qred.parser import parse_algebra
 from qred.reduction import (
     PROPERTIES,
@@ -137,6 +138,29 @@ def test_corner_dim_matches_basis_random():
         assert B.dim == len(corner_basis(A, S)), (A.name, S)
         checked += 1
     assert checked == 10
+
+
+def test_corner_modules_satisfy_the_corner_relations():
+    """eA is a module over the presented corner B = eAe and Ae one over B^op,
+    on every nonempty vertex subset of the fixtures and of seeded corpora over
+    Q, GF(2) and GF(5).  The dimension check of corner_presentation makes B
+    isomorphic to eAe, so the corner modules are built without a run-time
+    check; this test is where the relations of B are checked on them."""
+    names = ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie")
+    algebras = [load(name) for name in names]
+    for seed, field in ((6101, QQ), (6102, FieldSpec(2)), (6103, GF5)):
+        algebras += completed_corpus(seed, 6, field, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+    checked = with_relations = 0
+    for A in algebras:
+        vertices = A.quiver.vertices
+        for k in range(1, len(vertices) + 1):
+            for subset in itertools.combinations(vertices, k):
+                B = corner_presentation(A, subset)
+                assert validate_rep(corner_module_eA(B)) == [], (A.name, subset)
+                assert validate_rep(corner_module_Ae(B)) == [], (A.name, subset)
+                checked += 1
+                with_relations += bool(B.presentation.relations)
+    assert (checked, with_relations) == (96, 52)
 
 
 def _radical_layer_count(X):

@@ -12,7 +12,6 @@ from qred.modules import (
     projective,
     regular_bimodule,
     regular_rep,
-    stable_isomorphic,
     zero_rep,
 )
 from qred.reduction import corner_presentation
@@ -30,6 +29,8 @@ from qred.witness import (
 )
 
 from qred.algebra import Presentation, Quiver, complete
+
+from oracles import stable_isomorphic
 
 
 def semisimple():
