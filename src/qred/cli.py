@@ -12,6 +12,7 @@ error (a broken internal invariant).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -332,19 +333,18 @@ def cmd_witness(args, seed):
     B = _load_algebra(args.algebra2, args.bound) if args.algebra2 else A
     if args.identity:
         pair = identity_pair(A)
-        pair.level = args.level if args.level is not None else 0
         pair_desc = "identity"
     elif args.syzygy:
         pair = syzygy_pair(A)
-        if args.level is not None:
-            pair.level = args.level
         pair_desc = "syzygy"
     else:
         env_ab, env_ba = _product_handles(A, B)
         _, M = _load_module(args.pair[0], env_ab)
         _, N = _load_module(args.pair[1], env_ba)
-        pair = WitnessPair(M, N, args.level if args.level is not None else 0)
+        pair = WitnessPair(M, N, 0)
         pair_desc = f"{args.pair[0]},{args.pair[1]}"
+    if args.level is not None:
+        pair = dataclasses.replace(pair, level=args.level)
     if args.search:
         n_max = args.level_max
         if n_max is None:

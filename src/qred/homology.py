@@ -84,7 +84,8 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
 
         Tor_i = dim Hom(Omega^i, N) - dim Hom(P_{i-1}, N) + dim Hom(Omega^{i-1}, N),
 
-    where Hom(P_v, N) = e_v N counts the middle term off the top of P_{i-1}.
+    where Hom(P_v, N) = e_v N counts the middle term off the top of P_{i-1},
+    which as a minimal cover has the top of the smaller module Omega^{i-1}.
     The resolution runs n + 2 steps, so `terminated` certifies that every
     Tor_i with i > n vanishes too.
     """
@@ -97,7 +98,7 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
         if i >= len(hom):
             dims.append(0)
             continue
-        free = sum(t * d for t, d in zip(top_dims(res.projectives[i - 1]), N.dims))
+        free = sum(t * d for t, d in zip(top_dims(syzygies[i - 1]), N.dims))
         dims.append(hom[i] - free + hom[i - 1])
     return TorResult(dims, res.terminated)
 

@@ -14,6 +14,9 @@ them, and Hom(M, N) = D(DN (x) M) is read as the null space of the relations
 of DN (x) M.  The derived tensor goes through Hom alone: Tor_i(X, Y) is dual
 to Ext^i(Y, DX), whose dimensions `homology.tor_bounded` counts with
 `hom_basis` along a minimal resolution of Y.
+
+Invariants are read off a module's own matrices: socle layers as the radical
+layers of the transposed matrices on the reversed arrows, projectivity off the top.
 """
 
 from __future__ import annotations
@@ -455,41 +458,45 @@ def top_dims(M: Rep) -> list[int]:
     return [M.dims[u] - red[u].rank for u in range(len(M.dims))]
 
 
-def radical_layer_dims(M: Rep) -> list[tuple[int, ...]]:
-    """Dimension vectors of rad^i M / rad^{i+1} M, i = 0, 1, ..."""
-    A = M.algebra
-    q = A.quiver
-    f = A.field
+def _layer_dims(f, dims: list[int], arrows) -> list[tuple[int, ...]]:
+    """Dimension vectors of the radical layers of the representation with
+    dimension vector dims and the (source, target, matrix) arrows, in order."""
+    n = len(dims)
     layers = []
-    # current spanning vectors of rad^i M per vertex
-    current = [
-        [
-            [f.one() if k == i else f.zero() for k in range(M.dims[u])]
-            for i in range(M.dims[u])
-        ]
-        for u in range(q.n_vertices)
-    ]
-    prev_ranks = list(M.dims)
+    # current spanning vectors of rad^i per vertex
+    current = [[_unit_vector(f, d, i) for i in range(d)] for d in dims]
+    prev_ranks = list(dims)
     while True:
-        nxt = [SubspaceReducer(f, M.dims[u]) for u in range(q.n_vertices)]
-        for a in range(q.n_arrows):
-            src, tgt = q.a_src[a], q.a_tgt[a]
+        nxt = [SubspaceReducer(f, d) for d in dims]
+        for src, tgt, m in arrows:
             for vec in current[src]:
-                nxt[tgt].insert(M.mats[a].apply(vec))
-        ranks = [nxt[u].rank for u in range(q.n_vertices)]
+                nxt[tgt].insert(m.apply(vec))
+        ranks = [nxt[u].rank for u in range(n)]
         layers.append(tuple(p - r for p, r in zip(prev_ranks, ranks)))
         if all(r == 0 for r in ranks):
             break
-        current = [nxt[u].basis_rows() for u in range(q.n_vertices)]
+        current = [nxt[u].basis_rows() for u in range(n)]
         prev_ranks = ranks
     while layers and all(x == 0 for x in layers[-1]):
         layers.pop()
     return layers
 
 
+def radical_layer_dims(M: Rep) -> list[tuple[int, ...]]:
+    """Dimension vectors of rad^i M / rad^{i+1} M, i = 0, 1, ..."""
+    q = M.algebra.quiver
+    arrows = [(q.a_src[a], q.a_tgt[a], m) for a, m in enumerate(M.mats)]
+    return _layer_dims(M.algebra.field, M.dims, arrows)
+
+
 def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
-    """Dimension vectors of soc^{i+1} M / soc^i M via the dual radical series."""
-    return radical_layer_dims(dual(M))
+    """Dimension vectors of soc^{i+1} M / soc^i M, the radical layers of DM.
+
+    DM is read as the transposed matrices on the reversed arrows, so the
+    opposite algebra it lives over is never completed."""
+    q = M.algebra.quiver
+    arrows = [(q.a_tgt[a], q.a_src[a], m.transpose()) for a, m in enumerate(M.mats)]
+    return _layer_dims(M.algebra.field, M.dims, arrows)
 
 
 def _span_images(M: Rep, reducers, rows) -> list[list]:
@@ -620,8 +627,11 @@ def is_projective(M: Rep) -> bool:
     of a basis of the top of M, and by Nakayama's lemma they generate M.  A
     projective M splits pi, and a summand of P0 inside rad P0 is zero, so M
     is projective exactly when pi is an isomorphism: when dim P0 = dim M.
+    P0 is the sum of top_v M copies of P_v, so pi itself is never built.
     """
-    return M.is_zero() or projective_cover(M)[0].total_dim == M.total_dim
+    A = M.algebra
+    cover_dim = sum(t * projective(A, v)[0].total_dim for v, t in enumerate(top_dims(M)) if t)
+    return cover_dim == M.total_dim
 
 
 @dataclass
@@ -791,23 +801,21 @@ def split_projective_summands(M: Rep):
     q = A.quiver
     stripped: list[str] = []
     current = M
-    while True:
-        g = None
-        for v in range(q.n_vertices):
-            if current.dims[v] == 0:
-                continue
+    # ker g is a summand of the module it is split from, so it has no P_u
+    # summand that module lacks: a vertex left behind needs no second look
+    for v in range(q.n_vertices):
+        while current.dims[v]:
             homs = hom_basis(current, projective(A, v)[0])
             # row 0 of a map into P_v at v is the coordinate of e_v
             g = next(
                 (h for t in range(current.dims[v]) for h in homs if h.mats[v].data[0][t]),
                 None,
             )
-            if g is not None:
+            if g is None:
                 break
-        if g is None:
-            return current, stripped
-        current, _ = kernel_subrep(g)
-        stripped.append(q.vertices[v])
+            current, _ = kernel_subrep(g)
+            stripped.append(q.vertices[v])
+    return current, stripped
 
 
 # -- one-sided restrictions and balanced tensor products --------------------

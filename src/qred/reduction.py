@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .homology import (
     IdealSpec,
+    TorResult,
     bimodule_pd_bounded,
     bongartz,
     gldim_bounded,
@@ -57,7 +58,6 @@ __all__ = [
     "corner_presentation",
     "corner_module_eA",
     "corner_module_Ae",
-    "DerivedTensorReport",
     "derived_tensor_bounded",
     "eligible_vertices",
     "remove_vertex",
@@ -357,24 +357,17 @@ def _bd_condition(name: str, bd, bound: int) -> Condition:
     return _condition(name, bd.exact, bound, str(bd))
 
 
-@dataclass
-class DerivedTensorReport:
-    status: str  # 'certified' | 'evidence'
-    tor_dims: list[int]
-
-
 def derived_tensor_bounded(
     A: AlgebraHandle, vertex_names, n: int, corner: AlgebraHandle | None = None
-) -> DerivedTensorReport:
+) -> TorResult:
     """Boundedness of the derived tensor of Ae and eA over the corner eAe.
 
-    Certified when eA resolves over eAe within the bound (all higher Tor then
-    vanish); otherwise the Tor dimensions up to n are reported as evidence.
+    Certified when eA resolves over eAe within the bound, that is when the
+    result has terminated (all higher Tor then vanish); otherwise its Tor
+    dimensions up to n are evidence only.
     """
     B = corner or corner_presentation(A, vertex_names)
-    tor = tor_bounded(corner_module_Ae(B), corner_module_eA(B), n)
-    status = "certified" if tor.terminated else "evidence"
-    return DerivedTensorReport(status, tor.dims)
+    return tor_bounded(corner_module_Ae(B), corner_module_eA(B), n)
 
 
 def corner_conditions(
@@ -406,9 +399,9 @@ def corner_conditions(
         bd = pd_bounded(corner_module_Ae(corner), bound)
         conds.append(_bd_condition("pd of Ae over the corner finite", bd, bound))
     else:
-        rep = derived_tensor_bounded(A, vertex_names, bound, corner)
+        tor = derived_tensor_bounded(A, vertex_names, bound, corner)
         name = "derived tensor of (Ae, eA) over the corner bounded"
-        conds.append(_condition(name, rep.status == "certified", bound, f"Tor dims {rep.tor_dims}"))
+        conds.append(_condition(name, tor.terminated, bound, f"Tor dims {tor.dims}"))
         for v in removed:
             pdv = pd_bounded(simple(A, A.quiver.v_index[v]), bound)
             idv = pd_bounded(simple(A, A.quiver.v_index[v]), bound, "injective")
@@ -497,8 +490,11 @@ def triangular_split(A: AlgebraHandle, bound: int) -> ReductionStep | None:
 
 @dataclass
 class PropertyCertificate:
-    verdict: str  # 'holds' | 'inconclusive'; no failure rule exists
     rule: str | None
+
+    @property
+    def verdict(self) -> str:  # 'holds' | 'inconclusive'; no failure rule exists
+        return "inconclusive" if self.rule is None else "holds"
 
 
 @dataclass
@@ -506,7 +502,10 @@ class Verdict:
     certificates: dict
     steps: list
     terminal: AlgebraHandle
-    conditional: bool
+
+    @property
+    def conditional(self) -> bool:
+        return any(not s.certified for s in self.steps)
 
 
 def terminal_certificates(T: AlgebraHandle, budget: int) -> dict:
@@ -565,9 +564,7 @@ def property_verdict(
     steps.extend(fsteps)
     rules = terminal_certificates(terminal, budget)
     certs = {
-        p: PropertyCertificate("holds", rules[p] + " (terminal)")
-        if p in rules
-        else PropertyCertificate("inconclusive", None)
+        p: PropertyCertificate(rules[p] + " (terminal)" if p in rules else None)
         for p in PROPERTIES
     }
-    return Verdict(certs, steps, terminal, any(not s.certified for s in steps))
+    return Verdict(certs, steps, terminal)

@@ -6,7 +6,8 @@ products M (x) N and N (x) M are stably isomorphic to the n-th syzygies of
 the regular bimodules over the respective enveloping algebras.  Bimodules are
 carried as representations of completed product algebras; levels are searched
 rather than derived, since no effective level comes with the existence
-results.
+results.  A pair is validated when it is built: both bimodules live over
+product algebras that match crosswise, and the level is nonnegative.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .modules import (
 __all__ = [
     "WitnessPair",
     "LevelReport",
-    "restrict",
     "one_sided_projectivity",
     "bimodule_syzygy",
     "tensor_bimodules",
@@ -44,21 +44,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessPair:
     M: Rep  # over A (x) B^op
     N: Rep  # over B (x) A^op
     level: int
 
-    @property
-    def left_algebra(self) -> AlgebraHandle:
-        return self.M.algebra.product.left
-
-    @property
-    def right_algebra(self) -> AlgebraHandle:
-        return self.M.algebra.product.right
-
-    def check_shapes(self):
+    def __post_init__(self):
         pm, pn = self.M.algebra.product, self.N.algebra.product
         if pm is None or pn is None:
             raise ValueError("witness bimodules must live over product algebras")
@@ -70,7 +62,6 @@ class WitnessPair:
 
 def one_sided_projectivity(pair: WitnessPair) -> tuple[bool, bool, bool, bool]:
     """(M left, M right, N left, N right) projectivity of the restrictions."""
-    pair.check_shapes()
     return (
         is_projective(restrict(pair.M, "left")),
         is_projective(restrict(pair.M, "right")),
@@ -113,14 +104,18 @@ class LevelReport:
     projectivity: tuple[bool, bool, bool, bool]
     iso_left: str  # 'yes' | 'no' | 'inconclusive'
     iso_right: str
-    verdict: str  # 'holds' | 'fails' | 'inconclusive'
+
+    @property
+    def verdict(self) -> str:  # 'holds' | 'fails' | 'inconclusive'
+        kinds = (self.iso_left, self.iso_right)
+        if not all(self.projectivity) or "no" in kinds:
+            return "fails"
+        return "holds" if kinds == ("yes", "yes") else "inconclusive"
 
 
 def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
     """Check the witness-pair conditions at the given level."""
-    pair.check_shapes()
-    A = pair.left_algebra
-    B = pair.right_algebra
+    A, B = pair.M.algebra.product.left, pair.M.algebra.product.right
     proj = one_sided_projectivity(pair)
     mn = tensor_bimodules(pair.M, pair.N, A.enveloping())
     nm = tensor_bimodules(pair.N, pair.M, B.enveloping())
@@ -134,13 +129,7 @@ def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
     core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
     iso_a = is_isomorphic(split_projective_summands(mn)[0], core_a, rng_a)
     iso_b = is_isomorphic(split_projective_summands(nm)[0], core_b, rng_b)
-    if all(proj) and iso_a.kind == "yes" and iso_b.kind == "yes":
-        verdict = "holds"
-    elif (not all(proj)) or iso_a.kind == "no" or iso_b.kind == "no":
-        verdict = "fails"
-    else:
-        verdict = "inconclusive"
-    return LevelReport(proj, iso_a.kind, iso_b.kind, verdict)
+    return LevelReport(proj, iso_a.kind, iso_b.kind)
 
 
 def search_level(M: Rep, N: Rep, n_max: int, seed: int = 0):

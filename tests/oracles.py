@@ -28,7 +28,9 @@ keeping every monomial rule, the Gorenstein oracle resolves D(A) whole
 instead of its indecomposable summands one by one, the Tor oracle takes the
 homology of X tensored with a minimal resolution of Y, through composed
 differentials, instead of counting Hom dimensions by dimension shifting,
-and the restriction,
+the socle-layer oracle takes the radical layers of the dual over the
+completed opposite algebra instead of reading the transposed matrices on the
+reversed arrows, and the restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
 of product coordinates.
@@ -79,6 +81,7 @@ from qred.modules import (
     projective,
     projective_cover,
     quotient_rep,
+    radical_layer_dims,
     radical_reducers,
     regular_rep,
     simple,
@@ -702,6 +705,12 @@ def split_projective_summands_by_inverse(M: Rep):
         hinv = RepMap(P, P, [m.solve(Matrix.identity(f, m.rows)) for m in h.mats])
         current, _ = kernel_subrep(compose_after(fm, compose_after(hinv, gm)))
         stripped.append(q.vertices[v])
+
+
+def socle_layer_dims_by_dual(M: Rep) -> list[tuple[int, ...]]:
+    """Socle layers of M as the radical layers of its dual DM, a Rep over the
+    completed opposite algebra."""
+    return radical_layer_dims(dual(M))
 
 
 def is_projective_by_rank(M: Rep) -> bool:

@@ -320,13 +320,13 @@ def test_bimodule_pd(bowtie, tri_dual):
 
 
 def test_derived_tensor_bounded(tri_dual, line2):
-    rep = derived_tensor_bounded(tri_dual, ["2"], 8)
-    assert rep.status == "certified"
-    assert all(d == 0 for d in rep.tor_dims[1:])
-    rep = derived_tensor_bounded(tri_dual, ["1", "2"], 6)
-    assert rep.status == "certified"
-    rep = derived_tensor_bounded(line2, ["2"], 6)
-    assert rep.status == "certified"
+    tor = derived_tensor_bounded(tri_dual, ["2"], 8)
+    assert tor.terminated
+    assert all(d == 0 for d in tor.dims[1:])
+    tor = derived_tensor_bounded(tri_dual, ["1", "2"], 6)
+    assert tor.terminated
+    tor = derived_tensor_bounded(line2, ["2"], 6)
+    assert tor.terminated
 
 
 def test_serial(dual_numbers, line2, tri_dual):

@@ -58,6 +58,7 @@ from oracles import (
     quotient_rep_by_loops,
     regular_bimodule_by_hand,
     restrict_by_loops,
+    socle_layer_dims_by_dual,
     socle_reducers,
     split_projective_summands_by_inverse,
     stable_isomorphic,
@@ -672,6 +673,55 @@ def test_split_and_projectivity_match_inverse_oracle():
             stripped += [_assert_split_matches_oracle(_mixed_sum(A, rng)) for _ in range(4)]
     assert len(stripped) - n_fixture >= 200
     assert sum(map(bool, stripped)) > len(stripped) // 2
+
+
+def test_socle_layers_match_dual_route():
+    """socle_layer_dims reads the transposed matrices on the reversed arrows;
+    the oracle takes the radical layers of the dual over the completed
+    opposite algebra.  They agree on modules over the fixtures, on bimodule
+    syzygies over enveloping algebras and on seeded corpora over Q, GF(2)
+    and GF(5)."""
+    rng = random.Random(17)
+    mods = []
+    for name in ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"):
+        A = load(name)
+        n = A.quiver.n_vertices
+        mods += [simple(A, v) for v in range(n)] + [projective(A, v)[0] for v in range(n)]
+        mods += [injective(A, v) for v in range(n)] + [regular_rep(A), _mixed_sum(A, rng)]
+        if A.dim <= 4:
+            mods += [bimodule_syzygy(A, k) for k in range(3)]
+    n_fixture = len(mods)
+    for seed, f in ((7311, QQ), (7312, FieldSpec(2)), (7313, FieldSpec(5))):
+        for A in completed_corpus(seed, 12, f, bound=8, dim_cap=9):
+            mods += [regular_rep(A), _mixed_sum(A, rng), _mixed_sum(A, rng)]
+    mismatches = [M for M in mods if socle_layer_dims(M) != socle_layer_dims_by_dual(M)]
+    assert mismatches == []
+    assert len(mods) - n_fixture >= 108
+    assert sum(len(socle_layer_dims(M)) >= 3 for M in mods) >= 20  # deep socle series occur
+
+
+def test_invariants_complete_no_opposite_and_build_no_cover(monkeypatch):
+    """On a freshly completed handle, neither the socle layers nor the
+    isomorphism test completes an opposite algebra, and projectivity is read
+    without building a projective cover."""
+    A = load("tri_dual")
+    env = A.enveloping()
+    mods = [projective(A, 1)[0], _mixed_sum(A, random.Random(3)), regular_bimodule(A), bimodule_syzygy(A, 1)]
+    want = [is_projective_by_rank(M) for M in mods]
+    assert True in want and False in want
+    assert A._opposite is None and env._opposite is None
+    for M in mods:
+        socle_layer_dims(M)
+    assert A._opposite is None and env._opposite is None
+    for M in mods:
+        assert is_isomorphic(M, M, random.Random(0)).kind == "yes"
+    assert A._opposite is None and env._opposite is None
+
+    def no_cover(M):
+        raise AssertionError("is_projective built a projective cover")
+
+    monkeypatch.setattr("qred.modules.projective_cover", no_cover)
+    assert [is_projective(M) for M in mods] == want
 
 
 def test_is_projective(line2, dual_numbers):

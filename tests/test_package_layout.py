@@ -96,6 +96,28 @@ def test_every_import_is_used_or_exported():
     assert found == []
 
 
+def test_all_lists_only_own_definitions():
+    """A module's ``__all__`` lists only names the module defines at its top
+    level; re-exporting is left to the package ``__init__``."""
+    found, checked = [], 0
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        exported = _exported(tree)
+        checked += len(exported)
+        found += [f"{name}.py exports {alias}, defined elsewhere" for alias in sorted(exported - defined)]
+    assert checked > 50  # the lists are read at all
+    assert found == []
+
+
 def _private_definitions(trees):
     """(module, def) for every module-level function and every method whose
     name starts with an underscore and is not a dunder."""

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from pathlib import Path as FsPath
 
@@ -12,16 +14,17 @@ from qred.modules import (
     projective,
     regular_bimodule,
     regular_rep,
+    restrict,
     zero_rep,
 )
 from qred.reduction import corner_presentation
 from qred.witness import (
+    LevelReport,
     WitnessPair,
     bimodule_syzygy,
     idempotent_candidate,
     identity_pair,
     one_sided_projectivity,
-    restrict,
     search_level,
     syzygy_pair,
     tensor_bimodules,
@@ -255,9 +258,38 @@ def test_verify_level_gf_fixtures():
 def test_witness_level_validation(tri_dual):
     reg = regular_bimodule(tri_dual)
     with pytest.raises(ValueError):
-        WitnessPair(reg, reg, -1).check_shapes()
+        WitnessPair(reg, reg, -1)
     with pytest.raises(ValueError):
-        WitnessPair(regular_rep(tri_dual), reg, 0).check_shapes()
+        WitnessPair(regular_rep(tri_dual), reg, 0)
+
+
+def test_witness_pair_is_frozen_and_revalidated(tri_dual):
+    pair = identity_pair(tri_dual)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.level = 1
+    assert dataclasses.replace(pair, level=1).level == 1 and pair.level == 0
+    with pytest.raises(ValueError):
+        dataclasses.replace(pair, level=-1)
+
+
+def _verdict_by_cases(proj, iso_left, iso_right):
+    """The verdict as verify_level used to decide it before storing it."""
+    if all(proj) and iso_left == "yes" and iso_right == "yes":
+        return "holds"
+    elif (not all(proj)) or iso_left == "no" or iso_right == "no":
+        return "fails"
+    return "inconclusive"
+
+
+def test_level_report_verdict_truth_table():
+    kinds = ("yes", "no", "inconclusive")
+    seen = set()
+    for proj in itertools.product((False, True), repeat=4):
+        for iso_left, iso_right in itertools.product(kinds, repeat=2):
+            rep = LevelReport(proj, iso_left, iso_right)
+            assert rep.verdict == _verdict_by_cases(proj, iso_left, iso_right)
+            seen.add(rep.verdict)
+    assert seen == {"holds", "fails", "inconclusive"}
 
 
 def test_search_level_rechecked_with_an_independent_seed(dual_numbers, line2, tri_dual):
