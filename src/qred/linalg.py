@@ -5,22 +5,25 @@ reduces to rank/kernel/solve questions over an exact field, so this module
 deliberately avoids floating point: scalars are `fractions.Fraction` over the
 rationals and plain ints in ``[0, p)`` over GF(p).
 
-`Matrix` is the dense interface the rest of the package reads; the rows that
-elimination works on are sparse.  All elimination is one Gauss-Jordan step,
-`_insert_row`: a fresh row is reduced by the reduced rows kept so far, keyed
-by pivot column, and if it survives the other rows are reduced by it.  Rows
-are {column: value} dicts that store no zero, since the matrices of
-resolutions and Hom spaces are mostly zero.  `Matrix.rank`, `Matrix.rref`,
-`Matrix.solve` and `kernel_vectors` run the step on each row of a matrix in
-turn; `SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows
-are normalized to pivot 1.  Over Q they are primitive integer rows (denominators
+`Matrix` stores its entries as sparse rows: one {column: value} dict per
+row that stores no zero, with one entry type per field (`Fraction` over Q,
+int in ``[0, p)`` over GF(p)), since the matrices of covers, kernels,
+resolutions and Hom spaces are mostly zero.  Sums, products, transposes and
+combinations iterate the stored entries only, and ``Matrix.data`` is a dense
+view built anew on each read, for printing and for checks outside the
+engine.
+
+All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
+reduced by the reduced rows kept so far, keyed by pivot column, and if it
+survives the other rows are reduced by it.  Elimination rows are
+{column: value} dicts too, so `Matrix.rank`, `Matrix.rref`, `Matrix.solve`
+and `kernel_vectors` run the step on the stored rows of a matrix in turn;
+`SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows are
+normalized to pivot 1.  Over Q they are primitive integer rows (denominators
 cleared, content divided out), combined by integer cross-multiplication and
 divided by their content again; they are read back as `Fraction` entries by
 dividing each by its pivot.  The reduced echelon basis of a row space is
 unique, so the results are the same Fractions a Fraction elimination gives.
-Dense rows are built only where a result is read out as a `Matrix`.
-
-Products touch only nonzero entries, found by truth value.
 """
 
 from __future__ import annotations
@@ -128,6 +131,14 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
+def _stored_row(items, p: int | None) -> dict:
+    """The stored row of (column, value) pairs: the nonzero values, as
+    Fractions over Q and as ints in ``[0, p)`` over GF(p)."""
+    if p is None:
+        return {k: x if type(x) is Fraction else Fraction(x) for k, x in items if x}
+    return {k: y for k, x in items if (y := x % p)}
+
+
 def _primitive_row(items) -> dict[int, int]:
     """The integer row with coprime entries on the same line as a rational row,
     given by its (column, value) pairs; zeros are dropped."""
@@ -142,10 +153,10 @@ def _primitive_row(items) -> dict[int, int]:
 
 def _fresh_row(row, p: int | None) -> dict:
     """An elimination row from a dense list or a {column: value} dict: its
-    nonzero entries over GF(p), its primitive integer row over Q."""
+    stored row over GF(p), its primitive integer row over Q."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     if p is not None:
-        return {k: x for k, x in items if x}
+        return _stored_row(items, p)
     return _primitive_row(items)
 
 
@@ -258,28 +269,41 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list
 
 
 class Matrix:
-    """Dense matrix with exact entries, row-major storage."""
+    """Exact matrix stored as sparse rows.
 
-    __slots__ = ("field", "rows", "cols", "data", "_rref")
+    ``entries`` holds one {column: value} dict per row that stores no zero,
+    each value of the field's one entry type: a `Fraction` over Q, an int in
+    ``[0, p)`` over GF(p).  Every operation reads and builds stored entries
+    only.  A Matrix is not changed once built.  ``data`` is a dense view of
+    the rows, built anew on each read, so writing into it changes nothing.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, data=None):
+        """The matrix with the dense rows ``data``, or the zero matrix."""
         self.field = field
         self.rows = rows
         self.cols = cols
         if data is None:
-            z = field.zero()
-            self.data = [[z] * cols for _ in range(rows)]
+            self.entries = [{} for _ in range(rows)]
         else:
-            self.data = data
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix shape mismatch")
+            self.entries = [_stored_row(enumerate(row), field.p) for row in data]
         self._rref = None
 
     @classmethod
+    def from_entries(cls, field: FieldSpec, rows: int, cols: int, entries: list[dict]) -> "Matrix":
+        """The matrix with the stored rows ``entries``, taken as they are: they
+        must hold no zero and only values of the field's entry type."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.entries, m._rref = field, rows, cols, entries, None
+        return m
+
+    @classmethod
     def from_rows(cls, field: FieldSpec, rows: list[list]):
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return cls(field, r, c, [list(row) for row in rows])
+        return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -287,11 +311,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        m = cls(field, n, n)
         one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls.from_entries(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols: list[list], nrows: int | None = None):
@@ -299,113 +320,124 @@ class Matrix:
             if nrows is None:
                 raise ValueError("need nrows for an empty column list")
             return cls(field, nrows, 0)
-        n = len(cols[0])
-        m = cls(field, n, len(cols))
-        for j, col in enumerate(cols):
-            for i in range(n):
-                m.data[i][j] = col[i]
-        return m
+        return cls(field, len(cols[0]), len(cols), list(zip(*cols)))
+
+    @property
+    def data(self) -> list[list]:
+        """The dense rows, as new lists on each read."""
+        zero = self.field.zero()
+        out = []
+        for row in self.entries:
+            dense = [zero] * self.cols
+            for k, x in row.items():
+                dense[k] = x
+            out.append(dense)
+        return out
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
+        return Matrix.from_entries(self.field, self.rows, self.cols, [dict(row) for row in self.entries])
 
     def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        zero = self.field.zero()
+        return [row.get(j, zero) for row in self.entries]
 
     def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.cols)]
+        return self.transpose().data
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
+        return not any(self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        p = self.field.p
+        out = []
+        for ra, rb in zip(self.entries, other.entries):
+            row = dict(ra)
+            for k, y in rb.items():
+                x = row.get(k, 0) + y
+                if p is not None:
+                    x %= p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            out.append(row)
+        return Matrix.from_entries(self.field, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data])
+        p = self.field.p
+        if p is not None:
+            c %= p
+        if not c:
+            return Matrix(self.field, self.rows, self.cols)
+        if p is None:
+            out = [{k: c * x for k, x in row.items()} for row in self.entries]
+        else:
+            out = [{k: c * x % p for k, x in row.items()} for row in self.entries]
+        return Matrix.from_entries(self.field, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = self.field.p
-        zero = self.field.zero()
-        n = other.cols
-        # the nonzero (j, b) pairs of each nonzero row k of the right factor,
-        # found once; a left entry is looked at only where they exist
-        sparse = []
-        for k, row in enumerate(other.data):
-            pairs = [(j, b) for j, b in enumerate(row) if b]
-            if pairs:
-                sparse.append((k, pairs))
-        data = []
-        for srow in self.data:
-            acc = [zero] * n
-            for k, pairs in sparse:
-                a = srow[k]
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            data.append(acc if p is None else [x % p for x in acc])
-        return Matrix(self.field, self.rows, n, data)
+        out = [other.row_times(row) for row in self.entries]
+        return Matrix.from_entries(self.field, self.rows, other.cols, out)
+
+    def row_times(self, row: dict) -> dict:
+        """The row vector with the stored entries ``row`` times self, as stored entries."""
+        acc: dict = {}
+        get = acc.get
+        right = self.entries
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] = get(j, 0) + a * b
+        return _stored_row(acc.items(), self.field.p)
 
     def apply(self, vec: list) -> list:
-        """Matrix times column vector, skipping the zero entries of vec."""
+        """Matrix times the dense column vector vec, as a dense list."""
         # zero tests by truth value: a Fraction's __bool__ is cheaper than __eq__
         p = self.field.p
         zero = self.field.zero()
-        nz = [(k, b) for k, b in enumerate(vec) if b]
         out = []
-        for row in self.data:
+        for row in self.entries:
             s = zero
-            for k, b in nz:
-                a = row[k]
-                if a:
+            for k, a in row.items():
+                b = vec[k]
+                if b:
                     s += a * b
             out.append(s if p is None else s % p)
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_entries(self.field, self.cols, self.rows, out)
 
     def rref(self) -> tuple["Matrix", int, list[int]]:
         """Unique reduced row echelon form: (reduced, rank, pivot columns)."""
         if self._rref is None:
             p = self.field.p
-            rows = _eliminate(self.data, p)
-            data = _read_rows(rows, self.cols, p)
-            zero = self.field.zero()
-            data += [[zero] * self.cols for _ in range(self.rows - len(rows))]
-            self._rref = (Matrix(self.field, self.rows, self.cols, data), len(rows), sorted(rows))
+            rows = _eliminate(self.entries, p)
+            pivots = sorted(rows)
+            entries = [_field_row(rows[j], j, p) for j in pivots]
+            entries += [{} for _ in range(self.rows - len(rows))]
+            reduced = Matrix.from_entries(self.field, self.rows, self.cols, entries)
+            self._rref = (reduced, len(rows), pivots)
         return self._rref
 
     def rank(self) -> int:
-        return len(_eliminate(self.data, self.field.p))
+        return len(_eliminate(self.entries, self.field.p))
 
     def kernel_basis(self) -> "Matrix":
         """Columns spanning the right null space, in echelon-canonical form.
@@ -418,29 +450,26 @@ class Matrix:
 
     def kernel_with_free(self) -> tuple["Matrix", list[int]]:
         """`kernel_basis` and its free column indices, from one elimination."""
-        vecs, free = kernel_vectors(self.field, self.data, self.cols)
-        zero = self.field.zero()
-        data = [[zero] * len(free) for _ in range(self.cols)]
+        vecs, free = kernel_vectors(self.field, self.entries, self.cols)
+        out: list[dict] = [{} for _ in range(self.cols)]
         for k, vec in enumerate(vecs):
             for i, x in vec.items():
-                data[i][k] = x
-        return Matrix(self.field, self.cols, len(free), data), free
+                out[i][k] = x
+        return Matrix.from_entries(self.field, self.cols, len(free), out), free
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Some x with self @ x = rhs, or None; free variables are set to zero."""
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
         p, n = self.field.p, self.cols
-        rows = _eliminate((a + b for a, b in zip(self.data, rhs.data)), p)
+        augmented = ({**a, **{n + k: x for k, x in b.items()}} for a, b in zip(self.entries, rhs.entries))
+        rows = _eliminate(augmented, p)
         if rows and max(rows) >= n:
             return None
-        x = Matrix(self.field, n, rhs.cols)
+        out: list[dict] = [{} for _ in range(n)]
         for pc, row in rows.items():
-            out = x.data[pc]
-            for k, c in _field_row(row, pc, p).items():
-                if k >= n:
-                    out[k - n] = c
-        return x
+            out[pc] = {k - n: c for k, c in _field_row(row, pc, p).items() if k >= n}
+        return Matrix.from_entries(self.field, n, rhs.cols, out)
 
 
 class SubspaceReducer:

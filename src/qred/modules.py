@@ -130,20 +130,15 @@ def zero_rep(A: AlgebraHandle) -> Rep:
 
 
 def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
-    """The map sum c g, accumulated in place over the nonzero entries."""
+    """The map sum c g, summed over the stored entries."""
     base = maps[0]
     f = base.source.algebra.field
-    p = f.p
     out = []
     for u, m in enumerate(base.mats):
         acc = Matrix.zero(f, m.rows, m.cols)
         for g, c in zip(maps, coeffs):
-            if not c:
-                continue
-            for row, grow in zip(acc.data, g.mats[u].data):
-                for j, x in enumerate(grow):
-                    if x:
-                        row[j] = row[j] + c * x if p is None else (row[j] + c * x) % p
+            if c:
+                acc = acc + g.mats[u].scale(c)
         out.append(acc)
     return RepMap(base.source, base.target, out)
 
@@ -156,11 +151,10 @@ def identity_map(M: Rep) -> RepMap:
 def _block_diagonal(A: AlgebraHandle, reps: list[Rep]):
     """(dims, arrow matrices, per-summand offsets) of the direct sum of reps.
 
-    Every row is a new list: the entries of the summands are copied, never
-    their rows.
+    Every stored row is a new dict: the entries of the summands are copied,
+    never their rows.
     """
     q = A.quiver
-    zero = A.field.zero()
     offsets = []
     dims = [0] * q.n_vertices
     for r in reps:
@@ -169,14 +163,11 @@ def _block_diagonal(A: AlgebraHandle, reps: list[Rep]):
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        data = []
+        rows = []
         for r, off in zip(reps, offsets):
-            lo, hi = off[src], off[src] + r.dims[src]
-            for row in r.mats[a].data:
-                new = [zero] * dims[src]
-                new[lo:hi] = row
-                data.append(new)
-        mats.append(Matrix(A.field, dims[tgt], dims[src], data))
+            lo = off[src]
+            rows.extend({lo + j: x for j, x in row.items()} for row in r.mats[a].entries)
+        mats.append(Matrix.from_entries(A.field, dims[tgt], dims[src], rows))
     return dims, mats, offsets
 
 
@@ -190,10 +181,10 @@ def rep_direct_sum(reps: list[Rep]):
     for k, r in enumerate(reps):
         ms = []
         for u in range(A.quiver.n_vertices):
-            m = Matrix.zero(f, dims[u], r.dims[u])
+            rows: list[dict] = [{} for _ in range(dims[u])]
             for i in range(r.dims[u]):
-                m.data[offsets[k][u] + i][i] = f.one()
-            ms.append(m)
+                rows[offsets[k][u] + i] = {i: f.one()}
+            ms.append(Matrix.from_entries(f, dims[u], r.dims[u], rows))
         incls.append(RepMap(r, total, ms))
     return total, incls
 
@@ -220,11 +211,11 @@ def action_rep(A: AlgebraHandle, basis, image) -> Rep:
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        m = Matrix.zero(A.field, dims[tgt], dims[src])
+        rows: list[dict] = [{} for _ in range(dims[tgt])]
         for col, key in enumerate(basis[src]):
             for w, c in image(a, key).items():
-                m.data[index[tgt][w]][col] = c
-        mats.append(m)
+                rows[index[tgt][w]][col] = c
+        mats.append(Matrix.from_entries(A.field, dims[tgt], dims[src], rows))
     return Rep(A, dims, mats)
 
 
@@ -338,18 +329,15 @@ def validate_rep(M: Rep) -> list[str]:
 # -- Hom spaces -------------------------------------------------------------
 
 
-def _column_entries(m: Matrix) -> list[list[tuple[int, object]]]:
-    """The nonzero entries (row, value) of each column of m."""
-    return [[(k, row[j]) for k, row in enumerate(m.data) if row[j]] for j in range(m.cols)]
-
-
-def _balanced_relations(quiver, field, xmats, xdims, ymats, ydims):
+def _balanced_relations(quiver, field, xcols, xdims, ycols, ydims):
     """The relations x.c (x) y - x (x) c.y of X (x) Y over the path algebra of quiver.
 
-    X is a right and Y a left module: an arrow c: s -> t acts X_t -> X_s by
-    xmats[c] and Y_s -> Y_t by ymats[c].  The coordinates (w, ix, jy) of
-    the space sum_w X_w (x) Y_w are ordered by w, then ix, then jy; there is
-    one row per (c, ix in X_t, jy in Y_s), skipped when it has no entry.
+    X is a right and Y a left module: an arrow c: s -> t acts X_t -> X_s and
+    Y_s -> Y_t by matrices given by their columns xcols[c] and ycols[c], each
+    a {row: value} dict that stores no zero (a stored row of the transpose).
+    The coordinates (w, ix, jy) of the space sum_w X_w (x) Y_w are ordered
+    by w, then ix, then jy; there is one row per (c, ix in X_t, jy in Y_s),
+    skipped when it has no entry.
     Returns (coords, index of each coordinate, rows), each row a
     {coordinate index: value} dict that stores no zero.
     """
@@ -365,12 +353,11 @@ def _balanced_relations(quiver, field, xmats, xdims, ymats, ydims):
     rows = []
     for a in range(quiver.n_arrows):
         s, t = quiver.a_src[a], quiver.a_tgt[a]
-        xcols, ycols = _column_entries(xmats[a]), _column_entries(ymats[a])
-        for ix, xcol in enumerate(xcols):
-            for jy, ycol in enumerate(ycols):
+        for ix, xcol in enumerate(xcols[a]):
+            for jy, ycol in enumerate(ycols[a]):
                 # the two halves share a coordinate only when the arrow is a loop
-                row = {offset[s] + k * ydims[s] + jy: c for k, c in xcol}
-                for l, c in ycol:
+                row = {offset[s] + k * ydims[s] + jy: c for k, c in xcol.items()}
+                for l, c in ycol.items():
                     key = offset[t] + ix * ydims[t] + l
                     x = f.sub(row.get(key, zero), c)
                     if x:
@@ -388,47 +375,54 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
     Maps f_u: M_u -> N_u form a homomorphism when N_a f_u = f_w M_a for every
     arrow a: u -> w.  These are the balanced relations of the right module
     DN, whose arrows act by the transposed matrices of N, against M: the
-    entry (i, j) of f_u is the coordinate (u, i, j).
+    entry (i, j) of f_u is the coordinate (u, i, j).  The columns of a
+    transposed matrix of N are the stored rows of N's.
     """
     A = M.algebra
     if N.algebra is not A:
         raise ValueError("Hom requires modules over the same algebra handle")
     f = A.field
     coords, _, rows = _balanced_relations(
-        A.quiver, f, [m.transpose() for m in N.mats], N.dims, M.mats, M.dims
+        A.quiver, f, [m.entries for m in N.mats], N.dims, [m.transpose().entries for m in M.mats], M.dims
     )
     out = []
     for vec in kernel_vectors(f, rows, len(coords))[0]:
-        mats = [Matrix.zero(f, n, m) for n, m in zip(N.dims, M.dims)]
+        rows: list[list[dict]] = [[{} for _ in range(n)] for n in N.dims]
         for idx, x in vec.items():
             u, i, j = coords[idx]
-            mats[u].data[i][j] = x
+            rows[u][i][j] = x
+        mats = [Matrix.from_entries(f, n, m, r) for n, m, r in zip(N.dims, M.dims, rows)]
         out.append(RepMap(M, N, mats))
     return out
 
 
 def _map_from_projective(P: Rep, basis, M: Rep, images) -> RepMap:
-    """The map P -> M sending the generator of summand j to images[j].
+    """The map P -> M sending the generator of summand j to images[j], a
+    column given by its stored entries {row: value}.
 
     The column of a basis path p of summand j is p acting on images[j]; it is
-    propagated along the arrows, column(p.a) = M_a column(p), and memoized by
-    (summand, arrows) for this call only.
+    propagated along the arrows, column(p.a) = M_a column(p), as the row
+    column(p) times the transpose of M_a, and memoized by (summand, arrows)
+    for this call only.
     """
+    transposes = [m.transpose() for m in M.mats]
     columns = {}
 
     def column(j, arrows):
         key = (j, arrows)
         col = columns.get(key)
         if col is None:
-            col = images[j] if not arrows else M.mats[arrows[-1]].apply(column(j, arrows[:-1]))
+            col = images[j] if not arrows else transposes[arrows[-1]].row_times(column(j, arrows[:-1]))
             columns[key] = col
         return col
 
-    f = M.algebra.field
-    mats = [
-        Matrix.from_columns(f, [column(j, p.arrows) for j, p in basis[u]], nrows=M.dims[u])
-        for u in range(len(M.dims))
-    ]
+    mats = []
+    for u, keys in enumerate(basis):
+        rows: list[dict] = [{} for _ in range(M.dims[u])]
+        for c, (j, p) in enumerate(keys):
+            for i, x in column(j, p.arrows).items():
+                rows[i][c] = x
+        mats.append(Matrix.from_entries(M.algebra.field, M.dims[u], len(keys), rows))
     return RepMap(P, M, mats)
 
 
@@ -448,8 +442,8 @@ def radical_reducers(M: Rep) -> list[SubspaceReducer]:
     red = [SubspaceReducer(A.field, M.dims[u]) for u in range(q.n_vertices)]
     for a in range(q.n_arrows):
         tgt = q.a_tgt[a]
-        for col in range(M.mats[a].cols):
-            red[tgt].insert(M.mats[a].column(col))
+        for col in M.mats[a].transpose().entries:
+            red[tgt].insert(col)
     return red
 
 
@@ -601,7 +595,8 @@ def kernel_subrep(f_map: RepMap):
         image = M.mats[a] @ bases[src]
         if not (f_map.mats[tgt] @ image).is_zero():
             raise ValueError("span is not stable under the arrow actions")
-        mats.append(Matrix(A.field, dims[tgt], dims[src], [image.data[j] for j in free[tgt]]))
+        rows = [image.entries[j] for j in free[tgt]]
+        mats.append(Matrix.from_entries(A.field, dims[tgt], dims[src], rows))
     S = Rep(A, dims, mats)
     return S, RepMap(S, M, bases)
 
@@ -616,7 +611,7 @@ def projective_cover(M: Rep):
     red = radical_reducers(M)
     gens = [(u, idx) for u in range(A.quiver.n_vertices) for idx in red[u].complement_indices()]
     P, basis = _projective_sum(A, [u for u, _ in gens])
-    images = [_unit_vector(A.field, M.dims[u], idx) for u, idx in gens]
+    images = [{idx: A.field.one()} for _, idx in gens]
     return P, _map_from_projective(P, basis, M, images), basis
 
 
@@ -808,7 +803,7 @@ def split_projective_summands(M: Rep):
             homs = hom_basis(current, projective(A, v)[0])
             # row 0 of a map into P_v at v is the coordinate of e_v
             g = next(
-                (h for t in range(current.dims[v]) for h in homs if h.mats[v].data[0][t]),
+                (h for t in range(current.dims[v]) for h in homs if t in h.mats[v].entries[0]),
                 None,
             )
             if g is None:
@@ -855,7 +850,7 @@ def _factor_image(M: Rep, side: str, a: int, key) -> dict:
     else:
         # arrow a of R^op is arrow a of R reversed, acting on the right
         pa, tgt_pair = prod.right_arrow[(u, a)], prod.pair_index[(u, prod.right.quiver.a_src[a])]
-    return {(tgt_pair, r): row[i] for r, row in enumerate(M.mats[pa].data) if row[i]}
+    return {(tgt_pair, r): row[i] for r, row in enumerate(M.mats[pa].entries) if i in row}
 
 
 def restrict(M: Rep, side: str) -> Restriction:
@@ -863,18 +858,14 @@ def restrict(M: Rep, side: str) -> Restriction:
 
     For M over L (x) R^op, side 'left' gives a module over L and side 'right'
     a module over R^op.  The coordinates at a vertex are those of M at the
-    product vertices over it, in product-vertex order.  A one-sided Rep is
-    its own restriction; as a right module it must be a Rep over an opposite
-    handle.
+    product vertices over it, in product-vertex order.  A one-sided Rep over
+    H is its own restriction, on either side: a left module over H is a
+    right module over H.opposite().
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     prod = M.algebra.product
     if prod is None:
-        if side == "right" and M.algebra._opposite is None:
-            raise ValueError(
-                "a right module must be a Rep over an opposite handle or a product"
-            )
         entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
         pos = [{e: i for i, e in enumerate(es)} for es in entries]
         return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
@@ -916,7 +907,7 @@ class TensorFunctor:
     def __init__(self, X: Rep):
         self.X = X
         self.x = restrict(X, "right")
-        self.middle = self.x.algebra._opposite
+        self.middle = self.x.algebra.opposite()
         self.f = X.algebra.field
 
     def space(self, Y: Rep) -> TensorSpace:
@@ -924,7 +915,12 @@ class TensorFunctor:
         if y.algebra is not self.middle:
             raise ValueError("middle algebras do not match")
         coords, index, rows = _balanced_relations(
-            self.middle.quiver, self.f, self.x.mats, self.x.dims, y.mats, y.dims
+            self.middle.quiver,
+            self.f,
+            [m.transpose().entries for m in self.x.mats],
+            self.x.dims,
+            [m.transpose().entries for m in y.mats],
+            y.dims,
         )
         reducer = SubspaceReducer(self.f, len(coords), rows)
         comp = reducer.complement_indices()

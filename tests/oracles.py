@@ -8,7 +8,9 @@ by level with a suffix scan instead of counting on the lead automaton, the
 rref oracle eliminates on Fraction rows instead of primitive integer rows,
 the GF(p) rref oracle eliminates column by column on the whole matrix
 instead of inserting one row at a time, the dense-step oracle runs the
-Gauss-Jordan step on dense rows instead of sparse ones, the
+Gauss-Jordan step on dense rows instead of sparse ones, the dense-matrix
+oracle keeps every entry of a matrix in row-major lists instead of storing
+the nonzero entries of each row, the
 subspace-reducer oracle keeps rows of field elements with pivot 1 instead
 of primitive integer rows over Q,
 the cover oracles take one product of arrow matrices per basis path instead
@@ -67,7 +69,6 @@ from qred.modules import (
     TensorSpace,
     _balanced_relations,
     _map_from_projective,
-    _unit_vector,
     action_rep,
     arrow_paths,
     dual,
@@ -107,17 +108,17 @@ def brute_tensor_dim(X: Rep, middle, Y: Rep) -> int:
     for a in range(middle.quiver.n_arrows):
         s, t = middle.quiver.a_src[a], middle.quiver.a_tgt[a]
         # right action of the arrow on X is the matrix of the opposite arrow
-        Rc = X.mats[a]  # X_t -> X_s
-        Lc = Y.mats[a]  # Y_s -> Y_t
+        Rc = X.mats[a].data  # X_t -> X_s
+        Lc = Y.mats[a].data  # Y_s -> Y_t
         for i in range(X.dims[t]):
             for j in range(Y.dims[s]):
                 vec = [f.zero()] * len(coords)
-                for k in range(Rc.rows):
-                    c = Rc.data[k][i]
+                for k in range(len(Rc)):
+                    c = Rc[k][i]
                     if c != 0:
                         vec[index[(s, k, j)]] = f.add(vec[index[(s, k, j)]], c)
-                for l in range(Lc.rows):
-                    c = Lc.data[l][j]
+                for l in range(len(Lc)):
+                    c = Lc[l][j]
                     if c != 0:
                         vec[index[(t, i, l)]] = f.sub(vec[index[(t, i, l)]], c)
                 red.insert(vec)
@@ -167,9 +168,9 @@ def injective_envelope(M: Rep):
             e = [f.one() if k == idx else f.zero() for k in range(M.dims[v])]
             cols.append(e)
         B = Matrix.from_columns(f, cols, nrows=M.dims[v])
-        Binv = B.solve(Matrix.identity(f, M.dims[v]))
+        Binv = B.solve(Matrix.identity(f, M.dims[v])).data
         for i in range(len(soc_vecs)):
-            summands.append((v, Binv.data[i]))
+            summands.append((v, Binv[i]))
     if not summands:
         # zero module: envelope is zero
         from qred.modules import zero_rep, identity_map
@@ -554,18 +555,83 @@ class DenseStepReducer:
         return _dense_read_rows(self.rows, self.field.p)
 
 
+class DenseMatrix:
+    """The dense matrix that sparse rows replaced: row-major lists of field
+    elements, each operation visiting every entry.  Rank, kernel and solve
+    come from the dense Gauss-Jordan step above."""
+
+    def __init__(self, field, rows: int, cols: int, data: list[list]):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    def __eq__(self, other):
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
+        f = self.field
+        data = [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+        return DenseMatrix(f, self.rows, self.cols, data)
+
+    def scale(self, c) -> "DenseMatrix":
+        f = self.field
+        return DenseMatrix(f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data])
+
+    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
+        p = self.field.p
+        zero = self.field.zero()
+        data = []
+        for srow in self.data:
+            acc = [zero] * other.cols
+            for k, a in enumerate(srow):
+                if a:
+                    for j, b in enumerate(other.data[k]):
+                        acc[j] += a * b
+            data.append(acc if p is None else [x % p for x in acc])
+        return DenseMatrix(self.field, self.rows, other.cols, data)
+
+    def apply(self, vec: list) -> list:
+        f = self.field
+        out = []
+        for row in self.data:
+            s = f.zero()
+            for a, b in zip(row, vec):
+                s = f.add(s, f.mul(a, b))
+            out.append(s)
+        return out
+
+    def transpose(self) -> "DenseMatrix":
+        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        return DenseMatrix(self.field, self.cols, self.rows, data)
+
+    def rank(self) -> int:
+        return dense_rref(self.field, self.data, self.cols)[1]
+
+    def kernel_with_free(self) -> tuple["DenseMatrix", list[int]]:
+        pivots = dense_rref(self.field, self.data, self.cols)[2]
+        free = [j for j in range(self.cols) if j not in pivots]
+        ker = dense_kernel_basis(self.field, self.data, self.cols)
+        data = [[col[i] for col in ker] for i in range(self.cols)]
+        return DenseMatrix(self.field, self.cols, len(free), data), free
+
+    def solve(self, rhs: "DenseMatrix") -> "DenseMatrix | None":
+        x = dense_solve(self.field, self.data, self.cols, rhs.data, rhs.cols)
+        return None if x is None else DenseMatrix(self.field, self.cols, rhs.cols, x)
+
+
 def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:
     """Per vertex, the matrix whose column for the basis path (j, p) is
     path_action(M, p) applied to images[j]."""
     f = M.algebra.field
     mats = []
     for u, paths in enumerate(basis):
-        m = Matrix.zero(f, M.dims[u], len(paths))
+        data = [[f.zero()] * len(paths) for _ in range(M.dims[u])]
         for col, (j, p) in enumerate(paths):
-            act = path_action(M, p)
+            act = path_action(M, p).data
             for i in range(M.dims[u]):
-                m.data[i][col] = sum_entries(f, act.data[i], images[j])
-        mats.append(m)
+                data[i][col] = sum_entries(f, act[i], images[j])
+        mats.append(Matrix(f, M.dims[u], len(paths), data))
     return mats
 
 
@@ -603,11 +669,11 @@ def projective_sum_by_products(A, vertices: list[int]) -> list[Matrix]:
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        m = Matrix.zero(A.field, len(basis[tgt]), len(basis[src]))
+        data = [[A.field.zero()] * len(basis[src]) for _ in basis[tgt]]
         for col, (j, p) in enumerate(basis[src]):
             for w, c in A.mul_paths(p, Path(src, tgt, (a,))).items():
-                m.data[index[tgt][(j, w)]][col] = c
-        mats.append(m)
+                data[index[tgt][(j, w)]][col] = c
+        mats.append(Matrix(A.field, len(basis[tgt]), len(basis[src]), data))
     return mats
 
 
@@ -620,7 +686,7 @@ def hom_from_projective(A, v: int, M: Rep) -> list[RepMap]:
     """Basis of Hom(P_v, M) via Hom(Ae_v, M) = e_v M; no linear solve."""
     P, basis = projective(A, v)
     return [
-        _map_from_projective(P, basis, M, [_unit_vector(A.field, M.dims[v], t)])
+        _map_from_projective(P, basis, M, [{t: A.field.one()}])
         for t in range(M.dims[v])
     ]
 
@@ -752,19 +818,19 @@ def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
     rows = []
     for a in range(q.n_arrows):
         u, w = q.a_src[a], q.a_tgt[a]
-        Na, Ma = N.mats[a], M.mats[a]
+        Na, Ma = N.mats[a].data, M.mats[a].data
         for i in range(N.dims[w]):
             for j in range(M.dims[u]):
                 row = [f.zero()] * total
                 written = False
                 for r in range(N.dims[u]):
-                    c = Na.data[i][r]
+                    c = Na[i][r]
                     if c:
                         idx = offsets[u] + r * M.dims[u] + j
                         row[idx] = f.add(row[idx], c)
                         written = True
                 for s in range(M.dims[w]):
-                    c = Ma.data[s][j]
+                    c = Ma[s][j]
                     if c:
                         idx = offsets[w] + i * M.dims[w] + s
                         row[idx] = f.sub(row[idx], c)
@@ -778,14 +844,15 @@ def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
     else:
         sol = Matrix.from_rows(f, rows).kernel_basis()
     out = []
+    sol_data = sol.data
     for jcol in range(sol.cols):
         mats = []
         for u in range(q.n_vertices):
-            m = Matrix.zero(f, N.dims[u], M.dims[u])
-            for i in range(N.dims[u]):
-                for j in range(M.dims[u]):
-                    m.data[i][j] = sol.data[offsets[u] + i * M.dims[u] + j][jcol]
-            mats.append(m)
+            data = [
+                [sol_data[offsets[u] + i * M.dims[u] + j][jcol] for j in range(M.dims[u])]
+                for i in range(N.dims[u])
+            ]
+            mats.append(Matrix(f, N.dims[u], M.dims[u], data))
         out.append(RepMap(M, N, mats))
     return out
 
@@ -839,10 +906,6 @@ def restrict_by_loops(M: Rep, side: str) -> Restriction:
         raise ValueError("side must be 'left' or 'right'")
     prod = M.algebra.product
     if prod is None:
-        if side == "right" and M.algebra._opposite is None:
-            raise ValueError(
-                "a right module must be a Rep over an opposite handle or a product"
-            )
         entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
         pos = [{e: i for i, e in enumerate(es)} for es in entries]
         return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
@@ -858,7 +921,7 @@ def restrict_by_loops(M: Rep, side: str) -> Restriction:
     mats = []
     for a in range(target.quiver.n_arrows):
         src, tgt = target.quiver.a_src[a], target.quiver.a_tgt[a]
-        m = Matrix.zero(M.algebra.field, dims[tgt], dims[src])
+        data = [[M.algebra.field.zero()] * dims[src] for _ in range(dims[tgt])]
         for col, (pi, i) in enumerate(entries[src]):
             u, w = prod.vertex_pairs[pi]
             if side == "left":
@@ -868,12 +931,12 @@ def restrict_by_loops(M: Rep, side: str) -> Restriction:
                 # arrow a of R^op is arrow a of R reversed, acting on the right
                 pa = prod.right_arrow[(u, a)]
                 tgt_pair = prod.pair_index[(u, tgt)]
-            block = M.mats[pa]
-            for r in range(block.rows):
-                c = block.data[r][i]
+            block = M.mats[pa].data
+            for r in range(len(block)):
+                c = block[r][i]
                 if c:
-                    m.data[pos[tgt][(tgt_pair, r)]][col] = c
-        mats.append(m)
+                    data[pos[tgt][(tgt_pair, r)]][col] = c
+        mats.append(Matrix(M.algebra.field, dims[tgt], dims[src], data))
     return Restriction(target, dims, mats, outer, entries, pos)
 
 
@@ -882,7 +945,8 @@ def _tensor_space_by_loops(x: Restriction, middle, Y: Rep) -> TensorSpace:
     if y.algebra is not middle:
         raise ValueError("middle algebras do not match")
     f = middle.field
-    coords, index, rows = _balanced_relations(middle.quiver, f, x.mats, x.dims, y.mats, y.dims)
+    xcols, ycols = ([m.transpose().entries for m in r.mats] for r in (x, y))
+    coords, index, rows = _balanced_relations(middle.quiver, f, xcols, x.dims, ycols, y.dims)
     reducer = SubspaceReducer(f, len(coords), rows)
     comp = reducer.complement_indices()
     return TensorSpace(coords, index, reducer, comp, len(comp), y)
@@ -893,10 +957,10 @@ def _left_image(X, x, space, b_arrow, w, ix, jy, vec):
     prod = X.algebra.product
     xv, xi = x.entries[w][ix]
     wmid = prod.vertex_pairs[xv][1]
-    amat = X.mats[prod.left_arrow[(b_arrow, wmid)]]
+    amat = X.mats[prod.left_arrow[(b_arrow, wmid)]].data
     tgt_pair = prod.pair_index[(prod.left.quiver.a_tgt[b_arrow], wmid)]
-    for r in range(amat.rows):
-        c = amat.data[r][xi]
+    for r in range(len(amat)):
+        c = amat[r][xi]
         if c:
             vec[space.index[(w, x.pos[w][(tgt_pair, r)], jy)]] = c
 
@@ -907,10 +971,10 @@ def _right_image(space, Y, a_arrow, w, ix, jy, vec):
     prod = Y.algebra.product
     yv, yi = y.entries[w][jy]
     wmid = prod.vertex_pairs[yv][0]
-    amat = Y.mats[prod.right_arrow[(wmid, a_arrow)]]
+    amat = Y.mats[prod.right_arrow[(wmid, a_arrow)]].data
     tgt_pair = prod.pair_index[(wmid, prod.right.quiver.a_src[a_arrow])]
-    for r in range(amat.rows):
-        c = amat.data[r][yi]
+    for r in range(len(amat)):
+        c = amat[r][yi]
         if c:
             vec[space.index[(w, ix, y.pos[w][(tgt_pair, r)])]] = c
 
@@ -920,7 +984,7 @@ def tensor_over_by_loops(X: Rep, Y: Rep, env=None) -> TensorResult:
     filled column by column from the ambient action reduced to the
     complement, the columns grouped by outer vertex with a sort."""
     x = restrict_by_loops(X, "right")
-    space = _tensor_space_by_loops(x, x.algebra._opposite, Y)
+    space = _tensor_space_by_loops(x, x.algebra.opposite(), Y)
     y = space.y
     f = X.algebra.field
     if x.outer is None and y.outer is None:
@@ -960,7 +1024,7 @@ def tensor_over_by_loops(X: Rep, Y: Rep, env=None) -> TensorResult:
         src_v = env.quiver.a_src[pa]
         tgt_v = env.quiver.a_tgt[pa]
         kind, a1, a2 = env.product.arrow_kind[pa] if y.outer is not None else ("L", pa, None)
-        m = Matrix.zero(f, dims[tgt_v], dims[src_v])
+        data = [[f.zero()] * dims[src_v] for _ in range(dims[tgt_v])]
         for i in order:
             if comp_of[i] != src_v:
                 continue
@@ -982,8 +1046,8 @@ def tensor_over_by_loops(X: Rep, Y: Rep, env=None) -> TensorResult:
                     colv[loc2] = c
             _, src_loc = local[i]
             for r in range(dims[tgt_v]):
-                m.data[r][src_loc] = colv[r]
-        mats.append(m)
+                data[r][src_loc] = colv[r]
+        mats.append(Matrix(f, dims[tgt_v], dims[src_v], data))
     rep = Rep(env, dims, mats)
     return TensorResult(sum(dims), rep)
 
@@ -1002,23 +1066,23 @@ def quotient_rep_by_loops(M: Rep, vectors_per_vertex):
     dims = [len(c) for c in comps]
     projs = []
     for u in range(q.n_vertices):
-        m = Matrix.zero(f, dims[u], M.dims[u])
+        data = [[f.zero()] * M.dims[u] for _ in range(dims[u])]
         for j in range(M.dims[u]):
             vec = [f.one() if k == j else f.zero() for k in range(M.dims[u])]
             col = reducers[u].coords_in_complement(vec)
             for i in range(dims[u]):
-                m.data[i][j] = col[i]
-        projs.append(m)
+                data[i][j] = col[i]
+        projs.append(Matrix(f, dims[u], M.dims[u], data))
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        m = Matrix.zero(f, dims[tgt], dims[src])
+        data = [[f.zero()] * dims[src] for _ in range(dims[tgt])]
         for jloc, jamb in enumerate(comps[src]):
             col = M.mats[a].column(jamb)
             red = reducers[tgt].coords_in_complement(col)
             for i in range(dims[tgt]):
-                m.data[i][jloc] = red[i]
-        mats.append(m)
+                data[i][jloc] = red[i]
+        mats.append(Matrix(f, dims[tgt], dims[src], data))
     Q = Rep(A, dims, mats)
     return Q, RepMap(M, Q, projs)
 
@@ -1080,10 +1144,10 @@ def _induced_map(space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> M
         w, ix, jy = space_src.coords[amb]
         yv, yi = y_src.entries[w][jy]
         vec = [f.zero()] * len(space_tgt.coords)
-        gm = g.mats[yv]
+        gm = g.mats[yv].data
         # g preserves the vertex of Y, hence the middle group
-        for r in range(gm.rows):
-            c = gm.data[r][yi]
+        for r in range(len(gm)):
+            c = gm[r][yi]
             if c:
                 vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
         out_cols.append(space_tgt.reducer.coords_in_complement(vec))

@@ -7,6 +7,7 @@ import pytest
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer, kernel_vectors
 
 from oracles import (
+    DenseMatrix,
     DenseStepReducer,
     FieldSubspaceReducer,
     dense_kernel_basis,
@@ -438,3 +439,94 @@ def test_sparse_step_matches_dense_step_oracle(field):
                 assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe), oracle.contains(probe))
                 assert _no_float(got[:2])
     assert {True, False} <= outcomes
+
+
+def _check_stored(m: Matrix):
+    """m stores {column: value} rows in range that hold no zero, each value
+    of its field's entry type."""
+    p = m.field.p
+    kind = Fraction if p is None else int
+    assert len(m.entries) == m.rows
+    for row in m.entries:
+        assert type(row) is dict
+        for k, x in row.items():
+            assert 0 <= k < m.cols and x != 0 and type(x) is kind
+            assert p is None or 0 < x < p
+
+
+def _check_dense(field, vec: list):
+    kind = Fraction if field.p is None else int
+    assert all(type(x) is kind and (field.p is None or 0 <= x < field.p) for x in vec)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])
+def test_sparse_matrix_matches_dense_matrix_oracle(field):
+    """Every Matrix operation on sparse rows against the dense matrix, on
+    mostly-zero matrices: the same dense view, no stored zero (also where
+    sums and products cancel and for scale(0)), one entry type, inputs left
+    as they were, and a dense view that is new on each read."""
+    p = field.p
+    rng = random.Random(1818 + (p or 0))
+    zero, one = field.zero(), field.one()
+    scalars = [zero, one, field.neg(one), rng.randrange(1, p) if p else Fraction(-7, 3)]
+    if p is not None:
+        scalars.append(p)  # zero in the field
+    outcomes = set()
+
+    def both(data, rows, cols):
+        return Matrix(field, rows, cols, [list(r) for r in data]), DenseMatrix(field, rows, cols, [list(r) for r in data])
+
+    for rows, cols in _shapes(rng):
+        inner = rng.randint(0, 9)
+        a, b = _sparse_rows(rng, field, rows, cols), _sparse_rows(rng, field, rows, cols)
+        c = _sparse_rows(rng, field, cols, inner)
+        neg_a = [[field.neg(x) for x in row] for row in a]
+        (ma, da), (mb, db), (mc, dc), (mn, dn) = both(a, rows, cols), both(b, rows, cols), both(c, cols, inner), both(neg_a, rows, cols)
+        (mw, dw), (mt, dt) = both([r + r for r in a], rows, 2 * cols), both(c + [[field.neg(x) for x in r] for r in c], 2 * cols, inner)
+        stored = [[dict(r) for r in m.entries] for m in (ma, mb, mc, mn, mw, mt)]
+        pairs = [(ma + mb, da + db), (ma + mn, da + dn), (ma @ mc, da @ dc), (mw @ mt, dw @ dt), (ma.transpose(), da.transpose())]
+        pairs += [(ma.scale(s), da.scale(s)) for s in scalars]
+        pairs += [(ma.kernel_with_free()[0], da.kernel_with_free()[0])]
+        x0 = Matrix(field, cols, 2, _sparse_rows(rng, field, cols, 2))
+        for rhs in (ma @ x0, Matrix(field, rows, 2, _sparse_rows(rng, field, rows, 2))):
+            x, dx = ma.solve(rhs), da.solve(DenseMatrix(field, rows, 2, rhs.data))
+            assert (x is None) == (dx is None)
+            outcomes.add("unsolvable" if x is None else "solvable")
+            if x is not None:
+                pairs.append((x, dx))
+        for got, want in pairs:
+            _check_stored(got)
+            assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+            outcomes.add("zero" if got.is_zero() else "nonzero")
+        assert (ma + mn).is_zero() and (mw @ mt).is_zero() and ma.scale(zero).is_zero()
+        assert ma.kernel_with_free()[1] == da.kernel_with_free()[1]
+        assert ma.rank() == da.rank()
+        for vec in ([zero] * cols, _sparse_rows(rng, field, 1, cols)[0] if cols else []):
+            out = ma.apply(vec)
+            assert out == da.apply(vec)
+            _check_dense(field, out)
+        for other, dother in ((mb, db), (ma, da), (Matrix(field, rows, cols, a), da)):
+            assert (ma == other) == (da == dother)
+        assert [m.data for m in (ma, mb, mc, mn, mw, mt)] == [a, b, c, neg_a, [r + r for r in a], c + [[field.neg(x) for x in r] for r in c]]
+        assert [m.entries for m in (ma, mb, mc, mn, mw, mt)] == stored  # the inputs are left as they were
+        view = ma.data
+        assert view == ma.data and view is not ma.data
+        assert all(r is not s for r, s in zip(view, ma.data))
+        if rows and cols:
+            view[0][0] = one if not view[0][0] else zero
+            assert ma.data == a  # a write into the view is lost
+    assert outcomes == {"solvable", "unsolvable", "zero", "nonzero"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["QQ", "GF2", "GF5"])
+def test_dense_rows_are_stored_as_field_elements(field):
+    """Dense rows given with ints over Q, or with ints outside [0, p) over
+    GF(p), are stored as the field's entries, zeros dropped."""
+    p = field.p
+    raw = [[0, 3, -2, 0], [5, 0, 0, 10], [0, 0, 0, 0]]
+    m = Matrix(field, 3, 4, raw)
+    _check_stored(m)
+    assert m.data == [[field.from_int(x) for x in row] for row in raw]
+    assert m == Matrix.from_rows(field, raw) == Matrix.from_columns(field, [list(c) for c in zip(*raw)])
+    if p == 5:
+        assert m.entries[1] == {}  # 5 and 10 vanish in GF(5)

@@ -38,6 +38,7 @@ from qred.modules import (
     top_dims,
     validate_rep,
     zero_rep,
+    _linear_combination,
 )
 from qred.reduction import corner_module_Ae, corner_module_eA, corner_presentation
 from qred.witness import bimodule_syzygy, idempotent_candidate, tensor_bimodules
@@ -193,8 +194,8 @@ def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, 
             assert (basis, pi.mats) == (obasis, mats)
             assert P.mats == projective_sum_by_products(A, summands)
             # the blocks are copied from the cached projectives, not shared
-            cached = {id(row) for v in set(summands) for m in projective(A, v)[0].mats for row in m.data}
-            assert not any(id(row) in cached for m in P.mats for row in m.data)
+            cached = {id(row) for v in set(summands) for m in projective(A, v)[0].mats for row in m.entries}
+            assert not any(id(row) in cached for m in P.mats for row in m.entries)
             for v in range(n):
                 got = [h.mats for h in hom_from_projective(A, v, M)]
                 assert got == hom_from_projective_by_path_action(A, v, M)
@@ -625,12 +626,12 @@ def _mixed_sum(A, rng):
     f = A.field
     T = []
     for d in M.dims:
-        lower, upper = Matrix.identity(f, d), Matrix.identity(f, d)
+        lower, upper = Matrix.identity(f, d).data, Matrix.identity(f, d).data
         for i in range(d):
             for j in range(i):
-                lower.data[i][j] = f.from_int(rng.randint(-2, 2))
-                upper.data[j][i] = f.from_int(rng.randint(-2, 2))
-        T.append(lower @ upper)
+                lower[i][j] = f.from_int(rng.randint(-2, 2))
+                upper[j][i] = f.from_int(rng.randint(-2, 2))
+        T.append(Matrix(f, d, d, lower) @ Matrix(f, d, d, upper))
     q = A.quiver
     mats = [
         T[q.a_tgt[a]] @ m @ T[q.a_src[a]].solve(Matrix.identity(f, m.cols))
@@ -744,3 +745,59 @@ def test_gf5_exhaustive_iso():
         S = simple(A, v)
         res = is_isomorphic(S, S, random.Random(0))
         assert res.kind == "yes"
+
+
+def test_right_restriction_of_a_one_sided_rep_ignores_the_opposite_cache():
+    """A left module over H is a right module over H.opposite(), whether or
+    not H.opposite() has run before: restricting regular_rep(A) to the right
+    and tensoring it over A^op with the simples and the regular module of
+    A^op gives the same answers on a fresh tri_dual handle as after
+    A.opposite() has been called."""
+    answers = []
+    for warm in (False, True):
+        A = load("tri_dual")
+        if warm:
+            A.opposite()
+        X = regular_rep(A)
+        x = restrict(X, "right")
+        assert x.algebra is A and x.outer is None
+        op = A.opposite()
+        Ys = [regular_rep(op)] + [simple(op, v) for v in range(op.quiver.n_vertices)]
+        dims = [tensor_over(X, Y).dim for Y in Ys]
+        assert dims[0] == A.dim  # X (x)_C C = X
+        assert dims[1:] == top_dims(X)  # X (x)_C S_v is the top of X at v
+        answers.append((_entries(x), dims))
+    assert answers[0] == answers[1]
+
+
+def test_engine_matrices_store_only_nonzero_field_entries():
+    """The matrices the engine assembles from stored rows (covers, kernels,
+    direct sums, Hom bases and their combinations, restrictions, tensor
+    products, duals) hold no zero and only entries of the field's type."""
+    algebras = [load(name) for name in ("dual_numbers", "tri_dual", "bowtie")]
+    for seed, p in ((41, 2), (42, 5)):
+        algebras += completed_corpus(seed, 3, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+    rng = random.Random(4343)
+    checked = 0
+    for A in algebras:
+        f = A.field
+        kind = type(f.one())
+        mods = _sample_modules(A, rng)[:6]
+        maps = []
+        for M in list(mods):
+            P, pi, _ = projective_cover(M)
+            K, incl = kernel_subrep(pi)
+            homs = hom_basis(M, M)
+            maps += [pi, incl] + homs
+            if len(homs) > 1:
+                maps.append(_linear_combination(homs, [f.from_int(rng.randint(-2, 2)) for _ in homs]))
+            mods += [P, K, dual(M), split_projective_summands(M)[0]]
+        mods.append(rep_direct_sum(mods[:3])[0])
+        if A.dim <= 6:
+            reg = regular_bimodule(A)
+            mods += [reg, restrict(reg, "left"), restrict(reg, "right"), tensor_bimodules(reg, reg)]
+        for m in [m for M in mods for m in M.mats] + [m for g in maps for m in g.mats]:
+            assert all(x and type(x) is kind for row in m.entries for x in row.values())
+            assert f.p is None or all(0 < x < f.p for row in m.entries for x in row.values())
+            checked += 1
+    assert checked > 500

@@ -151,3 +151,37 @@ def test_every_private_function_is_called():
         if not any(name == fn.name and ref not in own for name, ref in refs):
             found.append(f"{module}.py:{fn.lineno} {fn.name} is never called")
     assert found == []
+
+
+def _through_data(target) -> bool:
+    """Whether an assignment target writes into ``<expr>.data[...]``."""
+    node = target
+    while isinstance(node, ast.Subscript):
+        node = node.value
+        if isinstance(node, ast.Attribute) and node.attr == "data":
+            return True
+    return False
+
+
+def test_no_write_through_the_dense_view():
+    """No code of the package or of its tests assigns into ``m.data[...]``:
+    `Matrix.data` is a dense view built anew on each read, so such a write
+    is silently lost."""
+    tests = Path(__file__).resolve().parent
+    files = sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            else:
+                continue
+            flat = [t for tt in targets for t in (tt.elts if isinstance(tt, ast.Tuple) else [tt])]
+            found += [f"{path.name}:{node.lineno}" for t in flat if _through_data(t)]
+    assert found == []
+    assert len(files) > 20  # both trees are read
+    assert _through_data(ast.parse("m.data[i][j] = x").body[0].targets[0])
