@@ -654,17 +654,39 @@ def opposite_presentation(pres: Presentation) -> Presentation:
 
 
 def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
-    """The algebra A (x) B^op on the product quiver.
+    """The algebra A (x) B^op on the product quiver, built from the rules of
+    its factors without a completion.
 
     Left A-B-bimodules are representations of this algebra; with B = A it is
-    the enveloping algebra carrying A-A-bimodules.
+    the enveloping algebra carrying A-A-bimodules.  The presentation holds
+    the rules of A on each strand, the rules of B with reversed words on
+    each strand, and one commutation relation per pair of arrows.
 
-    The presented algebra maps onto A (x) B^op, and the dimension check
-    makes that map an isomorphism.  Its arrow ideal is then the nilpotent
-    ideal R = rad A (x) B^op + A (x) rad B^op, so its completion skips the
-    nilpotency certificate.  R^n is the sum of the
-    rad^i A (x) rad^j B^op with i + j = n, which gives Loewy length
-    L_A + L_B - 1.
+    Its reduced rules are written down instead of completed:
+
+    - each rule of A, lifted onto each strand w through the left arrows;
+    - each rule of B^op, lifted onto each strand v through the right arrows
+      in the word order of B^op;
+    - for each pair of arrows (a, b), the word right arrow then left arrow,
+      rewritten to the other term of its commutation relation.
+
+    Every left arrow index is smaller than every right arrow index, and the
+    lifts are monotone in the arrow index of each factor, so each lifted rule
+    keeps its lead and its normal tail in the length-lex order.  The words
+    avoiding these leads are an A-normal left word followed by a B^op-normal
+    right word, so they number dim A . dim B, and the rules are the reduced
+    Groebner basis of the ideal (Bergman's diamond lemma), which is unique:
+    the completion of the presentation returns exactly these rules.
+
+    The rules of B^op come from B.opposite(), not from B's rules with their
+    words reversed.  Reversal keeps the order of two words of different
+    lengths, but of two words of one length it can make the old lead the
+    smaller, and the reversed rule then rewrites a word to a larger one.
+
+    The arrow ideal is R = rad A (x) B^op + A (x) rad B^op, which is
+    nilpotent, so the product needs no nilpotency certificate.  R^n is the
+    sum of the rad^i A (x) rad^j B^op with i + j = n, which gives Loewy
+    length L_A + L_B - 1.
     """
     if A.field != B.field:
         raise ValueError("tensor factors must share the ground field")
@@ -701,41 +723,53 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
             tuple(left_arrow[(a, w)] for a in p.arrows),
         )
 
-    def rpath(v: int, p: Path) -> Path:
-        # the reversed word of p acts on the right strand at v
+    def rpath(p: Path, v: int) -> Path:
+        # p is a path of B^op: its word, in application order, acts on the
+        # right strand at v
         return Path(
-            pair_index[(v, p.target)],
             pair_index[(v, p.source)],
-            tuple(right_arrow[(v, b)] for b in reversed(p.arrows)),
+            pair_index[(v, p.target)],
+            tuple(right_arrow[(v, b)] for b in p.arrows),
         )
+
+    def reversed_path(p: Path) -> Path:
+        return Path(p.target, p.source, p.arrows[::-1])
 
     one = A.field.one()
     neg_one = A.field.neg(one)
-    # the reduced rules lead - rest generate the ideal, and every proper
+    rules = [
+        (lpath(lead, w), {lpath(p, w): c for p, c in rest.items()})
+        for lead, rest in A.rules
+        for w in range(qb.n_vertices)
+    ]
+    rules += [
+        (rpath(lead, v), {rpath(p, v): c for p, c in rest.items()})
+        for lead, rest in B.opposite().rules
+        for v in range(qa.n_vertices)
+    ]
+    # the reduced rules of each factor generate its ideal, and every proper
     # subword of a lead is normal, so no lead is longer than the Loewy
     # length; a redundant input relation may be longer than the bound
-    relations = []
-    for rel in rule_relations(A):
-        for w in range(qb.n_vertices):
-            relations.append(tuple((lpath(p, w), c) for p, c in rel.items()))
-    for rel in rule_relations(B):
-        for v in range(qa.n_vertices):
-            relations.append(tuple((rpath(v, p), c) for p, c in rel.items()))
+    relations = [
+        tuple((lpath(p, w), c) for p, c in rel.items())
+        for rel in rule_relations(A)
+        for w in range(qb.n_vertices)
+    ]
+    relations += [
+        tuple((rpath(reversed_path(p), v), c) for p, c in rel.items())
+        for rel in rule_relations(B)
+        for v in range(qa.n_vertices)
+    ]
     for a in range(qa.n_arrows):
         u, u2 = qa.a_src[a], qa.a_tgt[a]
         for b in range(qb.n_arrows):
             w, w2 = qb.a_src[b], qb.a_tgt[b]
-            p1 = Path(
-                pair_index[(u, w2)],
-                pair_index[(u2, w)],
-                (left_arrow[(a, w2)], right_arrow[(u2, b)]),
-            )
-            p2 = Path(
-                pair_index[(u, w2)],
-                pair_index[(u2, w)],
-                (right_arrow[(u, b)], left_arrow[(a, w)]),
-            )
-            relations.append(((p1, one), (p2, neg_one)))
+            src, tgt = pair_index[(u, w2)], pair_index[(u2, w)]
+            left_first = Path(src, tgt, (left_arrow[(a, w2)], right_arrow[(u2, b)]))
+            right_first = Path(src, tgt, (right_arrow[(u, b)], left_arrow[(a, w)]))
+            relations.append(((left_first, one), (right_first, neg_one)))
+            rules.append((right_first, {left_first: one}))
+    rules.sort(key=lambda lr: word_key(lr[0]))
     pres = Presentation(
         A.field,
         quiver,
@@ -744,11 +778,7 @@ def tensor_with_opposite(A: AlgebraHandle, B: AlgebraHandle) -> AlgebraHandle:
         f"{A.name}(x){B.name}^op",
     )
     bound = A.loewy_length + B.loewy_length
-    handle = _complete(pres, bound)
-    if handle.dim != A.dim * B.dim:
-        raise ConsistencyError(
-            f"dimension mismatch: product completed to {handle.dim}, expected {A.dim * B.dim}"
-        )
+    handle = AlgebraHandle(pres, rules, _enumerate_basis(quiver, rules, bound), bound)
     handle.loewy_length = A.loewy_length + B.loewy_length - 1
     handle.product = ProductStructure(
         A, B, vertex_pairs, pair_index, arrow_kind, left_arrow, right_arrow

@@ -454,22 +454,26 @@ def top_dims(M: Rep) -> list[int]:
 
 def _layer_dims(f, dims: list[int], arrows) -> list[tuple[int, ...]]:
     """Dimension vectors of the radical layers of the representation with
-    dimension vector dims and the (source, target, matrix) arrows, in order."""
+    dimension vector dims and the (source, target, matrix) arrows, in order.
+
+    Each matrix is the transpose of its arrow's action, so that the image of
+    a vector of stored entries is `Matrix.row_times` of it."""
     n = len(dims)
     layers = []
-    # current spanning vectors of rad^i per vertex
-    current = [[_unit_vector(f, d, i) for i in range(d)] for d in dims]
+    one = f.one()
+    # stored rows spanning rad^i per vertex
+    current = [[{i: one} for i in range(d)] for d in dims]
     prev_ranks = list(dims)
     while True:
         nxt = [SubspaceReducer(f, d) for d in dims]
         for src, tgt, m in arrows:
-            for vec in current[src]:
-                nxt[tgt].insert(m.apply(vec))
+            for row in current[src]:
+                nxt[tgt].insert(m.row_times(row))
         ranks = [nxt[u].rank for u in range(n)]
         layers.append(tuple(p - r for p, r in zip(prev_ranks, ranks)))
         if all(r == 0 for r in ranks):
             break
-        current = [nxt[u].basis_rows() for u in range(n)]
+        current = [list(nxt[u].rows.values()) for u in range(n)]
         prev_ranks = ranks
     while layers and all(x == 0 for x in layers[-1]):
         layers.pop()
@@ -479,7 +483,7 @@ def _layer_dims(f, dims: list[int], arrows) -> list[tuple[int, ...]]:
 def radical_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     """Dimension vectors of rad^i M / rad^{i+1} M, i = 0, 1, ..."""
     q = M.algebra.quiver
-    arrows = [(q.a_src[a], q.a_tgt[a], m) for a, m in enumerate(M.mats)]
+    arrows = [(q.a_src[a], q.a_tgt[a], m.transpose()) for a, m in enumerate(M.mats)]
     return _layer_dims(M.algebra.field, M.dims, arrows)
 
 
@@ -489,7 +493,7 @@ def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     DM is read as the transposed matrices on the reversed arrows, so the
     opposite algebra it lives over is never completed."""
     q = M.algebra.quiver
-    arrows = [(q.a_tgt[a], q.a_src[a], m.transpose()) for a, m in enumerate(M.mats)]
+    arrows = [(q.a_tgt[a], q.a_src[a], m) for a, m in enumerate(M.mats)]
     return _layer_dims(M.algebra.field, M.dims, arrows)
 
 

@@ -32,7 +32,9 @@ homology of X tensored with a minimal resolution of Y, through composed
 differentials, instead of counting Hom dimensions by dimension shifting,
 the socle-layer oracle takes the radical layers of the dual over the
 completed opposite algebra instead of reading the transposed matrices on the
-reversed arrows, and the restriction,
+reversed arrows, the product-algebra oracle completes the presentation of
+A (x) B^op instead of assembling its rules from those of A and B^op, and the
+restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
 of product coordinates.
@@ -53,6 +55,7 @@ from qred.algebra import (
     Path,
     Presentation,
     _complete,
+    complete,
     compose,
     tensor_with_opposite,
     trivial_path,
@@ -883,6 +886,49 @@ def minimal_relations_by_completion(A) -> list[dict]:
             kept.append(g)
             reducer.insert(vec)
     return kept
+
+
+def tensor_with_opposite_by_completion(A, B):
+    """A (x) B^op completed from a presentation on the product quiver: the
+    rules of A on each right-hand vertex w, the rules of B with reversed
+    words on each left-hand vertex v, and for each pair of arrows (a, b) the
+    relation that a on the left commutes with b on the right.  The overlap
+    completion finds the rules, and `complete` certifies the Loewy length by
+    radical powers."""
+    f = A.field
+    T = tensor_with_opposite(A, B)
+    pair, left, right = T.product.pair_index, T.product.left_arrow, T.product.right_arrow
+    qa, qb = A.quiver, B.quiver
+
+    def relations_of(H):
+        return [[(lead, f.one())] + [(p, f.neg(c)) for p, c in rest.items()] for lead, rest in H.rules]
+
+    relations = [
+        tuple(
+            (Path(pair[(p.source, w)], pair[(p.target, w)], tuple(left[(a, w)] for a in p.arrows)), c)
+            for p, c in rel
+        )
+        for rel in relations_of(A)
+        for w in range(qb.n_vertices)
+    ]
+    relations += [
+        tuple(
+            (Path(pair[(v, p.target)], pair[(v, p.source)], tuple(right[(v, b)] for b in reversed(p.arrows))), c)
+            for p, c in rel
+        )
+        for rel in relations_of(B)
+        for v in range(qa.n_vertices)
+    ]
+    for a in range(qa.n_arrows):
+        u, u2 = qa.a_src[a], qa.a_tgt[a]
+        for b in range(qb.n_arrows):
+            w, w2 = qb.a_src[b], qb.a_tgt[b]
+            src, tgt = pair[(u, w2)], pair[(u2, w)]
+            p1 = Path(src, tgt, (left[(a, w2)], right[(u2, b)]))
+            p2 = Path(src, tgt, (right[(u, b)], left[(a, w)]))
+            relations.append(((p1, f.one()), (p2, f.neg(f.one()))))
+    pres = Presentation(f, T.quiver, relations, A.presentation.convention, T.name)
+    return complete(pres, A.loewy_length + B.loewy_length)
 
 
 def gorenstein_bounded_whole(A, n: int):

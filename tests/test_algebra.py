@@ -17,9 +17,11 @@ from qred.algebra import (
     validate,
 )
 from qred.linalg import QQ, FieldSpec
+from qred.reduction import corner_presentation
 
+from conftest import load
 from corpus import completed_corpus, random_presentation
-from oracles import enumerate_basis_by_suffix_scan
+from oracles import enumerate_basis_by_suffix_scan, tensor_with_opposite_by_completion
 
 
 def mk(vertices, arrows, relations, name="A", field=QQ):
@@ -236,6 +238,69 @@ def test_tensor_dim_product_random():
         for B in algs[3:]:
             T = tensor_with_opposite(A, B)
             assert T.dim == A.dim * B.dim
+
+
+FIXTURE_NAMES = ["dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"]
+
+
+def _oracle_mismatch(A, B):
+    """The fields in which tensor_with_opposite(A, B) differs from the completion oracle."""
+    got, want = tensor_with_opposite(A, B), tensor_with_opposite_by_completion(A, B)
+    fields = {
+        # the tails compared term by term, in their stored order
+        "rules": lambda H: [(lead, list(rest.items())) for lead, rest in H.rules],
+        "normal_basis": lambda H: H.normal_basis,
+        "dim": lambda H: H.dim,
+        "loewy_length": lambda H: H.loewy_length,
+        "relations": lambda H: H.presentation.relations,
+    }
+    out = [name for name, read in fields.items() if read(got) != read(want)]
+    if got.dim != A.dim * B.dim:
+        out.append("dim A . dim B")
+    return out
+
+
+def test_tensor_with_opposite_matches_completion_oracle():
+    """The rules assembled from the factors are the reduced rules the
+    completion finds: on every fixture with itself, on the corner witness of
+    tri_dual in both orders, and on 160 seeded pairs A != B over Q, GF(2),
+    GF(3) and GF(5).  rand9303_149 has the one rule a3.a2 -> a1.a4 of two
+    words of one length, whose reversal is not a rule of its opposite."""
+    pairs = [(A, A) for A in map(load, FIXTURE_NAMES)]
+    tri_dual = load("tri_dual")
+    corner = corner_presentation(tri_dual, ["2"])
+    pairs += [(tri_dual, corner), (corner, tri_dual)]
+    names = {}
+    for p in (0, 2, 3, 5):
+        algs = list(completed_corpus(9300 + p, 40, FieldSpec(p) if p else QQ))
+        pairs += [(algs[i], algs[i - 1]) for i in range(len(algs))]
+        names |= {A.name: A for A in algs}
+    (lead, rest), = names["rand9303_149"].rules
+    assert [len(p.arrows) for p in (lead, *rest)] == [2, 2]
+    mismatches = [(A.name, B.name, bad) for A, B in pairs if (bad := _oracle_mismatch(A, B))]
+    assert mismatches == []
+    assert len(pairs) == 168
+
+
+def test_tensor_with_opposite_completes_no_product(monkeypatch):
+    """The product is assembled, not completed: the only presentation the
+    completion sees is that of B^op, the first time B.opposite() runs."""
+    seen = []
+    run = _Completion.run
+
+    def record(self):
+        seen.append(self.pres.name)
+        return run(self)
+
+    monkeypatch.setattr(_Completion, "run", record)
+    bowtie = load("bowtie")
+    corpus = list(completed_corpus(9303, 40, FieldSpec(3)))
+    for A, B in ((bowtie, bowtie), (corpus[29], corpus[30])):  # rand9303_148, rand9303_149
+        seen.clear()
+        tensor_with_opposite(A, B)
+        assert seen == [B.name + "^op"]
+        tensor_with_opposite(A, B)
+        assert seen == [B.name + "^op"]
 
 
 def test_corner_basis_tri(tri_dual):

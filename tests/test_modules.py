@@ -702,21 +702,26 @@ def test_socle_layers_match_dual_route():
 
 
 def test_invariants_complete_no_opposite_and_build_no_cover(monkeypatch):
-    """On a freshly completed handle, neither the socle layers nor the
+    """On freshly completed handles, neither the socle layers nor the
     isomorphism test completes an opposite algebra, and projectivity is read
-    without building a projective cover."""
+    without building a projective cover.  The one-sided modules live on a
+    handle whose opposite is never built; the bimodules on a second handle,
+    whose opposite the enveloping algebra reads its rules from."""
     A = load("tri_dual")
-    env = A.enveloping()
-    mods = [projective(A, 1)[0], _mixed_sum(A, random.Random(3)), regular_bimodule(A), bimodule_syzygy(A, 1)]
+    A2 = load("tri_dual")
+    env = A2.enveloping()
+    op2 = A2._opposite
+    mods = [projective(A, 1)[0], _mixed_sum(A, random.Random(3))]
+    mods += [regular_bimodule(A2), bimodule_syzygy(A2, 1)]
     want = [is_projective_by_rank(M) for M in mods]
     assert True in want and False in want
-    assert A._opposite is None and env._opposite is None
+    assert A._opposite is None and env._opposite is None and A2._opposite is op2
     for M in mods:
         socle_layer_dims(M)
-    assert A._opposite is None and env._opposite is None
+    assert A._opposite is None and env._opposite is None and A2._opposite is op2
     for M in mods:
         assert is_isomorphic(M, M, random.Random(0)).kind == "yes"
-    assert A._opposite is None and env._opposite is None
+    assert A._opposite is None and env._opposite is None and A2._opposite is op2
 
     def no_cover(M):
         raise AssertionError("is_projective built a projective cover")
