@@ -567,11 +567,8 @@ def _loewy_length(A: AlgebraHandle, basis, gens) -> int:
     f = A.field
     index = {p: i for i, p in enumerate(basis)}
 
-    def coords(elem) -> list:
-        vec = [f.zero()] * len(basis)
-        for p, c in elem.items():
-            vec[index[p]] = c
-        return vec
+    def coords(elem) -> dict:
+        return {index[p]: c for p, c in elem.items()}
 
     # (j, p_j.x) for the basis paths p_j that compose with x; p -> p.x is
     # injective on paths, so the terms of each product are distinct
@@ -587,9 +584,9 @@ def _loewy_length(A: AlgebraHandle, basis, gens) -> int:
     while current.rank:
         loewy += 1
         nxt = SubspaceReducer(f, len(basis))
-        for row in current.basis_rows():
+        for row in current.echelon_rows():
             for terms in products:
-                acc = A.normal_form({px: row[j] for j, px in terms if row[j]})
+                acc = A.normal_form({px: row[j] for j, px in terms if j in row})
                 if acc:
                     nxt.insert(coords(acc))
         if nxt.rank >= current.rank:

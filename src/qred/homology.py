@@ -178,9 +178,7 @@ def minimal_relations(A: AlgebraHandle) -> list[dict]:
     reducer = SubspaceReducer(f, K.dim)
     kept = []
     for g in gens:
-        vec = [f.zero()] * K.dim
-        for p, c in K.normal_form(g).items():
-            vec[K.basis_index[p]] = c
+        vec = {K.basis_index[p]: c for p, c in K.normal_form(g).items()}
         if reducer.insert(vec):
             kept.append(g)
     A._extra[key] = kept
@@ -319,7 +317,7 @@ def ideal_bimodule(A: AlgebraHandle, J: IdealSpec) -> Rep:
             continue
         vecs = regular_bimodule_coords(A, elem)
         for pi, vec in enumerate(vecs):
-            if any(c != 0 for c in vec):
+            if vec:
                 seeds[pi].append(vec)
     spans = stable_span(reg, seeds)
     sub, _ = sub_rep(reg, spans)

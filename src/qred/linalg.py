@@ -5,13 +5,17 @@ reduces to rank/kernel/solve questions over an exact field, so this module
 deliberately avoids floating point: scalars are `fractions.Fraction` over the
 rationals and plain ints in ``[0, p)`` over GF(p).
 
-`Matrix` stores its entries as sparse rows: one {column: value} dict per
-row that stores no zero, with one entry type per field (`Fraction` over Q,
-int in ``[0, p)`` over GF(p)), since the matrices of covers, kernels,
-resolutions and Hom spaces are mostly zero.  Sums, products, transposes and
-combinations iterate the stored entries only, and ``Matrix.data`` is a dense
-view built anew on each read, for printing and for checks outside the
-engine.
+A vector is a stored row: a {column: value} dict that stores no zero, with
+one entry type per field (`Fraction` over Q, int in ``[0, p)`` over GF(p)),
+since the vectors and matrices of covers, kernels, resolutions, spans and
+Hom spaces are mostly zero.  `Matrix` keeps one stored row per row; sums,
+products (`Matrix.row_times` is one stored row times a matrix), transposes
+and combinations iterate the stored entries only, and `SubspaceReducer`
+reduces and reads out stored rows.  Dense lists are read-outs only:
+``Matrix.data``, ``Matrix.column`` and `SubspaceReducer.basis_rows`, built
+anew on each read for printing and for checks outside the engine.  Dense
+lists are still accepted as input where a matrix or span is built from
+parsed or given rows.
 
 All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
 reduced by the reduced rows kept so far, keyed by pivot column, and if it
@@ -235,16 +239,12 @@ def _field_row(row: dict, j: int, p: int | None) -> dict:
     return {k: Fraction(x, d) for k, x in row.items()}
 
 
-def _read_rows(rows: dict[int, dict], ncols: int, p: int | None) -> list[list]:
-    """The reduced rows in pivot order as dense rows of field elements."""
-    zero = 0 if p is not None else Fraction(0)
-    out = []
-    for j in sorted(rows):
-        dense = [zero] * ncols
-        for k, x in _field_row(rows[j], j, p).items():
-            dense[k] = x
-        out.append(dense)
-    return out
+def _dense_row(row: dict, ncols: int, zero) -> list:
+    """The stored row ``row`` as a dense list of ``ncols`` entries."""
+    dense = [zero] * ncols
+    for k, x in row.items():
+        dense[k] = x
+    return dense
 
 
 def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list[int]]:
@@ -326,16 +326,7 @@ class Matrix:
     def data(self) -> list[list]:
         """The dense rows, as new lists on each read."""
         zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            dense = [zero] * self.cols
-            for k, x in row.items():
-                dense[k] = x
-            out.append(dense)
-        return out
-
-    def copy(self) -> "Matrix":
-        return Matrix.from_entries(self.field, self.rows, self.cols, [dict(row) for row in self.entries])
+        return [_dense_row(row, self.cols, zero) for row in self.entries]
 
     def column(self, j: int) -> list:
         zero = self.field.zero()
@@ -402,21 +393,6 @@ class Matrix:
                 acc[j] = get(j, 0) + a * b
         return _stored_row(acc.items(), self.field.p)
 
-    def apply(self, vec: list) -> list:
-        """Matrix times the dense column vector vec, as a dense list."""
-        # zero tests by truth value: a Fraction's __bool__ is cheaper than __eq__
-        p = self.field.p
-        zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            s = zero
-            for k, a in row.items():
-                b = vec[k]
-                if b:
-                    s += a * b
-            out.append(s if p is None else s % p)
-        return out
-
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
@@ -476,11 +452,14 @@ class SubspaceReducer:
     """Incremental reduced-echelon basis of a subspace of k^n.
 
     Supports membership tests, span growth and canonical reduction modulo the
-    subspace; the reduction of any vector is supported on the complement of
-    the pivot set, which doubles as a canonical basis of the quotient space.
-    ``rows`` maps each pivot to its reduced row, a {column: value} dict that
-    stores no zero: over GF(p) a row with pivot 1, over Q a primitive integer
-    row, which `basis_rows` reads out as dense Fraction rows with pivot 1.
+    subspace.  Vectors are stored rows, {column: value} dicts that store no
+    zero, with values of the field's entry type; `insert` also accepts a
+    dense list, and `basis_rows` is the one dense read-out.  The reduction of
+    any vector is zero at every pivot, so its keys are coordinates in the
+    complement of the pivot set, which doubles as a canonical basis of the
+    quotient space.  ``rows`` maps each pivot to its reduced row: over GF(p)
+    a row with pivot 1, over Q a primitive integer row, which
+    `echelon_rows` reads out as Fraction rows with pivot 1.
     """
 
     def __init__(self, field: FieldSpec, dim: int, vectors=None):
@@ -495,28 +474,33 @@ class SubspaceReducer:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: list) -> list:
-        """vec minus its component in the span: v - sum of v[j] row_j / pivot_j."""
+    def reduce(self, vec: dict) -> dict:
+        """The stored row vec minus its component in the span, as a new
+        stored row: v - sum of v[j] row_j / pivot_j over the pivots j of v."""
         p = self.field.p
-        v = list(vec)
-        for j, row in self.rows.items():
-            c = v[j]
-            if c:
-                if p is None:
-                    c = Fraction(c, row[j])
-                    for k, b in row.items():
-                        v[k] -= c * b
+        rows = self.rows
+        v = dict(vec)
+        # a reduced row is zero at every other pivot, as in `_insert_row`
+        for j in [k for k in v if k in rows]:
+            row = rows[j]
+            if p is not None:
+                _combine(v, row, j, p)
+                continue
+            c = Fraction(v[j], row[j])
+            for k, b in row.items():
+                x = v.get(k, 0) - c * b
+                if x:
+                    v[k] = x
                 else:
-                    for k, b in row.items():
-                        v[k] = (v[k] - c * b) % p
+                    del v[k]
         return v
 
-    def contains(self, vec: list) -> bool:
-        return not any(self.reduce(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
     def insert(self, vec) -> bool:
-        """Add vec, a dense list or a {column: value} dict, to the span; True
-        if the rank grew."""
+        """Add vec, a stored row or a dense list, to the span; True if the
+        rank grew."""
         p = self.field.p
         return _insert_row(self.rows, _fresh_row(vec, p), p)
 
@@ -524,10 +508,13 @@ class SubspaceReducer:
         pivs = self.rows
         return [j for j in range(self.dim) if j not in pivs]
 
-    def coords_in_complement(self, vec: list) -> list:
-        """Coordinates of vec + span in the complement basis."""
-        v = self.reduce(vec)
-        return [v[j] for j in self.complement_indices()]
+    def echelon_rows(self) -> list[dict]:
+        """The reduced echelon basis in pivot order, as new stored rows of
+        field elements with pivot 1."""
+        p = self.field.p
+        return [dict(_field_row(self.rows[j], j, p)) for j in sorted(self.rows)]
 
     def basis_rows(self) -> list[list]:
-        return _read_rows(self.rows, self.dim, self.field.p)
+        """`echelon_rows` as dense lists."""
+        zero = self.field.zero()
+        return [_dense_row(row, self.dim, zero) for row in self.echelon_rows()]

@@ -426,12 +426,6 @@ def _map_from_projective(P: Rep, basis, M: Rep, images) -> RepMap:
     return RepMap(P, M, mats)
 
 
-def _unit_vector(f, n: int, i: int) -> list:
-    vec = [f.zero()] * n
-    vec[i] = f.one()
-    return vec
-
-
 # -- radical, socle, covers -------------------------------------------------
 
 
@@ -497,17 +491,18 @@ def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     return _layer_dims(M.algebra.field, M.dims, arrows)
 
 
-def _span_images(M: Rep, reducers, rows) -> list[list]:
+def _span_images(M: Rep, transposes, reducers, rows) -> list[list[dict]]:
     """Per arrow a, the images under M_a of the span's basis rows at its source.
 
-    rows[u] is the basis of the span reducers[u].  Raises ValueError when an
-    image leaves the span at the target, that is when the span is not stable
-    under the arrow actions.
+    rows[u] is the basis of the span reducers[u] as stored rows, and
+    transposes[a] the transpose of M_a, so an image is `Matrix.row_times` of
+    a row.  Raises ValueError when an image leaves the span at the target,
+    that is when the span is not stable under the arrow actions.
     """
     q = M.algebra.quiver
     images = []
     for a in range(q.n_arrows):
-        image = [M.mats[a].apply(row) for row in rows[q.a_src[a]]]
+        image = [transposes[a].row_times(row) for row in rows[q.a_src[a]]]
         if not all(reducers[q.a_tgt[a]].contains(col) for col in image):
             raise ValueError("span is not stable under the arrow actions")
         images.append(image)
@@ -517,6 +512,7 @@ def _span_images(M: Rep, reducers, rows) -> list[list]:
 def sub_rep(M: Rep, vectors_per_vertex):
     """Subrepresentation spanned by the given vectors; (rep, inclusion).
 
+    vectors_per_vertex[u] lists vectors of M_u, stored rows or dense lists.
     The basis at each vertex is the reduced echelon basis of the span, so the
     coordinates of a vector of the span are its entries at the pivots.
     Raises ValueError when the span is not stable under the arrow actions.
@@ -527,14 +523,20 @@ def sub_rep(M: Rep, vectors_per_vertex):
     f = A.field
     q = A.quiver
     reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
-    basis_rows = [red.basis_rows() for red in reducers]
-    dims = [len(rows) for rows in basis_rows]
+    echelon = [red.echelon_rows() for red in reducers]
+    dims = [len(rows) for rows in echelon]
+    transposes = [m.transpose() for m in M.mats]
     mats = []
-    for a, image in enumerate(_span_images(M, reducers, basis_rows)):
+    for a, image in enumerate(_span_images(M, transposes, reducers, echelon)):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        pivots = sorted(reducers[tgt].rows)
-        mats.append(Matrix(f, dims[tgt], dims[src], [[col[j] for col in image] for j in pivots]))
-    bases = [Matrix.from_columns(f, rows, nrows=M.dims[u]) for u, rows in enumerate(basis_rows)]
+        pos = {j: i for i, j in enumerate(sorted(reducers[tgt].rows))}
+        rows: list[dict] = [{} for _ in range(dims[tgt])]
+        for c, col in enumerate(image):
+            for j, x in col.items():
+                if j in pos:
+                    rows[pos[j]][c] = x
+        mats.append(Matrix.from_entries(f, dims[tgt], dims[src], rows))
+    bases = [Matrix.from_entries(f, dims[u], M.dims[u], rows).transpose() for u, rows in enumerate(echelon)]
     S = Rep(A, dims, mats)
     incl = RepMap(S, M, bases)
     return S, incl
@@ -543,8 +545,11 @@ def sub_rep(M: Rep, vectors_per_vertex):
 def quotient_rep(M: Rep, vectors_per_vertex):
     """Quotient by the subrepresentation spanned by the vectors; (rep, projection).
 
-    Raises ValueError, as `sub_rep` does, when the span is not stable under
-    the arrow actions; `stable_span` closes a spanning set first.
+    vectors_per_vertex[u] lists vectors of M_u, stored rows or dense lists.
+    The basis of the quotient at each vertex is the complement of the pivots
+    of the span, and a vector's coordinates there are its `reduce`.  Raises
+    ValueError, as `sub_rep` does, when the span is not stable under the
+    arrow actions; `stable_span` closes a spanning set first.
     """
     A = M.algebra
     f = A.field
@@ -553,23 +558,22 @@ def quotient_rep(M: Rep, vectors_per_vertex):
         SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
         for u in range(q.n_vertices)
     ]
-    _span_images(M, reducers, [red.basis_rows() for red in reducers])
+    transposes = [m.transpose() for m in M.mats]
+    _span_images(M, transposes, reducers, [red.echelon_rows() for red in reducers])
     # the quotient at u has the basis of the complement coordinates comps[u]
     comps = [r.complement_indices() for r in reducers]
 
     def image(a, j):
-        red = reducers[q.a_tgt[a]].reduce(M.mats[a].column(j))
-        return {k: red[k] for k in comps[q.a_tgt[a]] if red[k]}
+        # column j of M_a is row j of its transpose
+        return reducers[q.a_tgt[a]].reduce(transposes[a].entries[j])
 
     Q = action_rep(A, comps, image)
-    projs = [
-        Matrix.from_columns(
-            f,
-            [red.coords_in_complement(_unit_vector(f, n, j)) for j in range(n)],
-            nrows=Q.dims[u],
-        )
-        for u, (red, n) in enumerate(zip(reducers, M.dims))
-    ]
+    one = f.one()
+    projs = []
+    for u, (red, n) in enumerate(zip(reducers, M.dims)):
+        pos = {k: i for i, k in enumerate(comps[u])}
+        cols = [{pos[k]: x for k, x in red.reduce({j: one}).items()} for j in range(n)]
+        projs.append(Matrix.from_entries(f, n, Q.dims[u], cols).transpose())
     return Q, RepMap(M, Q, projs)
 
 
@@ -698,7 +702,7 @@ def restrict_along(Mq: Rep, vertex_map, arrow_map, A: AlgebraHandle) -> Rep:
         if qa is None:
             mats.append(Matrix.zero(f, dims[q.a_tgt[a]], dims[q.a_src[a]]))
         else:
-            mats.append(Mq.mats[qa].copy())
+            mats.append(Mq.mats[qa])
     return Rep(A, dims, mats)
 
 
@@ -939,7 +943,6 @@ class TensorFunctor:
         """
         space = self.space(Y)
         x, y = self.x, space.y
-        f = self.f
         if x.outer is None and y.outer is None:
             return TensorResult(space.dim, None)
         if x.outer is None:
@@ -977,7 +980,7 @@ class TensorFunctor:
             # reduced to complement coordinates
             kind, a1, a2 = env.product.arrow_kind[pa] if y.outer is not None else ("L", pa, None)
             w, ix, jy = space.coords[amb]
-            vec = [f.zero()] * len(space.coords)
+            vec = {}
             if kind == "L":
                 for key, c in _factor_image(self.X, "left", a1, x.entries[w][ix]).items():
                     vec[space.index[(w, x.pos[w][key], jy)]] = c
@@ -985,13 +988,10 @@ class TensorFunctor:
                 for key, c in _factor_image(Y, "right", a2, y.entries[w][jy]).items():
                     vec[space.index[(w, ix, y.pos[w][key])]] = c
             red = space.reducer.reduce(vec)
-            out = {}
-            for amb2, v in tag.items():
-                if red[amb2]:
-                    if v != env.quiver.a_tgt[pa]:
-                        raise ConsistencyError("tensor grading violated")
-                    out[amb2] = red[amb2]
-            return out
+            tgt = env.quiver.a_tgt[pa]
+            if any(tag[amb2] != tgt for amb2 in red):
+                raise ConsistencyError("tensor grading violated")
+            return red
 
         rep = action_rep(env, basis, image)
         return TensorResult(rep.total_dim, rep)
@@ -1030,33 +1030,40 @@ def regular_bimodule(A: AlgebraHandle) -> Rep:
     return path_bimodule(A, A.enveloping(), own, own)
 
 
-def regular_bimodule_coords(A: AlgebraHandle, elem) -> list[list]:
-    """Coordinates of an algebra element inside the regular bimodule."""
+def regular_bimodule_coords(A: AlgebraHandle, elem) -> list[dict]:
+    """Coordinates of an algebra element inside the regular bimodule: one
+    stored row per product vertex."""
     env = A.enveloping()
     prod = env.product
     basis = [A.paths_between(w, u) for (u, w) in prod.vertex_pairs]
-    vecs = [[A.field.zero()] * len(b) for b in basis]
+    vecs = [{} for _ in basis]
     for p, c in elem.items():
         pi = prod.pair_index[(p.target, p.source)]
         vecs[pi][basis[pi].index(p)] = c
     return vecs
 
 
-def stable_span(M: Rep, vectors_per_vertex):
-    """Close the given per-vertex vectors under all arrow actions."""
+def stable_span(M: Rep, vectors_per_vertex) -> list[list[dict]]:
+    """Close the given per-vertex vectors under all arrow actions.
+
+    vectors_per_vertex[u] lists vectors of M_u, stored rows or dense lists.
+    Returns per vertex the reduced echelon basis of the closed span, as
+    stored rows (`SubspaceReducer.echelon_rows`).
+    """
     A = M.algebra
     q = A.quiver
     f = A.field
     reducers = [
         SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)
     ]
+    transposes = [m.transpose() for m in M.mats]
     queue = []
     for u in range(q.n_vertices):
-        queue.extend((u, row) for row in reducers[u].basis_rows())
+        queue.extend((u, row) for row in reducers[u].echelon_rows())
     while queue:
         u, vec = queue.pop()
         for a in q.arrows_from[u]:
-            img = M.mats[a].apply(vec)
+            img = transposes[a].row_times(vec)
             if reducers[q.a_tgt[a]].insert(img):
-                queue.append((q.a_tgt[a], list(img)))
-    return [r.basis_rows() for r in reducers]
+                queue.append((q.a_tgt[a], img))
+    return [r.echelon_rows() for r in reducers]

@@ -221,7 +221,9 @@ def _parse_matrix_literal(lineno: int, text: str, field: FieldSpec, rows: int, c
     row_strs = body.split("],[")
     data = []
     for rs in row_strs:
-        entries = [e for e in rs.split(",") if e != ""]
+        # an empty row is a row of a matrix with no columns; an empty entry
+        # inside a row is an error
+        entries = rs.split(",") if rs else []
         try:
             data.append([field.parse_scalar(e) for e in entries])
         except (ValueError, ZeroDivisionError):

@@ -346,8 +346,9 @@ def rref_mod_p(m: list[list], p: int) -> tuple[int, list[int]]:
 
 
 class FieldSubspaceReducer:
-    """Incremental reduced-echelon basis of a subspace of k^n, kept as rows of
-    field elements (Fractions over Q) normalized to pivot 1."""
+    """Incremental reduced-echelon basis of a subspace of k^n, kept as dense
+    rows of field elements (Fractions over Q) normalized to pivot 1.  Vectors
+    are dense lists or {column: value} dicts, which are filled in densely."""
 
     def __init__(self, field, dim: int, vectors=None):
         self.field = field
@@ -361,10 +362,18 @@ class FieldSubspaceReducer:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: list) -> list:
+    def _dense(self, vec) -> list:
+        if not isinstance(vec, dict):
+            return list(vec)
+        v = [self.field.zero()] * self.dim
+        for k, x in vec.items():
+            v[k] = x
+        return v
+
+    def reduce(self, vec) -> list:
         f = self.field
         p = f.p
-        v = list(vec)
+        v = self._dense(vec)
         for j in sorted(self.rows):
             c = v[j]
             if c:
@@ -375,10 +384,10 @@ class FieldSubspaceReducer:
                     v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
 
-    def insert(self, vec: list) -> bool:
+    def insert(self, vec) -> bool:
         """Add vec to the span; True if the rank grew."""
         f = self.field
         p = f.p
@@ -876,7 +885,7 @@ def minimal_relations_by_completion(A) -> list[dict]:
                 products.append(tuple((compose(p, a), c) for p, c in g.items()))
     pres = Presentation(f, q, products, A.presentation.convention, A.name + "/K")
     K = _complete(pres, A.dim + 1)
-    reducer = SubspaceReducer(f, K.dim)
+    reducer = FieldSubspaceReducer(f, K.dim)
     kept = []
     for g in gens:
         vec = [f.zero()] * K.dim
@@ -993,7 +1002,7 @@ def _tensor_space_by_loops(x: Restriction, middle, Y: Rep) -> TensorSpace:
     f = middle.field
     xcols, ycols = ([m.transpose().entries for m in r.mats] for r in (x, y))
     coords, index, rows = _balanced_relations(middle.quiver, f, xcols, x.dims, ycols, y.dims)
-    reducer = SubspaceReducer(f, len(coords), rows)
+    reducer = FieldSubspaceReducer(f, len(coords), rows)
     comp = reducer.complement_indices()
     return TensorSpace(coords, index, reducer, comp, len(comp), y)
 
@@ -1105,7 +1114,7 @@ def quotient_rep_by_loops(M: Rep, vectors_per_vertex):
     f = A.field
     q = A.quiver
     reducers = [
-        SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
+        FieldSubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
         for u in range(q.n_vertices)
     ]
     comps = [r.complement_indices() for r in reducers]
@@ -1189,14 +1198,15 @@ def _induced_map(space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> M
     for amb in space_src.complement:
         w, ix, jy = space_src.coords[amb]
         yv, yi = y_src.entries[w][jy]
-        vec = [f.zero()] * len(space_tgt.coords)
+        vec = {}
         gm = g.mats[yv].data
         # g preserves the vertex of Y, hence the middle group
         for r in range(len(gm)):
             c = gm[r][yi]
             if c:
                 vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
-        out_cols.append(space_tgt.reducer.coords_in_complement(vec))
+        red = space_tgt.reducer.reduce(vec)
+        out_cols.append([red.get(amb2, f.zero()) for amb2 in space_tgt.complement])
     return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
 
 

@@ -374,6 +374,29 @@ def test_cli_negative_module_dimension(capsys, tmp_path):
     assert out.err == f"qred: {mod}:2:1: bad dimension '-1'\n"
 
 
+@pytest.mark.parametrize(
+    "dims, literal, bad",
+    [
+        ((1, 1), "[[1,]]", "1,"),
+        ((1, 1), "[[,1]]", ",1"),
+        ((1, 2), "[[1],[,2]]", ",2"),
+        ((2, 1), "[[1,,2]]", "1,,2"),
+        ((0, 2), "[[],[]]", None),
+    ],
+    ids=["trailing", "leading", "second-row", "inner", "no-columns"],
+)
+def test_cli_empty_matrix_entry_exits_2(capsys, tmp_path, dims, literal, bad):
+    # an empty entry is an error, not a dropped entry; an empty row is the
+    # row of a matrix with no columns
+    mod = tmp_path / "m.mod"
+    mod.write_text(f"module M over line2\ndim 1 = {dims[0]}\ndim 2 = {dims[1]}\nmap a = {literal}\n")
+    code, out = run(capsys, "resolve", fixture("line2"), "--module", str(mod))
+    if bad is None:
+        assert (code, out.err) == (0, "")
+    else:
+        assert (code, out.out, out.err) == (2, "", f"qred: {mod}:4:1: bad matrix entry in {bad!r}\n")
+
+
 def test_cli_witness_fails(capsys):
     code, out = run(capsys, "witness", fixture("dual_numbers"), "--identity", "--level", "1")
     assert code == 1
@@ -513,12 +536,15 @@ def test_cli_tensor_grading_violation_exits_4(capsys, monkeypatch):
     space = TensorFunctor.space
 
     class Unreduced:
+        def __init__(self, complement):
+            self.complement = complement
+
         def reduce(self, vec):
-            return [1] * len(vec)
+            return dict.fromkeys(self.complement, 1)
 
     def broken(self, Y):
         out = space(self, Y)
-        out.reducer = Unreduced()
+        out.reducer = Unreduced(out.complement)
         return out
 
     monkeypatch.setattr(TensorFunctor, "space", broken)

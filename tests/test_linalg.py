@@ -208,8 +208,8 @@ def test_rref_kernel_solve_match_fraction_oracle():
 def test_subspace_reducer_membership():
     red = SubspaceReducer(QQ, 3, [[1, 0, 1], [0, 1, 1]])
     assert red.rank == 2
-    assert red.contains([1, 1, 2])
-    assert not red.contains([1, 1, 1])
+    assert red.contains(_stored(QQ, [1, 1, 2]))
+    assert not red.contains(_stored(QQ, [1, 1, 1]))
     assert red.complement_indices() == [2]
     assert not red.insert([2, 2, 4])
     assert red.insert([0, 0, 1])
@@ -298,6 +298,22 @@ def _no_float(rows):
     return not any(isinstance(x, float) for row in rows for x in row)
 
 
+def _stored(field, vec: list) -> dict:
+    """The stored row of a dense vector: its nonzero entries as field elements."""
+    return {k: Fraction(x) if field.p is None else x % field.p for k, x in enumerate(vec) if x}
+
+
+def _reduce_dense(field, red: SubspaceReducer, vec: list):
+    """(reduce, complement coordinates, contains) of the dense vec, read off
+    the stored row that red.reduce returns; that row must hold no zero, only
+    the field's entry type and no pivot key."""
+    out = red.reduce(_stored(field, vec))
+    kind = Fraction if field.p is None else int
+    assert all(x != 0 and type(x) is kind and k not in red.rows for k, x in out.items())
+    dense = _densify(out, red.dim, field)
+    return dense, [dense[j] for j in red.complement_indices()], red.contains(_stored(field, vec))
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])
 def test_subspace_reducer_matches_field_row_oracle(field):
     """Integer-row (over Q) reducer against the reducer on rows with pivot 1,
@@ -319,10 +335,9 @@ def test_subspace_reducer_matches_field_row_oracle(field):
             basis = red.basis_rows()
             assert basis == oracle.basis_rows() and _no_float(basis)
             for probe in (v, _step_vector(rng, field, dim, inserted), _step_vector(rng, field, dim, [])):
-                got = (red.reduce(probe), red.coords_in_complement(probe))
-                assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe))
-                assert _no_float(got)
-                assert red.contains(probe) == oracle.contains(probe)
+                got = _reduce_dense(field, red, probe)
+                assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe), oracle.contains(probe))
+                assert _no_float(got[:2])
             for j, row in red.rows.items():
                 # a {column: value} dict whose smallest key is the pivot
                 assert min(row) == j and all(0 <= k < dim for k in row)
@@ -435,7 +450,7 @@ def test_sparse_step_matches_dense_step_oracle(field):
             assert (red.rank, red.complement_indices()) == (oracle.rank, oracle.complement_indices())
             assert red.basis_rows() == oracle.basis_rows()
             for probe in (v, _step_vector(rng, field, dim, inserted), _step_vector(rng, field, dim, [])):
-                got = (red.reduce(probe), red.coords_in_complement(probe), red.contains(probe))
+                got = _reduce_dense(field, red, probe)
                 assert got == (oracle.reduce(probe), oracle.coords_in_complement(probe), oracle.contains(probe))
                 assert _no_float(got[:2])
     assert {True, False} <= outcomes
@@ -452,11 +467,6 @@ def _check_stored(m: Matrix):
         for k, x in row.items():
             assert 0 <= k < m.cols and x != 0 and type(x) is kind
             assert p is None or 0 < x < p
-
-
-def _check_dense(field, vec: list):
-    kind = Fraction if field.p is None else int
-    assert all(type(x) is kind and (field.p is None or 0 <= x < field.p) for x in vec)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])
@@ -502,9 +512,10 @@ def test_sparse_matrix_matches_dense_matrix_oracle(field):
         assert ma.kernel_with_free()[1] == da.kernel_with_free()[1]
         assert ma.rank() == da.rank()
         for vec in ([zero] * cols, _sparse_rows(rng, field, 1, cols)[0] if cols else []):
-            out = ma.apply(vec)
-            assert out == da.apply(vec)
-            _check_dense(field, out)
+            # M times a column vector is the row vector times the transpose of M
+            out = ma.transpose().row_times(_stored(field, vec))
+            _check_stored(Matrix.from_entries(field, 1, rows, [out]))
+            assert _densify(out, rows, field) == da.apply(vec)
         for other, dother in ((mb, db), (ma, da), (Matrix(field, rows, cols, a), da)):
             assert (ma == other) == (da == dother)
         assert [m.data for m in (ma, mb, mc, mn, mw, mt)] == [a, b, c, neg_a, [r + r for r in a], c + [[field.neg(x) for x in r] for r in c]]

@@ -1,8 +1,10 @@
-"""Import hygiene of the qred package, read from its source with ast.
+"""Import hygiene and vector format of the qred package, read from its
+source with ast.
 
 Every import sits at module level, every imported name is used or
 re-exported, and the intra-package graph of ``from .x import`` edges has no
-cycle, so no module needs a lazy import to break one.
+cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
+module builds a dense vector of field zeros: vectors are stored rows.
 """
 
 import ast
@@ -185,3 +187,43 @@ def test_no_write_through_the_dense_view():
     assert found == []
     assert len(files) > 20  # both trees are read
     assert _through_data(ast.parse("m.data[i][j] = x").body[0].targets[0])
+
+
+def _dense_zero_fills(tree) -> list[int]:
+    """Lines of ``[z] * n`` (or ``n * [z]``) where z is a field zero: a call
+    ``<expr>.zero()`` or a name ``zero``."""
+
+    def is_zero(node):
+        if isinstance(node, ast.Name):
+            return node.id == "zero"
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "zero"
+            and not node.args
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if isinstance(side, ast.List) and len(side.elts) == 1 and is_zero(side.elts[0]):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_no_dense_zero_vector_outside_linalg():
+    """Vectors in the engine are stored rows, {index: value} dicts that store
+    no zero; a dense list of field zeros is built only by the read-outs of
+    `linalg` (``Matrix.data``, ``SubspaceReducer.basis_rows``)."""
+    trees = _trees()
+    found = [
+        f"{name}.py:{line}"
+        for name, tree in trees.items()
+        if name != "linalg"
+        for line in _dense_zero_fills(tree)
+    ]
+    assert found == []
+    assert _dense_zero_fills(trees["linalg"])  # the read-outs are found at all
+    probe = ast.parse("a = [f.zero()] * n\nb = n * [zero]\nc = [0] * n\nd = [f.zero(), 1] * n")
+    assert _dense_zero_fills(probe) == [1, 2]
