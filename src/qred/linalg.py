@@ -314,26 +314,11 @@ class Matrix:
         one = field.one()
         return cls.from_entries(field, n, n, [{i: one} for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, field: FieldSpec, cols: list[list], nrows: int | None = None):
-        if not cols:
-            if nrows is None:
-                raise ValueError("need nrows for an empty column list")
-            return cls(field, nrows, 0)
-        return cls(field, len(cols[0]), len(cols), list(zip(*cols)))
-
     @property
     def data(self) -> list[list]:
         """The dense rows, as new lists on each read."""
         zero = self.field.zero()
         return [_dense_row(row, self.cols, zero) for row in self.entries]
-
-    def column(self, j: int) -> list:
-        zero = self.field.zero()
-        return [row.get(j, zero) for row in self.entries]
-
-    def columns(self) -> list[list]:
-        return self.transpose().data
 
     def __eq__(self, other):
         return (

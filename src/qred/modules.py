@@ -799,6 +799,9 @@ def split_projective_summands(M: Rep):
     of M, and by bilinearity then among the standard basis vectors m of M_v
     and the basis maps g of Hom(M, P_v); the first pair found, m outermost,
     is split off.
+
+    P_v has simple top S_v, so each summand P_v adds one to the top of M at
+    v: only vertices in the top are tried, each at most top_v M times.
     """
     A = M.algebra
     q = A.quiver
@@ -806,8 +809,8 @@ def split_projective_summands(M: Rep):
     current = M
     # ker g is a summand of the module it is split from, so it has no P_u
     # summand that module lacks: a vertex left behind needs no second look
-    for v in range(q.n_vertices):
-        while current.dims[v]:
+    for v, top in enumerate(top_dims(M)):
+        while top:
             homs = hom_basis(current, projective(A, v)[0])
             # row 0 of a map into P_v at v is the coordinate of e_v
             g = next(
@@ -818,6 +821,7 @@ def split_projective_summands(M: Rep):
                 break
             current, _ = kernel_subrep(g)
             stripped.append(q.vertices[v])
+            top -= 1
     return current, stripped
 
 

@@ -71,16 +71,22 @@ def one_sided_projectivity(pair: WitnessPair) -> tuple[bool, bool, bool, bool]:
 
 
 def bimodule_syzygy(A: AlgebraHandle, n: int) -> Rep:
-    """The n-th minimal syzygy of the regular bimodule over A (x) A^op."""
+    """The n-th minimal syzygy of the regular bimodule over A (x) A^op.
+
+    The syzygies found so far are cached on A, Omega^0 first, and a deeper
+    one extends them by one minimal cover each, up to the first zero
+    syzygy, so every level resolves the regular bimodule only once; callers
+    must not mutate the result, as for `projective`.
+    """
     if n < 0:
         raise ValueError("syzygy index must be nonnegative")
-    reg = regular_bimodule(A)
-    if n == 0:
-        return reg
-    res = minimal_resolution(reg, n)
-    if len(res.syzygies) >= n:
-        return res.syzygies[n - 1]
-    return zero_rep(A.enveloping())
+    key = ("bimodule_syzygy",)
+    if key not in A._extra:
+        A._extra[key] = [regular_bimodule(A)]
+    syz = A._extra[key]
+    while len(syz) <= n and not syz[-1].is_zero():
+        syz.append(minimal_resolution(syz[-1], 1).syzygies[0])
+    return syz[n] if n < len(syz) else zero_rep(A.enveloping())
 
 
 def tensor_bimodules(M: Rep, N: Rep, env: AlgebraHandle | None = None) -> Rep:
@@ -117,18 +123,23 @@ def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
     """Check the witness-pair conditions at the given level."""
     A, B = pair.M.algebra.product.left, pair.M.algebra.product.right
     proj = one_sided_projectivity(pair)
-    mn = tensor_bimodules(pair.M, pair.N, A.enveloping())
-    nm = tensor_bimodules(pair.N, pair.M, B.enveloping())
     # derive per-side streams arithmetically (string hashing is not stable
     # across processes and would break report determinism)
     rng_a = random.Random(seed * 1000003 + 2 * pair.level)
     rng_b = random.Random(seed * 1000003 + 2 * pair.level + 1)
     # stable isomorphism compares the cores left after splitting off the
-    # projective summands; the syzygy core is split once per algebra
+    # projective summands; the syzygy core is split once per algebra, and
+    # for a pair (M, M), which the crosswise check puts over one algebra,
+    # N (x) M is M (x) N
     core_a, _ = split_projective_summands(bimodule_syzygy(A, pair.level))
     core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
-    iso_a = is_isomorphic(split_projective_summands(mn)[0], core_a, rng_a)
-    iso_b = is_isomorphic(split_projective_summands(nm)[0], core_b, rng_b)
+    core_mn, _ = split_projective_summands(tensor_bimodules(pair.M, pair.N, A.enveloping()))
+    if pair.N is pair.M:
+        core_nm = core_mn
+    else:
+        core_nm, _ = split_projective_summands(tensor_bimodules(pair.N, pair.M, B.enveloping()))
+    iso_a = is_isomorphic(core_mn, core_a, rng_a)
+    iso_b = is_isomorphic(core_nm, core_b, rng_b)
     return LevelReport(proj, iso_a.kind, iso_b.kind)
 
 

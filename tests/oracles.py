@@ -41,7 +41,9 @@ of product coordinates.
 
 `compose_after`, `hom_from_projective` and `stable_isomorphic` are library
 routines that the engine no longer calls; they live on here, where the
-summand and Tor oracles use them and their tests keep checking them.
+summand and Tor oracles use them and their tests keep checking them.  So
+does `matrix_from_columns`, the dense column constructor that `Matrix` no
+longer has; the column read-outs are `m.transpose().data`.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def socle_reducers(M: Rep) -> list[SubspaceReducer]:
             rows.extend(M.mats[a].data)
         if rows:
             ker = Matrix.from_rows(f, rows).kernel_basis()
-            vecs = [ker.column(j) for j in range(ker.cols)]
+            vecs = ker.transpose().data
         else:
             vecs = [
                 [f.one() if k == i else f.zero() for k in range(M.dims[u])]
@@ -170,7 +172,7 @@ def injective_envelope(M: Rep):
         for idx in comp:
             e = [f.one() if k == idx else f.zero() for k in range(M.dims[v])]
             cols.append(e)
-        B = Matrix.from_columns(f, cols, nrows=M.dims[v])
+        B = matrix_from_columns(f, cols, nrows=M.dims[v])
         Binv = B.solve(Matrix.identity(f, M.dims[v])).data
         for i in range(len(soc_vecs)):
             summands.append((v, Binv[i]))
@@ -195,10 +197,7 @@ def injective_envelope(M: Rep):
                     continue
                 apath = Path(u, v, tuple(reversed(qpath.arrows)))
                 act = path_action(M, apath)  # M_u -> M_v
-                row = [
-                    sum_entries(f, xi, act.column(m)) for m in range(M.dims[u])
-                ]
-                rows.append(row)
+                rows.append([sum_entries(f, xi, col) for col in act.transpose().data])
             block = (
                 Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, M.dims[u])
             )
@@ -227,10 +226,7 @@ def injective_dimension_direct(M: Rep, bound: int):
         # embedding must be injective
         for u in range(len(current.dims)):
             assert phi.mats[u].rank() == current.dims[u], "envelope map not injective"
-        vecs = [
-            [phi.mats[u].column(j) for j in range(current.dims[u])]
-            for u in range(len(current.dims))
-        ]
+        vecs = [phi.mats[u].transpose().data for u in range(len(current.dims))]
         coker, _ = quotient_rep(E, vecs)
         current = coker
     if current.is_zero():
@@ -632,6 +628,16 @@ class DenseMatrix:
         return None if x is None else DenseMatrix(self.field, self.cols, rhs.cols, x)
 
 
+def matrix_from_columns(field, cols: list[list], nrows: int | None = None) -> Matrix:
+    """The matrix with the given dense columns; nrows is needed when there
+    are none."""
+    if not cols:
+        if nrows is None:
+            raise ValueError("need nrows for an empty column list")
+        return Matrix(field, nrows, 0)
+    return Matrix(field, len(cols[0]), len(cols), list(zip(*cols)))
+
+
 def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:
     """Per vertex, the matrix whose column for the basis path (j, p) is
     path_action(M, p) applied to images[j]."""
@@ -729,7 +735,7 @@ def sub_rep_by_solve(M: Rep, vectors_per_vertex):
     f = M.algebra.field
     q = M.algebra.quiver
     bases = [
-        Matrix.from_columns(
+        matrix_from_columns(
             f, SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]).basis_rows(), nrows=M.dims[u]
         )
         for u in range(q.n_vertices)
@@ -747,7 +753,7 @@ def kernel_subrep_by_reducer(f_map: RepMap):
     """(rep, inclusion) of the kernel of f_map as the span of its kernel_basis
     columns, in the reduced echelon basis of sub_rep; raises ValueError when
     the kernel is not stable."""
-    return sub_rep(f_map.source, [m.kernel_basis().columns() for m in f_map.mats])
+    return sub_rep(f_map.source, [m.kernel_basis().transpose().data for m in f_map.mats])
 
 
 def split_projective_summands_by_inverse(M: Rep):
@@ -1132,9 +1138,9 @@ def quotient_rep_by_loops(M: Rep, vectors_per_vertex):
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
         data = [[f.zero()] * dims[src] for _ in range(dims[tgt])]
+        cols = M.mats[a].transpose().data
         for jloc, jamb in enumerate(comps[src]):
-            col = M.mats[a].column(jamb)
-            red = reducers[tgt].coords_in_complement(col)
+            red = reducers[tgt].coords_in_complement(cols[jamb])
             for i in range(dims[tgt]):
                 data[i][jloc] = red[i]
         mats.append(Matrix(f, dims[tgt], dims[src], data))
@@ -1207,7 +1213,7 @@ def _induced_map(space_src: TensorSpace, space_tgt: TensorSpace, g: RepMap) -> M
                 vec[space_tgt.index[(w, ix, y_tgt.pos[w][(yv, r)])]] = c
         red = space_tgt.reducer.reduce(vec)
         out_cols.append([red.get(amb2, f.zero()) for amb2 in space_tgt.complement])
-    return Matrix.from_columns(f, out_cols, nrows=space_tgt.dim)
+    return matrix_from_columns(f, out_cols, nrows=space_tgt.dim)
 
 
 def tor_by_tensoring(X: Rep, Y: Rep, n: int) -> tuple[list[int], bool]:

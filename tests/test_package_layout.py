@@ -4,7 +4,8 @@ source with ast.
 Every import sits at module level, every imported name is used or
 re-exported, and the intra-package graph of ``from .x import`` edges has no
 cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
-module builds a dense vector of field zeros: vectors are stored rows.
+module builds a dense vector of field zeros: vectors are stored rows, and
+`Matrix` has no dense column read-out.
 """
 
 import ast
@@ -227,3 +228,15 @@ def test_no_dense_zero_vector_outside_linalg():
     assert _dense_zero_fills(trees["linalg"])  # the read-outs are found at all
     probe = ast.parse("a = [f.zero()] * n\nb = n * [zero]\nc = [0] * n\nd = [f.zero(), 1] * n")
     assert _dense_zero_fills(probe) == [1, 2]
+
+
+def test_matrix_has_no_dense_column_readout():
+    """`Matrix` defines no dense column read-out or constructor: tests read
+    columns as ``m.transpose().data`` and build by columns through
+    `tests/oracles.py`."""
+    (matrix,) = [
+        node for node in _trees()["linalg"].body if isinstance(node, ast.ClassDef) and node.name == "Matrix"
+    ]
+    methods = {node.name for node in matrix.body if isinstance(node, ast.FunctionDef)}
+    assert "transpose" in methods
+    assert methods.isdisjoint({"column", "columns", "from_columns"})

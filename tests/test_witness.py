@@ -5,12 +5,14 @@ from pathlib import Path as FsPath
 
 import pytest
 
+from qred import modules
 from qred.algebra import tensor_with_opposite
 from qred.linalg import QQ
 from qred.parser import parse_algebra
 from qred.modules import (
     is_isomorphic,
     is_projective,
+    minimal_resolution,
     projective,
     regular_bimodule,
     regular_rep,
@@ -33,6 +35,7 @@ from qred.witness import (
 
 from qred.algebra import Presentation, Quiver, complete
 
+from conftest import load
 from oracles import stable_isomorphic
 
 
@@ -97,6 +100,31 @@ def test_bimodule_syzygy_functorial(line2):
         again = minimal_resolution(bimodule_syzygy(line2, n), 1)
         step = again.syzygies[0] if again.syzygies else zero_rep(line2.enveloping())
         assert stable_isomorphic(direct, step, rng).kind == "yes"
+
+
+@pytest.mark.parametrize("order", [range(4), range(3, -1, -1)], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize("name", ["dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"])
+def test_bimodule_syzygy_resolves_once_per_algebra(monkeypatch, name, order):
+    """Omega^0..Omega^3 of the regular bimodule, asked for in either order on
+    a fresh handle, equal the syzygies of one minimal resolution and take at
+    most one projective cover each; line2, whose Omega^2 is zero, takes two."""
+    ref = load(name)
+    reg = regular_bimodule(ref)
+    res = minimal_resolution(reg, 3)
+    expected = [reg] + res.syzygies + [zero_rep(ref.enveloping())] * (3 - len(res.syzygies))
+    covers = []
+    cover = modules.projective_cover
+
+    def counted(M):
+        covers.append(M)
+        return cover(M)
+
+    monkeypatch.setattr(modules, "projective_cover", counted)
+    A = load(name)
+    got = {n: bimodule_syzygy(A, n) for n in order}
+    for n in range(4):
+        assert (got[n].dims, got[n].mats) == (expected[n].dims, expected[n].mats)
+    assert len(covers) == (2 if name == "line2" else 3)
 
 
 def test_tensor_unit(dual_numbers):
