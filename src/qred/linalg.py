@@ -12,10 +12,9 @@ Hom spaces are mostly zero.  `Matrix` keeps one stored row per row; sums,
 products (`Matrix.row_times` is one stored row times a matrix), transposes
 and combinations iterate the stored entries only, and `SubspaceReducer`
 reduces and reads out stored rows.  Dense lists are read-outs only:
-``Matrix.data``, ``Matrix.column`` and `SubspaceReducer.basis_rows`, built
-anew on each read for printing and for checks outside the engine.  Dense
-lists are still accepted as input where a matrix or span is built from
-parsed or given rows.
+``Matrix.data`` and `SubspaceReducer.basis_rows`, built anew on each read
+for printing and for checks outside the engine.  Dense lists are still
+accepted as input where a matrix or span is built from parsed or given rows.
 
 All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
 reduced by the reduced rows kept so far, keyed by pivot column, and if it
@@ -28,6 +27,12 @@ cleared, content divided out), combined by integer cross-multiplication and
 divided by their content again; they are read back as `Fraction` entries by
 dividing each by its pivot.  The reduced echelon basis of a row space is
 unique, so the results are the same Fractions a Fraction elimination gives.
+
+At that Q boundary each entry is converted once: `_primitive_row` reads each
+value with one ``as_integer_ratio`` call, and a reduced row is read out with
+one `Fraction` per entry, the kernel's negated entries included, skipping
+the division where the pivot is 1.  Products and sums of stored Fractions
+are Fractions already, so `Matrix.row_times` only drops the zeros.
 """
 
 from __future__ import annotations
@@ -146,13 +151,18 @@ def _stored_row(items, p: int | None) -> dict:
 def _primitive_row(items) -> dict[int, int]:
     """The integer row with coprime entries on the same line as a rational row,
     given by its (column, value) pairs; zeros are dropped."""
-    nz = [(k, x) for k, x in items if x]
+    nz = [(k, x.as_integer_ratio()) for k, x in items if x]
     if not nz:
         return {}
-    den = lcm(*(x.denominator for _, x in nz))
-    vals = [x.numerator * (den // x.denominator) for _, x in nz]
-    g = gcd(*vals)
-    return {k: x // g for (k, _), x in zip(nz, vals)}
+    den = lcm(*(d for _, (_, d) in nz))
+    if den == 1:
+        vals = {k: n for k, (n, _) in nz}
+    else:
+        vals = {k: n * (den // d) for k, (n, d) in nz}
+    g = gcd(*vals.values())
+    if g == 1:
+        return vals
+    return {k: x // g for k, x in vals.items()}
 
 
 def _fresh_row(row, p: int | None) -> dict:
@@ -236,6 +246,8 @@ def _field_row(row: dict, j: int, p: int | None) -> dict:
     if p is not None:
         return row
     d = row[j]
+    if d == 1:
+        return {k: Fraction(x) for k, x in row.items()}
     return {k: Fraction(x, d) for k, x in row.items()}
 
 
@@ -261,10 +273,18 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list
     free = [j for j in range(ncols) if j not in red]
     one = field.one()
     vecs = {j: {j: one} for j in free}
+    # each entry is built once: p - x over GF(p), where 0 < x < p, and over
+    # Q -x/d for the integer entry x and pivot d of the primitive row
     for pc, row in red.items():
-        for j, x in _field_row(row, pc, p).items():
+        d = row[pc]
+        for j, x in row.items():
             if j != pc:
-                vecs[j][pc] = field.neg(x)
+                if p is not None:
+                    vecs[j][pc] = p - x
+                elif d == 1:
+                    vecs[j][pc] = Fraction(-x)
+                else:
+                    vecs[j][pc] = Fraction(-x, d)
     return [vecs[j] for j in free], free
 
 
@@ -365,7 +385,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [other.row_times(row) for row in self.entries]
+        out = [other.row_times(row) if row else {} for row in self.entries]
         return Matrix.from_entries(self.field, self.rows, other.cols, out)
 
     def row_times(self, row: dict) -> dict:
@@ -376,6 +396,9 @@ class Matrix:
         for k, a in row.items():
             for j, b in right[k].items():
                 acc[j] = get(j, 0) + a * b
+        if self.field.p is None:
+            # products and sums of the stored Fractions are Fractions already
+            return {j: x for j, x in acc.items() if x}
         return _stored_row(acc.items(), self.field.p)
 
     def transpose(self) -> "Matrix":

@@ -130,16 +130,30 @@ def zero_rep(A: AlgebraHandle) -> Rep:
 
 
 def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
-    """The map sum c g, summed over the stored entries."""
+    """The map sum c g, built in one pass.
+
+    Each row of the sum at each vertex is one {column: value} dict that
+    accumulates c times the stored entries of that row of every g, over the
+    nonzero coefficients c only; zeros are dropped at the end, and over GF(p)
+    the entries are reduced mod p there.
+    """
     base = maps[0]
     f = base.source.algebra.field
+    p = f.p
+    terms = [(c, g.mats) for g, c in zip(maps, coeffs) if c]
     out = []
     for u, m in enumerate(base.mats):
-        acc = Matrix.zero(f, m.rows, m.cols)
-        for g, c in zip(maps, coeffs):
-            if c:
-                acc = acc + g.mats[u].scale(c)
-        out.append(acc)
+        acc: list[dict] = [{} for _ in range(m.rows)]
+        for c, mats in terms:
+            for row, src in zip(acc, mats[u].entries):
+                get = row.get
+                for k, x in src.items():
+                    row[k] = get(k, 0) + c * x
+        if p is None:
+            rows = [{k: x for k, x in row.items() if x} for row in acc]
+        else:
+            rows = [{k: y for k, x in row.items() if (y := x % p)} for row in acc]
+        out.append(Matrix.from_entries(f, m.rows, m.cols, rows))
     return RepMap(base.source, base.target, out)
 
 
@@ -744,7 +758,8 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebra handles")
     rng = rng or random.Random(0)
-    invM, invN = _invariant_battery(M), _invariant_battery(N)
+    invM = _invariant_battery(M)
+    invN = invM if N is M else _invariant_battery(N)
     for (name, a), (_, b) in zip(invM, invN):
         if a != b:
             return IsoResult("no", invariant=name)

@@ -119,41 +119,64 @@ class LevelReport:
         return "holds" if kinds == ("yes", "yes") else "inconclusive"
 
 
-def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
-    """Check the witness-pair conditions at the given level."""
+def _level_independent(pair: WitnessPair) -> tuple[tuple[bool, bool, bool, bool], Rep, Rep]:
+    """The part of a level check that does not depend on the level: the
+    projectivity of the four restrictions and the cores of M (x) N and
+    N (x) M left after splitting off their projective summands."""
     A, B = pair.M.algebra.product.left, pair.M.algebra.product.right
     proj = one_sided_projectivity(pair)
-    # derive per-side streams arithmetically (string hashing is not stable
-    # across processes and would break report determinism)
-    rng_a = random.Random(seed * 1000003 + 2 * pair.level)
-    rng_b = random.Random(seed * 1000003 + 2 * pair.level + 1)
-    # stable isomorphism compares the cores left after splitting off the
-    # projective summands; the syzygy core is split once per algebra, and
     # for a pair (M, M), which the crosswise check puts over one algebra,
     # N (x) M is M (x) N
-    core_a, _ = split_projective_summands(bimodule_syzygy(A, pair.level))
-    core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
     core_mn, _ = split_projective_summands(tensor_bimodules(pair.M, pair.N, A.enveloping()))
     if pair.N is pair.M:
         core_nm = core_mn
     else:
         core_nm, _ = split_projective_summands(tensor_bimodules(pair.N, pair.M, B.enveloping()))
+    return proj, core_mn, core_nm
+
+
+def _check_level(pair: WitnessPair, fixed, seed: int) -> LevelReport:
+    """The report at pair.level, given the pair's `_level_independent` part."""
+    A, B = pair.M.algebra.product.left, pair.M.algebra.product.right
+    proj, core_mn, core_nm = fixed
+    # derive per-side streams arithmetically (string hashing is not stable
+    # across processes and would break report determinism)
+    rng_a = random.Random(seed * 1000003 + 2 * pair.level)
+    rng_b = random.Random(seed * 1000003 + 2 * pair.level + 1)
+    # stable isomorphism compares the cores left after splitting off the
+    # projective summands; the syzygy core is split once per algebra
+    core_a, _ = split_projective_summands(bimodule_syzygy(A, pair.level))
+    core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
     iso_a = is_isomorphic(core_mn, core_a, rng_a)
     iso_b = is_isomorphic(core_nm, core_b, rng_b)
     return LevelReport(proj, iso_a.kind, iso_b.kind)
 
 
+def verify_level(pair: WitnessPair, seed: int = 0) -> LevelReport:
+    """Check the witness-pair conditions at the given level."""
+    return _check_level(pair, _level_independent(pair), seed)
+
+
 def search_level(M: Rep, N: Rep, n_max: int, seed: int = 0):
-    """Smallest level at which (M, N) verifies, or None up to n_max.
+    """Smallest level at which (M, N) verifies, or None up to n_max; with
+    the (level, report) of every level checked, each equal to what
+    `verify_level` reports at that level.
 
     A level holds only on exact evidence: projective restrictions and, on
     both sides, an invertible homomorphism verified entry by entry.  The
     seed steers only the search for that homomorphism, so another seed
-    could not overturn a level that holds.
+    could not overturn a level that holds.  The restrictions and the cores
+    of M (x) N and N (x) M do not depend on the level, so they are checked
+    and split once per search; each level splits only the syzygy core and
+    runs the two isomorphism tests.
     """
     reports = []
+    fixed = None
     for n in range(n_max + 1):
-        rep = verify_level(WitnessPair(M, N, n), seed)
+        pair = WitnessPair(M, N, n)
+        if fixed is None:
+            fixed = _level_independent(pair)
+        rep = _check_level(pair, fixed, seed)
         reports.append((n, rep))
         if rep.verdict == "holds":
             return n, reports

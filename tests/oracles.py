@@ -33,7 +33,9 @@ differentials, instead of counting Hom dimensions by dimension shifting,
 the socle-layer oracle takes the radical layers of the dual over the
 completed opposite algebra instead of reading the transposed matrices on the
 reversed arrows, the product-algebra oracle completes the presentation of
-A (x) B^op instead of assembling its rules from those of A and B^op, and the
+A (x) B^op instead of assembling its rules from those of A and B^op, the
+combination oracle sums scaled copies of whole matrices instead of
+accumulating each row in one pass, and the
 restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
@@ -693,6 +695,21 @@ def projective_sum_by_products(A, vertices: list[int]) -> list[Matrix]:
                 data[index[tgt][(j, w)]][col] = c
         mats.append(Matrix(A.field, len(basis[tgt]), len(basis[src]), data))
     return mats
+
+
+def linear_combination_by_scale_and_add(maps: list[RepMap], coeffs) -> RepMap:
+    """The map sum c g as one `Matrix.scale` and one `Matrix.__add__` per
+    nonzero term, each copying the accumulator."""
+    base = maps[0]
+    f = base.source.algebra.field
+    out = []
+    for u, m in enumerate(base.mats):
+        acc = Matrix.zero(f, m.rows, m.cols)
+        for g, c in zip(maps, coeffs):
+            if c:
+                acc = acc + g.mats[u].scale(c)
+        out.append(acc)
+    return RepMap(base.source, base.target, out)
 
 
 def compose_after(g: RepMap, f: RepMap) -> RepMap:

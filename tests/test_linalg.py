@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer, kernel_vectors
+from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer, _eliminate, kernel_vectors
 
 from oracles import (
     DenseMatrix,
@@ -166,20 +166,37 @@ def _shapes(rng):
         yield rng.randint(0, 12), rng.randint(0, 16)
 
 
+# Rows whose reduced primitive rows have pivot 1, -1 or another integer, from
+# integral and from non-integral entries.
+_PIVOT_CASES = [
+    [[1, 2, 0, 5], [0, 1, 3, 0]],
+    [[-1, 2, 5, 0], [0, -1, 4, 1]],
+    [[2, 3, 0, 1], [0, 5, 7, 0], [4, 6, 0, 2]],
+    [[Fraction(1, 2), 1, Fraction(3, 2), 0]],
+    [[Fraction(-1, 3), Fraction(2, 3), 0, 1], [0, 0, Fraction(-5, 7), Fraction(5, 7)]],
+    [[Fraction(1, 2), Fraction(1, 3), 1, 0], [0, Fraction(2, 5), 0, Fraction(4, 7)]],
+]
+
+
 def test_rref_kernel_solve_match_fraction_oracle():
-    """Integer-row elimination over Q against the Fraction Gauss-Jordan."""
+    """Integer-row elimination over Q against the Fraction Gauss-Jordan, on
+    random rows and on rows whose reduced pivots are 1, -1 and non-units."""
     rng = random.Random(20251)
     outcomes = set()
-    for rows, cols in _shapes(rng):
-        data = _random_rational_rows(rng, rows, cols)
+
+    def check(data, rows, cols):
         m = Matrix(QQ, rows, cols, [list(r) for r in data])
         red, rank, pivots = m.rref()
         exp, exp_rank, exp_pivots = rref_by_fractions(data)
         assert (red.data, rank, pivots) == (exp, exp_rank, exp_pivots)
         assert m.data == data  # the input is left as it was
+        for d in (row[j] for j, row in _eliminate(m.entries, None).items()):
+            outcomes.add(f"pivot {d}" if d in (1, -1) else "pivot non-unit")
+        outcomes.update("integral" if x.denominator == 1 else "non-integral" for row in data for x in row if x)
 
         free = [j for j in range(cols) if j not in exp_pivots]
         ker = m.kernel_basis()
+        _check_stored(ker)
         assert (ker.rows, ker.cols) == (cols, len(free))
         for k, j in enumerate(free):
             expected = [Fraction(0)] * cols
@@ -203,7 +220,15 @@ def test_rref_kernel_solve_match_fraction_oracle():
             assert m @ x == rhs
             outcomes.add("solvable")
         outcomes.add("full rank" if rank == min(rows, cols) else "rank deficient")
-    assert outcomes == {"solvable", "unsolvable", "full rank", "rank deficient"}
+
+    for rows, cols in _shapes(rng):
+        check(_random_rational_rows(rng, rows, cols), rows, cols)
+    for case in _PIVOT_CASES:
+        check([[Fraction(x) for x in row] for row in case], len(case), len(case[0]))
+    assert outcomes == {
+        "solvable", "unsolvable", "full rank", "rank deficient",
+        "pivot 1", "pivot -1", "pivot non-unit", "integral", "non-integral",
+    }
 
 
 def test_subspace_reducer_membership():
@@ -496,6 +521,10 @@ def test_sparse_matrix_matches_dense_matrix_oracle(field):
         (mw, dw), (mt, dt) = both([r + r for r in a], rows, 2 * cols), both(c + [[field.neg(x) for x in r] for r in c], 2 * cols, inner)
         stored = [[dict(r) for r in m.entries] for m in (ma, mb, mc, mn, mw, mt)]
         pairs = [(ma + mb, da + db), (ma + mn, da + dn), (ma @ mc, da @ dc), (mw @ mt, dw @ dt), (ma.transpose(), da.transpose())]
+        # a left factor with empty rows: every other row of a is zero
+        holes = [row if i % 2 else [zero] * cols for i, row in enumerate(a)]
+        mh, dh = both(holes, rows, cols)
+        pairs += [(mh @ mc, dh @ dc), (Matrix.from_entries(field, rows, inner, [mc.row_times(r) for r in mh.entries]), dh @ dc)]
         pairs += [(ma.scale(s), da.scale(s)) for s in scalars]
         pairs += [(ma.kernel_with_free()[0], da.kernel_with_free()[0])]
         x0 = Matrix(field, cols, 2, _sparse_rows(rng, field, cols, 2))
@@ -511,6 +540,12 @@ def test_sparse_matrix_matches_dense_matrix_oracle(field):
             outcomes.add("zero" if got.is_zero() else "nonzero")
         assert (ma + mn).is_zero() and (mw @ mt).is_zero() and ma.scale(zero).is_zero()
         assert ma.kernel_with_free()[1] == da.kernel_with_free()[1]
+        # the kernel entry at pivot column pc is the field negative of the
+        # reduced entry of that row at the free column
+        red, _, pivots = ma.rref()
+        ker, free = ma.kernel_with_free()
+        for row, pc in zip(red.entries, pivots):
+            assert ker.entries[pc] == {k: field.neg(row[j]) for k, j in enumerate(free) if j in row}
         assert ma.rank() == da.rank()
         for vec in ([zero] * cols, _sparse_rows(rng, field, 1, cols)[0] if cols else []):
             # M times a column vector is the row vector times the transpose of M

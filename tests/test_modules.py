@@ -47,6 +47,7 @@ from qred.witness import bimodule_syzygy, idempotent_candidate, tensor_bimodules
 from conftest import load
 from corpus import completed_corpus
 from oracles import (
+    DenseMatrix,
     brute_tensor_dim,
     hom_basis_by_intertwining,
     hom_from_projective,
@@ -55,6 +56,7 @@ from oracles import (
     injective_dimension_direct,
     is_projective_by_rank,
     kernel_subrep_by_reducer,
+    linear_combination_by_scale_and_add,
     projective_cover_by_path_action,
     projective_sum_by_products,
     quotient_rep_by_loops,
@@ -802,15 +804,37 @@ def test_right_restriction_of_a_one_sided_rep_ignores_the_opposite_cache():
     assert answers[0] == answers[1]
 
 
+def _dense_combination(maps, coeffs) -> list[list[list]]:
+    """Per vertex, the dense rows of sum c g, one dense matrix per term."""
+    f = maps[0].source.algebra.field
+    out = []
+    for u, m in enumerate(maps[0].mats):
+        acc = DenseMatrix(f, m.rows, m.cols, Matrix.zero(f, m.rows, m.cols).data)
+        for g, c in zip(maps, coeffs):
+            acc = acc + DenseMatrix(f, m.rows, m.cols, g.mats[u].data).scale(c)
+        out.append(acc.data)
+    return out
+
+
+def _combination_matches_oracles(maps, coeffs) -> RepMap:
+    comb = _linear_combination(maps, coeffs)
+    assert [m.data for m in comb.mats] == _dense_combination(maps, coeffs)
+    assert comb.mats == linear_combination_by_scale_and_add(maps, coeffs).mats
+    return comb
+
+
 def test_engine_matrices_store_only_nonzero_field_entries():
     """The matrices the engine assembles from stored rows (covers, kernels,
     direct sums, Hom bases and their combinations, restrictions, tensor
-    products, duals) hold no zero and only entries of the field's type."""
+    products, duals) hold no zero and only entries of the field's type.
+    Each combination of a Hom basis equals the dense sum of its terms and
+    the sum of scaled copies, also where its terms cancel."""
     algebras = [load(name) for name in ("dual_numbers", "tri_dual", "bowtie")]
-    for seed, p in ((41, 2), (42, 5)):
+    for seed, p in ((41, 2), (42, 5), (43, 3)):
         algebras += completed_corpus(seed, 3, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
     rng = random.Random(4343)
     checked = 0
+    fields = set()
     for A in algebras:
         f = A.field
         kind = type(f.one())
@@ -822,7 +846,13 @@ def test_engine_matrices_store_only_nonzero_field_entries():
             homs = hom_basis(M, M)
             maps += [pi, incl] + homs
             if len(homs) > 1:
-                maps.append(_linear_combination(homs, [f.from_int(rng.randint(-2, 2)) for _ in homs]))
+                maps.append(_combination_matches_oracles(homs, [f.from_int(rng.randint(-2, 2)) for _ in homs]))
+                # -h0 + h1 + h0: every entry of h0 cancels, in GF(2) too
+                one = f.one()
+                cancel = _combination_matches_oracles([homs[0], homs[1], homs[0]], [f.neg(one), one, one])
+                assert cancel.mats == homs[1].mats
+                maps.append(cancel)
+                fields.add(f.p)
             mods += [P, K, dual(M), split_projective_summands(M)[0]]
         mods.append(rep_direct_sum(mods[:3])[0])
         if A.dim <= 6:
@@ -833,3 +863,61 @@ def test_engine_matrices_store_only_nonzero_field_entries():
             assert f.p is None or all(0 < x < f.p for row in m.entries for x in row.values())
             checked += 1
     assert checked > 500
+    assert fields == {None, 2, 3, 5}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exhaustive_iso_witness_matches_scale_and_add_oracle(monkeypatch, p):
+    """Over GF(p), with p^dim Hom small, is_isomorphic tries the combinations
+    of the Hom basis in a fixed order: the one-pass combination finds the
+    same witness, or the same separating answer, as the sum of scaled
+    copies."""
+    rng = random.Random(2300 + p)
+    pairs = []
+    for A in completed_corpus(60 + p, 3, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4):
+        mods = _sample_modules(A, rng)
+        pairs += [(M, N) for M in mods for N in mods if M.dims == N.dims and M.total_dim <= 8]
+    got = [is_isomorphic(M, N, random.Random(0)) for M, N in pairs]
+    oracle_calls = []
+
+    def oracle(maps, coeffs):
+        oracle_calls.append(len(maps))
+        return linear_combination_by_scale_and_add(maps, coeffs)
+
+    monkeypatch.setattr(modules, "_linear_combination", oracle)
+    want = []
+    searched = 0  # pairs answered by trying combinations
+    for M, N in pairs:
+        before = len(oracle_calls)
+        want.append(is_isomorphic(M, N, random.Random(0)))
+        searched += len(oracle_calls) > before
+    for g, w in zip(got, want):
+        assert (g.kind, g.invariant) == (w.kind, w.invariant)
+        assert (g.witness is None) == (w.witness is None)
+        if g.witness is not None:
+            assert g.witness.mats == w.witness.mats
+    assert searched >= 5
+
+
+def test_self_isomorphism_computes_one_invariant_battery(monkeypatch, bowtie):
+    """is_isomorphic(K, K) computes the radical and socle layers of K once,
+    and answers as it does for K and a copy of K, which computes them for
+    both; K runs over the first three syzygies of the bowtie simples."""
+    syz = [K for v in range(bowtie.quiver.n_vertices) for K in minimal_resolution(simple(bowtie, v), 3).syzygies]
+    calls = []
+    for name in ("radical_layer_dims", "socle_layer_dims"):
+
+        def counted(M, _f=getattr(modules, name), _name=name):
+            calls.append(_name)
+            return _f(M)
+
+        monkeypatch.setattr(modules, name, counted)
+    for K in syz:
+        calls.clear()
+        got = is_isomorphic(K, K, random.Random(3))
+        assert sorted(calls) == ["radical_layer_dims", "socle_layer_dims"]
+        want = is_isomorphic(K, Rep(K.algebra, K.dims, K.mats), random.Random(3))
+        assert len(calls) == 6
+        assert (got.kind, got.invariant) == (want.kind, want.invariant) == ("yes", None)
+        assert got.witness.mats == want.witness.mats
+    assert len(syz) == 9

@@ -5,10 +5,14 @@ Every import sits at module level, every imported name is used or
 re-exported, and the intra-package graph of ``from .x import`` edges has no
 cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
 module builds a dense vector of field zeros: vectors are stored rows, and
-`Matrix` has no dense column read-out.
+`Matrix` has no dense column read-out.  Every dotted name that a docstring
+quotes in backticks names something that exists.
 """
 
 import ast
+import importlib
+import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qred"
@@ -240,3 +244,54 @@ def test_matrix_has_no_dense_column_readout():
     methods = {node.name for node in matrix.body if isinstance(node, ast.FunctionDef)}
     assert "transpose" in methods
     assert methods.isdisjoint({"column", "columns", "from_columns"})
+
+
+_DOTTED = re.compile(r"`{1,2}([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`{1,2}")
+
+
+def _docstring_names(tree) -> list[str]:
+    """The dotted names in single or double backticks in the docstrings of tree."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += _DOTTED.findall(ast.get_docstring(node) or "")
+    return names
+
+
+def _module(stem: str):
+    return importlib.import_module("qred" if stem == "__init__" else f"qred.{stem}")
+
+
+def _resolves(module, dotted: str) -> bool:
+    """Whether dotted is an attribute path from a name of module, a module of
+    the package, a name of one, or an importable stdlib module."""
+    head, *rest = dotted.split(".")
+    package = [_module(p.stem) for p in sorted(SRC.glob("*.py"))]
+    starts = [vars(m)[head] for m in [module, *package] if head in vars(m)]
+    starts += [m for m in package if m.__name__ == f"qred.{head}"]
+    if head in sys.stdlib_module_names:
+        starts.append(importlib.import_module(head))
+    for obj in starts:
+        for part in rest:
+            if not (hasattr(obj, part) or part in getattr(obj, "__annotations__", {})):
+                break
+            obj = getattr(obj, part, None)
+        else:
+            return True
+    return False
+
+
+def test_docstring_dotted_names_resolve():
+    """A dotted name quoted in a docstring, such as `Matrix.row_times` or
+    `fractions.Fraction`, still names an attribute that exists."""
+    checked, unresolved = 0, []
+    for name, tree in _trees().items():
+        module = _module(name)
+        for dotted in _docstring_names(tree):
+            checked += 1
+            if not _resolves(module, dotted):
+                unresolved.append(f"{name}: {dotted}")
+    assert unresolved == []
+    assert checked >= 10
+    linalg = _module("linalg")
+    assert not _resolves(linalg, "Matrix.column") and not _resolves(linalg, "fractions.Fractions")

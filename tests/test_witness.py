@@ -5,7 +5,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from qred import modules
+from qred import modules, witness
 from qred.algebra import tensor_with_opposite
 from qred.linalg import QQ
 from qred.parser import parse_algebra
@@ -222,6 +222,41 @@ def test_search_level_syzygy(line2):
     reg = regular_bimodule(line2)
     n, _ = search_level(om, reg, 3, seed=0)
     assert n == 1
+
+
+@pytest.mark.parametrize("name", ["tri_dual", "bowtie"])
+def test_search_level_builds_the_pair_products_once(monkeypatch, name):
+    """search_level(Omega^1, A) holds at level 1 after checking two levels,
+    but builds M (x) N and N (x) M once: 2 tensor products where a
+    verify_level per level makes 4, and 4 splits (the two products once,
+    the syzygy core per level) where it makes 6."""
+    A = load(name)
+    om, reg = bimodule_syzygy(A, 1), regular_bimodule(A)
+    calls = {"tensor_bimodules": 0, "split_projective_summands": 0}
+    for fname in calls:
+        wrapped = getattr(witness, fname)
+
+        def counted(*args, _f=wrapped, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(witness, fname, counted)
+    n, reports = search_level(om, reg, 4, seed=0)
+    assert (n, len(reports)) == (1, 2)
+    assert calls == {"tensor_bimodules": 2, "split_projective_summands": 4}
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"])
+def test_search_level_reports_equal_verify_level(name):
+    """Every report of a search equals verify_level at its level, for the
+    identity and the Omega^1 pair up to level 3."""
+    A = load(name)
+    reg = regular_bimodule(A)
+    for M, N in ((reg, reg), (bimodule_syzygy(A, 1), reg)):
+        _, reports = search_level(M, N, 3, seed=0)
+        assert reports
+        for n, rep in reports:
+            assert rep == verify_level(WitnessPair(M, N, n), seed=0), (name, n)
 
 
 def test_search_level_candidate_logs_negative(tri_dual):
