@@ -2,19 +2,25 @@
 
 Everything downstream (normal forms, resolutions, Tor, isomorphism tests)
 reduces to rank/kernel/solve questions over an exact field, so this module
-deliberately avoids floating point: scalars are `fractions.Fraction` over the
-rationals and plain ints in ``[0, p)`` over GF(p).
+deliberately avoids floating point.  Scalars are plain ints in ``[0, p)``
+over GF(p).  Over the rationals a scalar is in canonical form: an int when
+it is integral, and a `fractions.Fraction` only when its denominator is
+greater than 1.  `str`, ``==`` and `hash` agree between an int and the
+integral Fraction of the same value, so the form shows in no report.  Most
+data is integral, and ints spare its arithmetic the cost of Fraction
+objects.  This module is the only one that builds a Fraction, and every
+value it returns is in canonical form.
 
-A vector is a stored row: a {column: value} dict that stores no zero, with
-one entry type per field (`Fraction` over Q, int in ``[0, p)`` over GF(p)),
-since the vectors and matrices of covers, kernels, resolutions, spans and
-Hom spaces are mostly zero.  `Matrix` keeps one stored row per row; sums,
-products (`Matrix.row_times` is one stored row times a matrix), transposes
-and combinations iterate the stored entries only, and `SubspaceReducer`
-reduces and reads out stored rows.  Dense lists are read-outs only:
-``Matrix.data`` and `SubspaceReducer.basis_rows`, built anew on each read
-for printing and for checks outside the engine.  Dense lists are still
-accepted as input where a matrix or span is built from parsed or given rows.
+A vector is a stored row: a {column: value} dict that stores no zero, each
+value a field element in that form, since the vectors and matrices of
+covers, kernels, resolutions, spans and Hom spaces are mostly zero.
+`Matrix` keeps one stored row per row; sums, products (`Matrix.row_times`
+is one stored row times a matrix), transposes and combinations iterate the
+stored entries only, and `SubspaceReducer` reduces and reads out stored
+rows.  Dense lists are read-outs only: ``Matrix.data`` and
+`SubspaceReducer.basis_rows`, built anew on each read for printing and for
+checks outside the engine.  Dense lists are still accepted as input where a
+matrix or span is built from parsed or given rows.
 
 All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
 reduced by the reduced rows kept so far, keyed by pivot column, and if it
@@ -24,15 +30,17 @@ and `kernel_vectors` run the step on the stored rows of a matrix in turn;
 `SubspaceReducer.insert` runs it on one vector.  Over GF(p) the rows are
 normalized to pivot 1.  Over Q they are primitive integer rows (denominators
 cleared, content divided out), combined by integer cross-multiplication and
-divided by their content again; they are read back as `Fraction` entries by
-dividing each by its pivot.  The reduced echelon basis of a row space is
-unique, so the results are the same Fractions a Fraction elimination gives.
+divided by their content again; they are read back as field elements by
+dividing each entry by its pivot.  The reduced echelon basis of a row space
+is unique, so the results are the values a Fraction elimination gives.
 
-At that Q boundary each entry is converted once: `_primitive_row` reads each
-value with one ``as_integer_ratio`` call, and a reduced row is read out with
-one `Fraction` per entry, the kernel's negated entries included, skipping
-the division where the pivot is 1.  Products and sums of stored Fractions
-are Fractions already, so `Matrix.row_times` only drops the zeros.
+At that Q boundary each entry is converted once: `_primitive_row` takes an
+integral row as it is and clears the denominators of any other, and a
+reduced row is read out with one division per entry, the kernel's negated
+entries included, which builds a Fraction only where the pivot does not
+divide the entry; a row with pivot 1 is read out as it is.  Sums and
+products of canonical values that can come out integral (`Matrix.row_times`
+and `SubspaceReducer.reduce` among them) are put back in canonical form.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "SubspaceReducer",
     "QQ",
     "kernel_vectors",
+    "stored_row",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -76,9 +85,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """The canonical form of the rational x: an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _ratio(n: int, d: int):
+    """n / d for ints n and d != 0, in canonical form."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: the rationals when ``p is None``, otherwise GF(p)."""
+    """Ground field: the rationals when ``p is None``, otherwise GF(p).
+
+    Its elements are ints in ``[0, p)`` over GF(p).  Over Q an element is an
+    int when it is integral and a `fractions.Fraction` with a denominator
+    greater than 1 otherwise, and every method returns that form.
+    """
 
     p: int | None = None
 
@@ -91,37 +116,37 @@ class FieldSpec:
         return "rational" if self.p is None else f"gf {self.p}"
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     def from_fraction(self, num: int, den: int):
         if self.p is None:
-            return Fraction(num, den)
+            return _rational(Fraction(num, den))
         d = den % self.p
         if d == 0:
             raise ZeroDivisionError(f"denominator {den} vanishes in GF({self.p})")
         return num * pow(d, self.p - 2, self.p) % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _rational(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _rational(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else a * b % self.p
+        return _rational(a * b) if self.p is None else a * b % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.p is None:
-            return Fraction(1) / a
+            return _rational(1 / Fraction(a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
@@ -140,25 +165,23 @@ class FieldSpec:
 QQ = FieldSpec()
 
 
-def _stored_row(items, p: int | None) -> dict:
-    """The stored row of (column, value) pairs: the nonzero values, as
-    Fractions over Q and as ints in ``[0, p)`` over GF(p)."""
+def stored_row(items, p: int | None) -> dict:
+    """The stored row of (column, value) pairs: the nonzero values, in
+    canonical form over Q and as ints in ``[0, p)`` over GF(p)."""
     if p is None:
-        return {k: x if type(x) is Fraction else Fraction(x) for k, x in items if x}
+        return {k: _rational(x) for k, x in items if x}
     return {k: y for k, x in items if (y := x % p)}
 
 
 def _primitive_row(items) -> dict[int, int]:
     """The integer row with coprime entries on the same line as a rational row,
     given by its (column, value) pairs; zeros are dropped."""
-    nz = [(k, x.as_integer_ratio()) for k, x in items if x]
-    if not nz:
+    vals = {k: x for k, x in items if x}
+    if not vals:
         return {}
-    den = lcm(*(d for _, (_, d) in nz))
-    if den == 1:
-        vals = {k: n for k, (n, _) in nz}
-    else:
-        vals = {k: n * (den // d) for k, (n, d) in nz}
+    if any(type(x) is not int for x in vals.values()):
+        den = lcm(*(x.denominator for x in vals.values()))
+        vals = {k: x.numerator * (den // x.denominator) for k, x in vals.items()}
     g = gcd(*vals.values())
     if g == 1:
         return vals
@@ -170,7 +193,7 @@ def _fresh_row(row, p: int | None) -> dict:
     stored row over GF(p), its primitive integer row over Q."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     if p is not None:
-        return _stored_row(items, p)
+        return stored_row(items, p)
     return _primitive_row(items)
 
 
@@ -242,13 +265,12 @@ def _eliminate(data, p: int | None) -> dict[int, dict]:
 
 
 def _field_row(row: dict, j: int, p: int | None) -> dict:
-    """The reduced row with pivot j as field elements, with pivot 1 over Q too."""
-    if p is not None:
+    """The reduced row with pivot j as field elements, with pivot 1 over Q
+    too; the row itself where that is what it holds already."""
+    if p is not None or row[j] == 1:
         return row
     d = row[j]
-    if d == 1:
-        return {k: Fraction(x) for k, x in row.items()}
-    return {k: Fraction(x, d) for k, x in row.items()}
+    return {k: _ratio(x, d) for k, x in row.items()}
 
 
 def _dense_row(row: dict, ncols: int, zero) -> list:
@@ -282,9 +304,9 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list
                 if p is not None:
                     vecs[j][pc] = p - x
                 elif d == 1:
-                    vecs[j][pc] = Fraction(-x)
+                    vecs[j][pc] = -x
                 else:
-                    vecs[j][pc] = Fraction(-x, d)
+                    vecs[j][pc] = _ratio(-x, d)
     return [vecs[j] for j in free], free
 
 
@@ -292,10 +314,10 @@ class Matrix:
     """Exact matrix stored as sparse rows.
 
     ``entries`` holds one {column: value} dict per row that stores no zero,
-    each value of the field's one entry type: a `Fraction` over Q, an int in
-    ``[0, p)`` over GF(p).  Every operation reads and builds stored entries
-    only.  A Matrix is not changed once built.  ``data`` is a dense view of
-    the rows, built anew on each read, so writing into it changes nothing.
+    each value a field element in canonical form (see `FieldSpec`).  Every
+    operation reads and builds stored entries only.  A Matrix is not changed
+    once built.  ``data`` is a dense view of the rows, built anew on each
+    read, so writing into it changes nothing.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
@@ -310,13 +332,13 @@ class Matrix:
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix shape mismatch")
-            self.entries = [_stored_row(enumerate(row), field.p) for row in data]
+            self.entries = [stored_row(enumerate(row), field.p) for row in data]
         self._rref = None
 
     @classmethod
     def from_entries(cls, field: FieldSpec, rows: int, cols: int, entries: list[dict]) -> "Matrix":
         """The matrix with the stored rows ``entries``, taken as they are: they
-        must hold no zero and only values of the field's entry type."""
+        must hold no zero and only field elements in canonical form."""
         m = cls.__new__(cls)
         m.field, m.rows, m.cols, m.entries, m._rref = field, rows, cols, entries, None
         return m
@@ -361,8 +383,7 @@ class Matrix:
             row = dict(ra)
             for k, y in rb.items():
                 x = row.get(k, 0) + y
-                if p is not None:
-                    x %= p
+                x = _rational(x) if p is None else x % p
                 if x:
                     row[k] = x
                 else:
@@ -377,7 +398,7 @@ class Matrix:
         if not c:
             return Matrix(self.field, self.rows, self.cols)
         if p is None:
-            out = [{k: c * x for k, x in row.items()} for row in self.entries]
+            out = [{k: _rational(c * x) for k, x in row.items()} for row in self.entries]
         else:
             out = [{k: c * x % p for k, x in row.items()} for row in self.entries]
         return Matrix.from_entries(self.field, self.rows, self.cols, out)
@@ -396,10 +417,7 @@ class Matrix:
         for k, a in row.items():
             for j, b in right[k].items():
                 acc[j] = get(j, 0) + a * b
-        if self.field.p is None:
-            # products and sums of the stored Fractions are Fractions already
-            return {j: x for j, x in acc.items() if x}
-        return _stored_row(acc.items(), self.field.p)
+        return stored_row(acc.items(), self.field.p)
 
     def transpose(self) -> "Matrix":
         out: list[dict] = [{} for _ in range(self.cols)]
@@ -461,13 +479,13 @@ class SubspaceReducer:
 
     Supports membership tests, span growth and canonical reduction modulo the
     subspace.  Vectors are stored rows, {column: value} dicts that store no
-    zero, with values of the field's entry type; `insert` also accepts a
+    zero, with field elements in canonical form; `insert` also accepts a
     dense list, and `basis_rows` is the one dense read-out.  The reduction of
     any vector is zero at every pivot, so its keys are coordinates in the
     complement of the pivot set, which doubles as a canonical basis of the
     quotient space.  ``rows`` maps each pivot to its reduced row: over GF(p)
     a row with pivot 1, over Q a primitive integer row, which
-    `echelon_rows` reads out as Fraction rows with pivot 1.
+    `echelon_rows` reads out as rows of field elements with pivot 1.
     """
 
     def __init__(self, field: FieldSpec, dim: int, vectors=None):
@@ -494,11 +512,11 @@ class SubspaceReducer:
             if p is not None:
                 _combine(v, row, j, p)
                 continue
-            c = Fraction(v[j], row[j])
+            c = v[j] / row[j] if type(v[j]) is Fraction else _ratio(v[j], row[j])
             for k, b in row.items():
                 x = v.get(k, 0) - c * b
                 if x:
-                    v[k] = x
+                    v[k] = _rational(x)
                 else:
                     del v[k]
         return v

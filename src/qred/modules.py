@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import AlgebraHandle, ConsistencyError, Path
-from .linalg import Matrix, SubspaceReducer, kernel_vectors
+from .linalg import Matrix, SubspaceReducer, kernel_vectors, stored_row
 
 __all__ = [
     "BoundedDim",
@@ -134,12 +134,11 @@ def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
 
     Each row of the sum at each vertex is one {column: value} dict that
     accumulates c times the stored entries of that row of every g, over the
-    nonzero coefficients c only; zeros are dropped at the end, and over GF(p)
-    the entries are reduced mod p there.
+    nonzero coefficients c only; each sum is made a stored row at the end
+    (`stored_row`), which drops its zeros.
     """
     base = maps[0]
     f = base.source.algebra.field
-    p = f.p
     terms = [(c, g.mats) for g, c in zip(maps, coeffs) if c]
     out = []
     for u, m in enumerate(base.mats):
@@ -149,10 +148,7 @@ def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
                 get = row.get
                 for k, x in src.items():
                     row[k] = get(k, 0) + c * x
-        if p is None:
-            rows = [{k: x for k, x in row.items() if x} for row in acc]
-        else:
-            rows = [{k: y for k, x in row.items() if (y := x % p)} for row in acc]
+        rows = [stored_row(row.items(), f.p) for row in acc]
         out.append(Matrix.from_entries(f, m.rows, m.cols, rows))
     return RepMap(base.source, base.target, out)
 
@@ -763,21 +759,21 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
     for (name, a), (_, b) in zip(invM, invN):
         if a != b:
             return IsoResult("no", invariant=name)
-    endM = hom_basis(M, M)
-    endN = endM if N is M else hom_basis(N, N)
-    if len(endM) != len(endN):
-        return IsoResult("no", invariant="dim End")
     if M.total_dim == 0:
         return IsoResult("yes", witness=identity_map(M))
-    homs = endM if N is M else hom_basis(M, N)
+    homs = hom_basis(M, N)
     d = len(homs)
+    if d == 1 and _invertible(homs[0]):
+        return IsoResult("yes", witness=homs[0])
+    # isomorphic modules have End spaces of equal dimension: they are compared
+    # only while no isomorphism is found, and before any search
+    if N is not M and len(hom_basis(M, M)) != len(hom_basis(N, N)):
+        return IsoResult("no", invariant="dim End")
     if d == 0:
         # equal dimensions but no homomorphisms at all: rigorous rejection
         return IsoResult("no", invariant="Hom space is zero")
     if d == 1:
         # every candidate is a scalar multiple of the single basis map
-        if _invertible(homs[0]):
-            return IsoResult("yes", witness=homs[0])
         return IsoResult("no", invariant="one-dimensional Hom space has no invertible element")
     f = M.algebra.field
     p = f.p
@@ -816,7 +812,8 @@ def split_projective_summands(M: Rep):
     is split off.
 
     P_v has simple top S_v, so each summand P_v adds one to the top of M at
-    v: only vertices in the top are tried, each at most top_v M times.
+    v: only vertices in the top are tried, each at most top_v M times, and
+    only while dim P_v is at most the dimension vector of what is left.
     """
     A = M.algebra
     q = A.quiver
@@ -825,8 +822,9 @@ def split_projective_summands(M: Rep):
     # ker g is a summand of the module it is split from, so it has no P_u
     # summand that module lacks: a vertex left behind needs no second look
     for v, top in enumerate(top_dims(M)):
-        while top:
-            homs = hom_basis(current, projective(A, v)[0])
+        P = projective(A, v)[0]
+        while top and all(a <= b for a, b in zip(P.dims, current.dims)):
+            homs = hom_basis(current, P)
             # row 0 of a map into P_v at v is the coordinate of e_v
             g = next(
                 (h for t in range(current.dims[v]) for h in homs if t in h.mats[v].entries[0]),

@@ -148,7 +148,13 @@ def _check_level(pair: WitnessPair, fixed, seed: int) -> LevelReport:
     core_a, _ = split_projective_summands(bimodule_syzygy(A, pair.level))
     core_b = core_a if B is A else split_projective_summands(bimodule_syzygy(B, pair.level))[0]
     iso_a = is_isomorphic(core_mn, core_a, rng_a)
-    iso_b = is_isomorphic(core_nm, core_b, rng_b)
+    # for a pair (M, M) over one algebra both sides pose the same question,
+    # and a "yes" or "no" answers it exactly: only an inconclusive search is
+    # run again on the second stream
+    if core_nm is core_mn and core_b is core_a and iso_a.kind != "inconclusive":
+        iso_b = iso_a
+    else:
+        iso_b = is_isomorphic(core_nm, core_b, rng_b)
     return LevelReport(proj, iso_a.kind, iso_b.kind)
 
 
@@ -168,7 +174,8 @@ def search_level(M: Rep, N: Rep, n_max: int, seed: int = 0):
     could not overturn a level that holds.  The restrictions and the cores
     of M (x) N and N (x) M do not depend on the level, so they are checked
     and split once per search; each level splits only the syzygy core and
-    runs the two isomorphism tests.
+    runs the two isomorphism tests, one when the pair is (M, M) over one
+    algebra and the first test is not inconclusive.
     """
     reports = []
     fixed = None

@@ -35,7 +35,9 @@ completed opposite algebra instead of reading the transposed matrices on the
 reversed arrows, the product-algebra oracle completes the presentation of
 A (x) B^op instead of assembling its rules from those of A and B^op, the
 combination oracle sums scaled copies of whole matrices instead of
-accumulating each row in one pass, and the
+accumulating each row in one pass, the ends-first isomorphism oracle
+computes End(M) and End(N) on every call instead of only when Hom(M, N)
+shows no isomorphism, and the
 restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
@@ -50,6 +52,8 @@ longer has; the column read-outs are `m.transpose().data`.
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -74,12 +78,17 @@ from qred.modules import (
     TensorFunctor,
     TensorResult,
     TensorSpace,
+    _ISO_TRIES,
     _balanced_relations,
+    _invariant_battery,
+    _invertible,
+    _linear_combination,
     _map_from_projective,
     action_rep,
     arrow_paths,
     dual,
     hom_basis,
+    identity_map,
     injective,
     is_isomorphic,
     kernel_subrep,
@@ -710,6 +719,53 @@ def linear_combination_by_scale_and_add(maps: list[RepMap], coeffs) -> RepMap:
                 acc = acc + g.mats[u].scale(c)
         out.append(acc)
     return RepMap(base.source, base.target, out)
+
+
+def is_isomorphic_ends_first(M: Rep, N: Rep, rng=None) -> IsoResult:
+    """`is_isomorphic` as it was when it computed End(M) and End(N) before
+    Hom(M, N), whatever the answer."""
+    rng = rng or random.Random(0)
+    invM = _invariant_battery(M)
+    invN = invM if N is M else _invariant_battery(N)
+    for (name, a), (_, b) in zip(invM, invN):
+        if a != b:
+            return IsoResult("no", invariant=name)
+    endM = hom_basis(M, M)
+    endN = endM if N is M else hom_basis(N, N)
+    if len(endM) != len(endN):
+        return IsoResult("no", invariant="dim End")
+    if M.total_dim == 0:
+        return IsoResult("yes", witness=identity_map(M))
+    homs = endM if N is M else hom_basis(M, N)
+    d = len(homs)
+    if d == 0:
+        return IsoResult("no", invariant="Hom space is zero")
+    if d == 1:
+        if _invertible(homs[0]):
+            return IsoResult("yes", witness=homs[0])
+        return IsoResult("no", invariant="one-dimensional Hom space has no invertible element")
+    f = M.algebra.field
+    p = f.p
+    if p is not None and p**d <= 2**20:
+        for combo in itertools.product(range(p), repeat=d):
+            if all(c == 0 for c in combo):
+                continue
+            cand = _linear_combination(homs, [f.from_int(c) for c in combo])
+            if _invertible(cand):
+                return IsoResult("yes", witness=cand)
+        return IsoResult("no", invariant="exhausted Hom space")
+    for attempt in range(_ISO_TRIES):
+        if p is None:
+            B = 1 + attempt // 4
+            coeffs = [f.from_int(rng.randint(-B, B)) for _ in range(d)]
+        else:
+            coeffs = [f.from_int(rng.randrange(p)) for _ in range(d)]
+        if all(c == 0 for c in coeffs):
+            continue
+        cand = _linear_combination(homs, coeffs)
+        if _invertible(cand):
+            return IsoResult("yes", witness=cand)
+    return IsoResult("inconclusive")
 
 
 def compose_after(g: RepMap, f: RepMap) -> RepMap:

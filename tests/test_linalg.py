@@ -6,6 +6,7 @@ import pytest
 
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer, _eliminate, kernel_vectors
 
+from conftest import is_field_element
 from oracles import (
     DenseMatrix,
     DenseStepReducer,
@@ -38,6 +39,22 @@ def test_scalar_parsing():
     assert GF5.parse_scalar("1/2") == 3  # inverse of 2 mod 5
     with pytest.raises(ZeroDivisionError):
         GF5.parse_scalar("1/5")
+
+
+def test_rational_scalars_are_canonical():
+    """Over Q every FieldSpec method returns an integral value as an int and
+    builds a Fraction only for a value whose denominator is greater than 1."""
+    half = QQ.from_fraction(1, 2)
+    pairs = [
+        (QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(-3), -3), (QQ.from_fraction(4, -2), -2),
+        (half, Fraction(1, 2)), (QQ.parse_scalar("6/3"), 2), (QQ.parse_scalar("-6/4"), Fraction(-3, 2)),
+        (QQ.inv(half), 2), (QQ.inv(-3), Fraction(-1, 3)), (QQ.inv(Fraction(-1, 4)), -4),
+        (QQ.add(half, half), 1), (QQ.sub(half, QQ.neg(half)), 1), (QQ.mul(half, 4), 2),
+        (QQ.mul(half, 3), Fraction(3, 2)), (QQ.add(half, 1), Fraction(3, 2)), (QQ.neg(half), Fraction(-1, 2)),
+    ]
+    for got, want in pairs:
+        assert got == want and is_field_element(QQ, got)
+    assert sum(type(got) is int for got, _ in pairs) == 10
 
 
 def test_rref_identity():
@@ -189,6 +206,7 @@ def test_rref_kernel_solve_match_fraction_oracle():
         red, rank, pivots = m.rref()
         exp, exp_rank, exp_pivots = rref_by_fractions(data)
         assert (red.data, rank, pivots) == (exp, exp_rank, exp_pivots)
+        _check_stored(red)
         assert m.data == data  # the input is left as it was
         for d in (row[j] for j, row in _eliminate(m.entries, None).items()):
             outcomes.add(f"pivot {d}" if d in (1, -1) else "pivot non-unit")
@@ -217,6 +235,7 @@ def test_rref_kernel_solve_match_fraction_oracle():
             for i, pc in enumerate(aug_pivots):
                 expected[pc] = aug[i][cols:]
             assert x.data == expected
+            _check_stored(x)
             assert m @ x == rhs
             outcomes.add("solvable")
         outcomes.add("full rank" if rank == min(rows, cols) else "rank deficient")
@@ -270,7 +289,6 @@ def test_matmul_and_is_zero_match_triple_loop(field):
     """Nonzero-only products against the triple loop on zero-heavy inputs,
     empty shapes, and products [A A] [B; -B] whose sums cancel to zero."""
     rng = random.Random(606)
-    kind = Fraction if field.p is None else int
     outcomes = set()
     for rows, inner in _shapes(rng):
         cols = rng.randint(0, 9)
@@ -284,7 +302,7 @@ def test_matmul_and_is_zero_match_triple_loop(field):
             prod = mx @ my
             assert (prod.rows, prod.cols) == (rows, cols)
             assert prod.data == _triple_loop(field, x, y, cols)
-            assert all(type(e) is kind and (field.p is None or 0 <= e < field.p) for r in prod.data for e in r)
+            assert all(is_field_element(field, e) for r in prod.data for e in r)
             assert (mx.data, my.data) == (x, y)  # the factors are left as they were
             for m in (mx, my, prod):
                 naive = all(e == 0 for r in m.data for e in r)
@@ -325,17 +343,19 @@ def _no_float(rows):
 
 
 def _stored(field, vec: list) -> dict:
-    """The stored row of a dense vector: its nonzero entries as field elements."""
-    return {k: Fraction(x) if field.p is None else x % field.p for k, x in enumerate(vec) if x}
+    """The stored row of a dense vector: its nonzero entries as field
+    elements, over Q an int where the entry is integral."""
+    if field.p is not None:
+        return {k: x % field.p for k, x in enumerate(vec) if x}
+    return {k: int(x) if Fraction(x).denominator == 1 else x for k, x in enumerate(vec) if x}
 
 
 def _reduce_dense(field, red: SubspaceReducer, vec: list):
     """(reduce, complement coordinates, contains) of the dense vec, read off
     the stored row that red.reduce returns; that row must hold no zero, only
-    the field's entry type and no pivot key."""
+    field elements in their one stored form and no pivot key."""
     out = red.reduce(_stored(field, vec))
-    kind = Fraction if field.p is None else int
-    assert all(x != 0 and type(x) is kind and k not in red.rows for k, x in out.items())
+    assert all(x != 0 and is_field_element(field, x) and k not in red.rows for k, x in out.items())
     dense = _densify(out, red.dim, field)
     return dense, [dense[j] for j in red.complement_indices()], red.contains(_stored(field, vec))
 
@@ -484,15 +504,12 @@ def test_sparse_step_matches_dense_step_oracle(field):
 
 def _check_stored(m: Matrix):
     """m stores {column: value} rows in range that hold no zero, each value
-    of its field's entry type."""
-    p = m.field.p
-    kind = Fraction if p is None else int
+    a field element in its one stored form."""
     assert len(m.entries) == m.rows
     for row in m.entries:
         assert type(row) is dict
         for k, x in row.items():
-            assert 0 <= k < m.cols and x != 0 and type(x) is kind
-            assert p is None or 0 < x < p
+            assert 0 <= k < m.cols and x != 0 and is_field_element(m.field, x)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5], ids=["QQ", "GF2", "GF3", "GF5"])

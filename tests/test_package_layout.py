@@ -4,9 +4,10 @@ source with ast.
 Every import sits at module level, every imported name is used or
 re-exported, and the intra-package graph of ``from .x import`` edges has no
 cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
-module builds a dense vector of field zeros: vectors are stored rows, and
-`Matrix` has no dense column read-out.  Every dotted name that a docstring
-quotes in backticks names something that exists.
+module builds a dense vector of field zeros or a `fractions.Fraction`:
+vectors are stored rows, and `Matrix` has no dense column read-out.  Every
+dotted name that a docstring quotes in backticks names something that
+exists.
 """
 
 import ast
@@ -232,6 +233,32 @@ def test_no_dense_zero_vector_outside_linalg():
     assert _dense_zero_fills(trees["linalg"])  # the read-outs are found at all
     probe = ast.parse("a = [f.zero()] * n\nb = n * [zero]\nc = [0] * n\nd = [f.zero(), 1] * n")
     assert _dense_zero_fills(probe) == [1, 2]
+
+
+def _fraction_calls(tree) -> list[int]:
+    """The lines of tree that call ``Fraction``, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_fraction_is_built_only_in_linalg():
+    """Over Q a field element is an int when it is integral and a Fraction
+    only otherwise; `linalg` is the one module that builds a Fraction, so
+    that rule is kept in one place."""
+    trees = _trees()
+    found = [
+        f"{name}.py:{line}"
+        for name, tree in trees.items()
+        if name != "linalg"
+        for line in _fraction_calls(tree)
+    ]
+    assert found == []
+    assert _fraction_calls(trees["linalg"])  # the calls are found at all
+    probe = ast.parse("a = Fraction(1, 2)\nb = fractions.Fraction(3)\nc = Fraction\nd = f(Fraction)")
+    assert _fraction_calls(probe) == [1, 2]
 
 
 def test_matrix_has_no_dense_column_readout():

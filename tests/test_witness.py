@@ -246,6 +246,34 @@ def test_search_level_builds_the_pair_products_once(monkeypatch, name):
     assert calls == {"tensor_bimodules": 2, "split_projective_summands": 4}
 
 
+@pytest.mark.parametrize("name", ["tri_dual", "corner_mono", "bowtie"])
+def test_identity_pair_runs_one_isomorphism_test_per_level(monkeypatch, name):
+    """For a pair (M, M) over one algebra both sides of a level compare the
+    same two cores, so verify_level runs one isomorphism test per level,
+    levels 0 to 2, and reports what a test on each of the two rng streams
+    reports: the stream of side i at level n is seeded seed * 1000003 +
+    2n + i."""
+    A = load(name)
+    reg = identity_pair(A).M
+    calls = []
+
+    def counted(M, N, rng=None):
+        calls.append((M, N))
+        return is_isomorphic(M, N, rng)
+
+    monkeypatch.setattr(witness, "is_isomorphic", counted)
+    verdicts = []
+    for n in range(3):
+        calls.clear()
+        rep = verify_level(WitnessPair(reg, reg, n), seed=5)
+        assert len(calls) == 1
+        ((core, core_a),) = calls
+        sides = [is_isomorphic(core, core_a, random.Random(5 * 1000003 + 2 * n + i)).kind for i in (0, 1)]
+        assert [rep.iso_left, rep.iso_right] == sides
+        verdicts.append(rep.verdict)
+    assert verdicts[0] == "holds" and "fails" in verdicts[1:]
+
+
 @pytest.mark.parametrize("name", ["dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"])
 def test_search_level_reports_equal_verify_level(name):
     """Every report of a search equals verify_level at its level, for the
