@@ -311,7 +311,7 @@ def cmd_resolve(args, seed):
         "module_dims": list(M.dims),
         "side": args.side,
         "resolution": table,
-        "terminated": res.terminated and len(res.projectives) <= steps,
+        "terminated": res.terminated and len(res.covers) <= steps,
         "pd" if args.side == "projective" else "id": _bd_json(res.dimension(bound)),
     }
     return A, results, [], [], False, EXIT_OK

@@ -28,8 +28,8 @@ from .linalg import SubspaceReducer
 from .modules import (
     BoundedDim,
     Rep,
+    _hom_vectors,
     dual,
-    hom_basis,
     minimal_resolution,
     pd_bounded,
     projective,
@@ -86,13 +86,14 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
 
     where Hom(P_v, N) = e_v N counts the middle term off the top of P_{i-1},
     which as a minimal cover has the top of the smaller module Omega^{i-1}.
-    The resolution runs n + 2 steps, so `terminated` certifies that every
-    Tor_i with i > n vanishes too.
+    A Hom dimension is the count of the kernel vectors of
+    `modules._hom_vectors`; no map is built.  The resolution runs n + 2
+    steps, so `terminated` certifies that every Tor_i with i > n vanishes too.
     """
     res = minimal_resolution(Y, n + 2)
     N = dual(restrict(X, "right"))
     syzygies = [Y] + res.syzygies  # Omega^0 .. Omega^k; Omega^k = 0 once terminated
-    hom = [len(hom_basis(M, N)) for M in syzygies[: n + 1]]
+    hom = [len(_hom_vectors(M, N)[2]) for M in syzygies[: n + 1]]
     dims = hom[:1]
     for i in range(1, n + 1):
         if i >= len(hom):

@@ -6,14 +6,16 @@ resolutions, bounded projective/injective dimension, standard duality,
 balanced tensor products over a middle algebra, and isomorphism testing
 (invariant battery plus a seeded search for an invertible homomorphism).
 `projective_cover` returns (P, pi, basis), the basis of P listing per vertex
-its (summand, normal path) keys.
+its (summand, normal path) keys; a resolution step keeps only the summand
+vertices of P and takes the kernel of pi without assembling P or pi.
 
 Hom and the tensor product share one linear system, the balanced relations
 x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
 them, and Hom(M, N) = D(DN (x) M) is read as the null space of the relations
-of DN (x) M.  The derived tensor goes through Hom alone: Tor_i(X, Y) is dual
-to Ext^i(Y, DX), whose dimensions `homology.tor_bounded` counts with
-`hom_basis` along a minimal resolution of Y.
+of DN (x) M, as kernel vectors: `hom_basis` makes each a map, the searches
+only the vectors they use.  The derived tensor goes through Hom alone:
+Tor_i(X, Y) is dual to Ext^i(Y, DX), whose dimensions `homology.tor_bounded`
+counts as kernel vectors along a minimal resolution of Y.
 
 Invariants are read off a module's own matrices: socle layers as the radical
 layers of the transposed matrices on the reversed arrows, projectivity off the top.
@@ -122,40 +124,11 @@ class RepMap:
 
 
 def zero_rep(A: AlgebraHandle) -> Rep:
-    f = A.field
-    q = A.quiver
-    dims = [0] * q.n_vertices
-    mats = [Matrix.zero(f, 0, 0) for _ in range(q.n_arrows)]
-    return Rep(A, dims, mats)
-
-
-def _linear_combination(maps: list[RepMap], coeffs) -> RepMap:
-    """The map sum c g, built in one pass.
-
-    Each row of the sum at each vertex is one {column: value} dict that
-    accumulates c times the stored entries of that row of every g, over the
-    nonzero coefficients c only; each sum is made a stored row at the end
-    (`stored_row`), which drops its zeros.
-    """
-    base = maps[0]
-    f = base.source.algebra.field
-    terms = [(c, g.mats) for g, c in zip(maps, coeffs) if c]
-    out = []
-    for u, m in enumerate(base.mats):
-        acc: list[dict] = [{} for _ in range(m.rows)]
-        for c, mats in terms:
-            for row, src in zip(acc, mats[u].entries):
-                get = row.get
-                for k, x in src.items():
-                    row[k] = get(k, 0) + c * x
-        rows = [stored_row(row.items(), f.p) for row in acc]
-        out.append(Matrix.from_entries(f, m.rows, m.cols, rows))
-    return RepMap(base.source, base.target, out)
+    return Rep(A, [0] * A.quiver.n_vertices, [Matrix.zero(A.field, 0, 0) for _ in range(A.quiver.n_arrows)])
 
 
 def identity_map(M: Rep) -> RepMap:
-    f = M.algebra.field
-    return RepMap(M, M, [Matrix.identity(f, d) for d in M.dims])
+    return RepMap(M, M, [Matrix.identity(M.algebra.field, d) for d in M.dims])
 
 
 def _block_diagonal(A: AlgebraHandle, reps: list[Rep]):
@@ -235,20 +208,11 @@ def arrow_paths(A: AlgebraHandle) -> list[Path]:
     return [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
 
 
-def _projective_sum(A: AlgebraHandle, vertices: list[int]):
+def _projective_sum(A: AlgebraHandle, vertices: list[int]) -> Rep:
     """P_{v_0} (+) P_{v_1} (+) ..., assembled block-diagonally from the
-    cached indecomposable projectives; (sum, basis).
-
-    Its basis at u lists (j, p) for the normal paths p to u of summand j, in
-    summand order.
-    """
-    parts = [projective(A, v) for v in vertices]
-    dims, mats, _ = _block_diagonal(A, [P for P, _ in parts])
-    basis = [[] for _ in range(A.quiver.n_vertices)]
-    for j, (_, keys_by_vertex) in enumerate(parts):
-        for u, keys in enumerate(keys_by_vertex):
-            basis[u].extend((j, p) for _, p in keys)
-    return Rep(A, dims, mats), basis
+    cached indecomposable projectives, in the basis of `_map_columns`."""
+    dims, mats, _ = _block_diagonal(A, [projective(A, v)[0] for v in vertices])
+    return Rep(A, dims, mats)
 
 
 def projective(A: AlgebraHandle, v: int):
@@ -271,20 +235,14 @@ def projective(A: AlgebraHandle, v: int):
 
 
 def simple(A: AlgebraHandle, v: int) -> Rep:
-    f = A.field
     q = A.quiver
     dims = [1 if u == v else 0 for u in range(q.n_vertices)]
-    mats = [
-        Matrix.zero(f, dims[q.a_tgt[a]], dims[q.a_src[a]]) for a in range(q.n_arrows)
-    ]
-    return Rep(A, dims, mats)
+    return Rep(A, dims, [Matrix.zero(A.field, dims[q.a_tgt[a]], dims[q.a_src[a]]) for a in range(q.n_arrows)])
 
 
 def injective(A: AlgebraHandle, v: int) -> Rep:
     """The indecomposable injective at v: dual of the opposite projective."""
-    op = A.opposite()
-    P, _ = projective(op, v)
-    return dual(P)
+    return dual(projective(A.opposite(), v)[0])
 
 
 def standard_module(A: AlgebraHandle, kind: str, vertex_name: str) -> Rep:
@@ -326,8 +284,7 @@ def validate_rep(M: Rep) -> list[str]:
     if problems:
         return problems
     for ri, rel in enumerate(A.presentation.relations):
-        src = rel[0][0].source
-        tgt = rel[0][0].target
+        src, tgt = rel[0][0].source, rel[0][0].target
         acc = Matrix.zero(A.field, M.dims[tgt], M.dims[src])
         for p, c in rel:
             acc = acc + path_action(M, p).scale(c)
@@ -352,9 +309,7 @@ def _balanced_relations(quiver, field, xcols, xdims, ycols, ydims):
     {coordinate index: value} dict that stores no zero.
     """
     f = field
-    coords = [
-        (w, ix, jy) for w in range(quiver.n_vertices) for ix in range(xdims[w]) for jy in range(ydims[w])
-    ]
+    coords = [(w, ix, jy) for w in range(quiver.n_vertices) for ix in range(xdims[w]) for jy in range(ydims[w])]
     index = {c: i for i, c in enumerate(coords)}
     offset = [0] * quiver.n_vertices
     for w in range(1, quiver.n_vertices):
@@ -379,8 +334,9 @@ def _balanced_relations(quiver, field, xcols, xdims, ycols, ydims):
     return coords, index, rows
 
 
-def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
-    """Basis of Hom(M, N), read as the null space of the relations of DN (x) M.
+def _hom_vectors(M: Rep, N: Rep):
+    """Hom(M, N) as the null space of the relations of DN (x) M: (coords,
+    index) of `_balanced_relations` and the `kernel_vectors`.
 
     Maps f_u: M_u -> N_u form a homomorphism when N_a f_u = f_w M_a for every
     arrow a: u -> w.  These are the balanced relations of the right module
@@ -392,48 +348,63 @@ def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
     if N.algebra is not A:
         raise ValueError("Hom requires modules over the same algebra handle")
     f = A.field
-    coords, _, rows = _balanced_relations(
+    coords, index, rows = _balanced_relations(
         A.quiver, f, [m.entries for m in N.mats], N.dims, [m.transpose().entries for m in M.mats], M.dims
     )
-    out = []
-    for vec in kernel_vectors(f, rows, len(coords))[0]:
-        rows: list[list[dict]] = [[{} for _ in range(n)] for n in N.dims]
-        for idx, x in vec.items():
-            u, i, j = coords[idx]
-            rows[u][i][j] = x
-        mats = [Matrix.from_entries(f, n, m, r) for n, m, r in zip(N.dims, M.dims, rows)]
-        out.append(RepMap(M, N, mats))
-    return out
+    return coords, index, kernel_vectors(f, rows, len(coords))[0]
 
 
-def _map_from_projective(P: Rep, basis, M: Rep, images) -> RepMap:
-    """The map P -> M sending the generator of summand j to images[j], a
-    column given by its stored entries {row: value}.
+def _hom_map(M: Rep, N: Rep, coords, vec: dict) -> RepMap:
+    """The map M -> N whose entries are the stored entries of vec, a vector
+    in the coordinates of `_hom_vectors`."""
+    rows: list[list[dict]] = [[{} for _ in range(n)] for n in N.dims]
+    for idx, x in vec.items():
+        u, i, j = coords[idx]
+        rows[u][i][j] = x
+    return RepMap(M, N, [Matrix.from_entries(M.algebra.field, n, m, r) for n, m, r in zip(N.dims, M.dims, rows)])
 
-    The column of a basis path p of summand j is p acting on images[j]; it is
-    propagated along the arrows, column(p.a) = M_a column(p), as the row
-    column(p) times the transpose of M_a, and memoized by (summand, arrows)
-    for this call only.
+
+def _combination(vecs: list[dict], coeffs, p: int | None) -> dict:
+    """The stored row sum c v, in one pass over the vectors of nonzero c."""
+    acc: dict = {}
+    for c, vec in zip(coeffs, vecs):
+        if c:
+            for k, x in vec.items():
+                acc[k] = acc.get(k, 0) + c * x
+    return stored_row(acc.items(), p)
+
+
+def hom_basis(M: Rep, N: Rep) -> list[RepMap]:
+    """Basis of Hom(M, N): the vectors of `_hom_vectors`, each made a map."""
+    coords, _, vecs = _hom_vectors(M, N)
+    return [_hom_map(M, N, coords, vec) for vec in vecs]
+
+
+def _map_columns(M: Rep, gens):
+    """(vertices, basis, transposes) of the map P_{v_0} (+) P_{v_1} (+) ... ->
+    M that sends the generator of summand j to c_j, where gens[j] = (v_j, c_j)
+    and a column is {row: value}.  The basis at u lists (j, p) for the normal
+    paths p to u of summand j, in summand order; row k of transposes[u] is
+    the column of basis key k, p acting on c_j, propagated along the arrows:
+    column(p.a) = M_a column(p), the row column(p) times the transpose of
+    M_a, memoized by (summand, arrows) for this call only.
     """
+    A = M.algebra
     transposes = [m.transpose() for m in M.mats]
     columns = {}
 
     def column(j, arrows):
-        key = (j, arrows)
-        col = columns.get(key)
-        if col is None:
-            col = images[j] if not arrows else transposes[arrows[-1]].row_times(column(j, arrows[:-1]))
-            columns[key] = col
-        return col
+        if (j, arrows) not in columns:
+            col = gens[j][1] if not arrows else transposes[arrows[-1]].row_times(column(j, arrows[:-1]))
+            columns[j, arrows] = col
+        return columns[j, arrows]
 
-    mats = []
-    for u, keys in enumerate(basis):
-        rows: list[dict] = [{} for _ in range(M.dims[u])]
-        for c, (j, p) in enumerate(keys):
-            for i, x in column(j, p.arrows).items():
-                rows[i][c] = x
-        mats.append(Matrix.from_entries(M.algebra.field, M.dims[u], len(keys), rows))
-    return RepMap(P, M, mats)
+    basis = [[] for _ in M.dims]
+    for j, (v, _) in enumerate(gens):
+        for u, keys in enumerate(projective(A, v)[1]):
+            basis[u].extend((j, p) for _, p in keys)
+    cols = [[column(j, p.arrows) for j, p in keys] for keys in basis]
+    return [v for v, _ in gens], basis, [Matrix.from_entries(A.field, len(c), d, c) for c, d in zip(cols, M.dims)]
 
 
 # -- radical, socle, covers -------------------------------------------------
@@ -564,10 +535,7 @@ def quotient_rep(M: Rep, vectors_per_vertex):
     A = M.algebra
     f = A.field
     q = A.quiver
-    reducers = [
-        SubspaceReducer(f, M.dims[u], vectors_per_vertex[u])
-        for u in range(q.n_vertices)
-    ]
+    reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
     transposes = [m.transpose() for m in M.mats]
     _span_images(M, transposes, reducers, [red.echelon_rows() for red in reducers])
     # the quotient at u has the basis of the complement coordinates comps[u]
@@ -587,50 +555,86 @@ def quotient_rep(M: Rep, vectors_per_vertex):
     return Q, RepMap(M, Q, projs)
 
 
-def kernel_subrep(f_map: RepMap):
-    """Kernel of a map as a subrepresentation of its source; (rep, inclusion).
+def _kernel_rep(A: AlgebraHandle, transposes: list[Matrix], act):
+    """The kernel of a map F as a Rep, and its `kernel_vectors` per vertex.
 
-    The basis at each vertex u is the columns K_u of
-    ``f_map.mats[u].kernel_basis()``.  They are the identity at the free
-    rows, which the same elimination reports, so the coordinates of a vector
-    of the kernel are its entries there, and the arrow a: u -> w acts by the
-    free rows of M_a K_u.  Raises ValueError when f_w M_a K_u is not zero,
-    that is when the kernel is not stable under the arrow actions (never for
-    a homomorphism).
+    transposes[u] is the transpose of F_u, act(a, vec) the image of a source
+    vector under arrow a.  A kernel vector is the identity at the free
+    columns, so its coordinates are its entries there, and arrow a acts by
+    the free entries of the images.  Raises ValueError when F does not kill
+    them: the kernel is not stable under the arrows (never for a homomorphism).
     """
-    M = f_map.source
-    A = M.algebra
-    q = A.quiver
-    bases, free = [], []
-    for m in f_map.mats:
-        basis, fr = m.kernel_with_free()
-        bases.append(basis)
-        free.append(fr)
-    dims = [K.cols for K in bases]
+    q, f = A.quiver, A.field
+    kernels = [kernel_vectors(f, m.transpose().entries, m.rows) for m in transposes]
+    dims = [len(free) for _, free in kernels]
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        image = M.mats[a] @ bases[src]
-        if not (f_map.mats[tgt] @ image).is_zero():
+        images = [act(a, vec) for vec in kernels[src][0]]
+        if not (Matrix.from_entries(f, dims[src], transposes[tgt].rows, images) @ transposes[tgt]).is_zero():
             raise ValueError("span is not stable under the arrow actions")
-        rows = [image.entries[j] for j in free[tgt]]
-        mats.append(Matrix.from_entries(A.field, dims[tgt], dims[src], rows))
-    S = Rep(A, dims, mats)
-    return S, RepMap(S, M, bases)
+        pos = {k: r for r, k in enumerate(kernels[tgt][1])}
+        rows: list[dict] = [{} for _ in range(dims[tgt])]
+        for c, image in enumerate(images):
+            for k, x in image.items():
+                if k in pos:
+                    rows[pos[k]][c] = x
+        mats.append(Matrix.from_entries(f, dims[tgt], dims[src], rows))
+    return Rep(A, dims, mats), [vecs for vecs, _ in kernels]
+
+
+def kernel_subrep(f_map: RepMap):
+    """Kernel of a map as a subrepresentation of its source; (rep, inclusion).
+
+    The basis at u is the columns of ``f_map.mats[u].kernel_basis()``; see
+    `_kernel_rep`, which raises ValueError when the kernel is not stable.
+    """
+    M, f = f_map.source, f_map.source.algebra.field
+    actions = [m.transpose().row_times for m in M.mats]
+    S, kernels = _kernel_rep(M.algebra, [m.transpose() for m in f_map.mats], lambda a, vec: actions[a](vec))
+    return S, RepMap(S, M, [Matrix.from_entries(f, len(vs), d, vs).transpose() for vs, d in zip(kernels, M.dims)])
+
+
+def _cover(M: Rep):
+    """`_map_columns` of the minimal cover pi: P -> M: one summand P_u per
+    basis vector e_i of M_u outside the echelon pivots of rad M, its
+    generator sent to e_i."""
+    one = M.algebra.field.one()
+    reducers = radical_reducers(M)
+    return _map_columns(M, [(u, {i: one}) for u, red in enumerate(reducers) for i in red.complement_indices()])
 
 
 def projective_cover(M: Rep):
-    """Minimal projective cover (P, pi, basis); kernel of pi lies in rad P.
+    """Minimal projective cover (P, pi, basis) of `_cover`; kernel of pi lies in rad P."""
+    vertices, basis, transposes = _cover(M)
+    P = _projective_sum(M.algebra, vertices)
+    return P, RepMap(P, M, [m.transpose() for m in transposes]), basis
 
-    P has one summand P_u per basis vector e_i of M_u outside the echelon
-    pivots of rad M, and pi sends its generator to e_i.
-    """
+
+def _syzygy(M: Rep):
+    """One resolution step: the summand vertices of the minimal cover pi: P
+    -> M of `_cover`, and the kernel of pi as `kernel_subrep` gives it.  P is
+    never assembled: an arrow acts on a vector of P through the transposed
+    matrices of each summand's cached projective, at its offset."""
     A = M.algebra
-    red = radical_reducers(M)
-    gens = [(u, idx) for u in range(A.quiver.n_vertices) for idx in red[u].complement_indices()]
-    P, basis = _projective_sum(A, [u for u, _ in gens])
-    images = [{idx: A.field.one()} for _, idx in gens]
-    return P, _map_from_projective(P, basis, M, images), basis
+    vertices, basis, transposes = _cover(M)
+    parts = {v: [m.transpose() for m in projective(A, v)[0].mats] for v in set(vertices)}
+    offsets, dims = [], [0] * len(M.dims)
+    for v in vertices:
+        offsets.append(dims)
+        dims = [x + d for x, d in zip(dims, projective(A, v)[0].dims)]
+
+    def act(a, vec):
+        src, tgt = A.quiver.a_src[a], A.quiver.a_tgt[a]
+        acc: dict = {}
+        for k, x in vec.items():
+            j = basis[src][k][0]
+            lo = offsets[j][tgt]
+            for r, y in parts[vertices[j]][a].entries[k - offsets[j][src]].items():
+                acc[lo + r] = acc.get(lo + r, 0) + x * y
+        return stored_row(acc.items(), A.field.p)
+
+    return vertices, _kernel_rep(A, transposes, act)[0]
 
 
 def is_projective(M: Rep) -> bool:
@@ -649,43 +653,42 @@ def is_projective(M: Rep) -> bool:
 
 @dataclass
 class Resolution:
-    """A minimal projective resolution, kept as its terms and syzygies.
+    """A minimal projective resolution, kept as its covers and syzygies.
 
-    The differentials P_i -> P_{i-1} are not kept.  Each P_i is the minimal
-    cover of Omega^i with kernel Omega^{i+1}, and that short exact sequence
-    is all that projective dimension and Tor (by dimension shifting, see
-    `homology.tor_bounded`) need.
+    covers[i] lists the summand vertices of P_i, the minimal cover of Omega^i
+    with kernel Omega^{i+1}: all that pd and Tor (`homology.tor_bounded`)
+    need.  `projectives` assembles the P_i anew on each read.
     """
 
-    projectives: list[Rep]
+    covers: list[list[int]]
     syzygies: list[Rep]  # syzygies[i] = Omega^{i+1}(M)
     terminated: bool
+
+    @property
+    def projectives(self) -> list[Rep]:
+        return [_projective_sum(K.algebra, vs) for vs, K in zip(self.covers, self.syzygies)]
 
     def dimension(self, bound: int) -> BoundedDim:
         """The projective dimension of the module, read off a resolution of
         bound + 1 steps: exact when it terminated, else more than bound."""
         if self.terminated:
-            return BoundedDim.Exact(max(0, len(self.projectives) - 1), bound)
+            return BoundedDim.Exact(max(0, len(self.covers) - 1), bound)
         return BoundedDim.AtLeast(bound + 1, bound)
 
 
 def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolution:
-    """Iterated minimal covers; stops early when a syzygy vanishes."""
-    projs, syz = [], []
+    """Iterated minimal covers (`_syzygy`); stops early when a syzygy vanishes."""
+    covers, syz = [], []
     current = M
     for _ in range(steps):
         if current.is_zero():
             break
         if dim_cap is not None and current.total_dim > dim_cap:
-            raise ResolutionCapExceeded(
-                f"syzygy dimension {current.total_dim} exceeds cap {dim_cap}"
-            )
-        P, pi, _ = projective_cover(current)
-        K, _ = kernel_subrep(pi)
-        projs.append(P)
-        syz.append(K)
-        current = K
-    return Resolution(projs, syz, current.is_zero())
+            raise ResolutionCapExceeded(f"syzygy dimension {current.total_dim} exceeds cap {dim_cap}")
+        vertices, current = _syzygy(current)
+        covers.append(vertices)
+        syz.append(current)
+    return Resolution(covers, syz, current.is_zero())
 
 
 def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None) -> BoundedDim:
@@ -749,7 +752,9 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
 
     Positive answers carry an exactly verified invertible homomorphism; a
     negative answer names the separating invariant; otherwise the randomized
-    search gives up (Inconclusive) and says nothing.
+    search gives up (Inconclusive) and says nothing.  Hom(M, N) is kept as
+    kernel vectors: each candidate is one combination of them made a map,
+    and End(M) and End(N) are only counted.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebra handles")
@@ -761,13 +766,13 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
             return IsoResult("no", invariant=name)
     if M.total_dim == 0:
         return IsoResult("yes", witness=identity_map(M))
-    homs = hom_basis(M, N)
+    coords, _, homs = _hom_vectors(M, N)
     d = len(homs)
-    if d == 1 and _invertible(homs[0]):
-        return IsoResult("yes", witness=homs[0])
+    if d == 1 and _invertible(cand := _hom_map(M, N, coords, homs[0])):
+        return IsoResult("yes", witness=cand)
     # isomorphic modules have End spaces of equal dimension: they are compared
     # only while no isomorphism is found, and before any search
-    if N is not M and len(hom_basis(M, M)) != len(hom_basis(N, N)):
+    if N is not M and len(_hom_vectors(M, M)[2]) != len(_hom_vectors(N, N)[2]):
         return IsoResult("no", invariant="dim End")
     if d == 0:
         # equal dimensions but no homomorphisms at all: rigorous rejection
@@ -781,7 +786,7 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
         for combo in itertools.product(range(p), repeat=d):
             if all(c == 0 for c in combo):
                 continue
-            cand = _linear_combination(homs, [f.from_int(c) for c in combo])
+            cand = _hom_map(M, N, coords, _combination(homs, [f.from_int(c) for c in combo], p))
             if _invertible(cand):
                 return IsoResult("yes", witness=cand)
         # the search space was exhausted: no combination is invertible
@@ -794,7 +799,7 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
             coeffs = [f.from_int(rng.randrange(p)) for _ in range(d)]
         if all(c == 0 for c in coeffs):
             continue
-        cand = _linear_combination(homs, coeffs)
+        cand = _hom_map(M, N, coords, _combination(homs, coeffs, p))
         if _invertible(cand):
             return IsoResult("yes", witness=cand)
     return IsoResult("inconclusive")
@@ -808,8 +813,8 @@ def split_projective_summands(M: Rep):
     g o f is then a unit of the local ring End(P_v), so M = Am (+) ker g with
     Am isomorphic to P_v.  Such a pair exists exactly when P_v is a summand
     of M, and by bilinearity then among the standard basis vectors m of M_v
-    and the basis maps g of Hom(M, P_v); the first pair found, m outermost,
-    is split off.
+    and the basis of Hom(M, P_v); the first pair found, m outermost, is split
+    off, and only that g, a kernel vector of `_hom_vectors`, is made a map.
 
     P_v has simple top S_v, so each summand P_v adds one to the top of M at
     v: only vertices in the top are tried, each at most top_v M times, and
@@ -824,15 +829,12 @@ def split_projective_summands(M: Rep):
     for v, top in enumerate(top_dims(M)):
         P = projective(A, v)[0]
         while top and all(a <= b for a, b in zip(P.dims, current.dims)):
-            homs = hom_basis(current, P)
+            coords, index, homs = _hom_vectors(current, P)
             # row 0 of a map into P_v at v is the coordinate of e_v
-            g = next(
-                (h for t in range(current.dims[v]) for h in homs if t in h.mats[v].entries[0]),
-                None,
-            )
+            g = next((h for t in range(current.dims[v]) for h in homs if index[(v, 0, t)] in h), None)
             if g is None:
                 break
-            current, _ = kernel_subrep(g)
+            current, _ = kernel_subrep(_hom_map(current, P, coords, g))
             stripped.append(q.vertices[v])
             top -= 1
     return current, stripped
@@ -1070,9 +1072,7 @@ def stable_span(M: Rep, vectors_per_vertex) -> list[list[dict]]:
     A = M.algebra
     q = A.quiver
     f = A.field
-    reducers = [
-        SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)
-    ]
+    reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
     transposes = [m.transpose() for m in M.mats]
     queue = []
     for u in range(q.n_vertices):

@@ -19,6 +19,8 @@ every basis path by every arrow instead of copying cached blocks, the
 subrepresentation oracle solves for coordinates instead of reading them at
 the echelon pivots, the kernel oracle re-echelonizes the kernel basis
 through a subspace reducer instead of reading coordinates at its free rows,
+the kernel-product oracle multiplies the assembled cover by the kernel
+basis matrix instead of applying the cached projectives to kernel vectors,
 the summand oracle splits along an explicit idempotent f h^-1 g instead of
 taking ker g, the projectivity oracle tests the rank of the cover map
 instead of comparing dimensions only, the Ext^2 oracle counts summands of
@@ -82,8 +84,7 @@ from qred.modules import (
     _balanced_relations,
     _invariant_battery,
     _invertible,
-    _linear_combination,
-    _map_from_projective,
+    _map_columns,
     action_rep,
     arrow_paths,
     dual,
@@ -750,7 +751,7 @@ def is_isomorphic_ends_first(M: Rep, N: Rep, rng=None) -> IsoResult:
         for combo in itertools.product(range(p), repeat=d):
             if all(c == 0 for c in combo):
                 continue
-            cand = _linear_combination(homs, [f.from_int(c) for c in combo])
+            cand = linear_combination_by_scale_and_add(homs, [f.from_int(c) for c in combo])
             if _invertible(cand):
                 return IsoResult("yes", witness=cand)
         return IsoResult("no", invariant="exhausted Hom space")
@@ -762,7 +763,7 @@ def is_isomorphic_ends_first(M: Rep, N: Rep, rng=None) -> IsoResult:
             coeffs = [f.from_int(rng.randrange(p)) for _ in range(d)]
         if all(c == 0 for c in coeffs):
             continue
-        cand = _linear_combination(homs, coeffs)
+        cand = linear_combination_by_scale_and_add(homs, coeffs)
         if _invertible(cand):
             return IsoResult("yes", witness=cand)
     return IsoResult("inconclusive")
@@ -775,11 +776,9 @@ def compose_after(g: RepMap, f: RepMap) -> RepMap:
 
 def hom_from_projective(A, v: int, M: Rep) -> list[RepMap]:
     """Basis of Hom(P_v, M) via Hom(Ae_v, M) = e_v M; no linear solve."""
-    P, basis = projective(A, v)
-    return [
-        _map_from_projective(P, basis, M, [{t: A.field.one()}])
-        for t in range(M.dims[v])
-    ]
+    P = projective(A, v)[0]
+    maps = [_map_columns(M, [(v, {t: A.field.one()})])[2] for t in range(M.dims[v])]
+    return [RepMap(P, M, [m.transpose() for m in transposes]) for transposes in maps]
 
 
 def stable_isomorphic(M: Rep, N: Rep, rng=None) -> IsoResult:
@@ -820,6 +819,25 @@ def sub_rep_by_solve(M: Rep, vectors_per_vertex):
             raise ValueError("span is not stable under the arrow actions")
         mats.append(coords)
     return [b.cols for b in bases], mats, bases
+
+
+def kernel_subrep_by_products(f_map: RepMap):
+    """(rep, inclusion) of the kernel of f_map in the basis of kernel_basis,
+    each arrow read off the free rows of the product M_a K_u of matrices;
+    raises ValueError when f_w M_a K_u is not zero."""
+    M = f_map.source
+    q = M.algebra.quiver
+    bases, free = zip(*(m.kernel_with_free() for m in f_map.mats))
+    mats = []
+    for a in range(q.n_arrows):
+        src, tgt = q.a_src[a], q.a_tgt[a]
+        image = M.mats[a] @ bases[src]
+        if not (f_map.mats[tgt] @ image).is_zero():
+            raise ValueError("span is not stable under the arrow actions")
+        rows = [image.entries[j] for j in free[tgt]]
+        mats.append(Matrix.from_entries(M.algebra.field, bases[tgt].cols, bases[src].cols, rows))
+    S = Rep(M.algebra, [K.cols for K in bases], mats)
+    return S, RepMap(S, M, list(bases))
 
 
 def kernel_subrep_by_reducer(f_map: RepMap):

@@ -6,6 +6,7 @@ from qred import modules
 from qred.algebra import Path, Presentation, Quiver, complete
 from qred.homology import tor_bounded
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
+from qred.parser import parse_algebra
 from qred.modules import (
     BoundedDim,
     Rep,
@@ -39,14 +40,13 @@ from qred.modules import (
     top_dims,
     validate_rep,
     zero_rep,
-    _linear_combination,
 )
 from qred.reduction import corner_module_Ae, corner_module_eA, corner_presentation
 from qred.witness import bimodule_syzygy, idempotent_candidate, identity_pair, syzygy_pair, tensor_bimodules
 
 import oracles
 
-from conftest import is_field_element, load
+from conftest import FIXTURES, is_field_element, load
 from corpus import completed_corpus
 from oracles import (
     DenseMatrix,
@@ -58,6 +58,7 @@ from oracles import (
     injective_dimension_direct,
     is_isomorphic_ends_first,
     is_projective_by_rank,
+    kernel_subrep_by_products,
     kernel_subrep_by_reducer,
     linear_combination_by_scale_and_add,
     projective_cover_by_path_action,
@@ -366,6 +367,111 @@ def test_resolution_periodic(dual_numbers):
     res = minimal_resolution(simple(dual_numbers, 0), 5)
     assert not res.terminated
     assert all(s.total_dim == 1 for s in res.syzygies)
+
+
+_FIXTURE_NAMES = ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie")
+
+
+def _bowtie_quotients(A, rng, count):
+    """Modules shaped like those of the syzygy_q benchmark: the quotient of
+    a sum of one or two indecomposable projectives by the submodule that
+    random radical elements generate."""
+    n = A.quiver.n_vertices
+    mods = []
+    for _ in range(count):
+        P, _ = rep_direct_sum([projective(A, rng.randrange(n))[0] for _ in range(rng.randint(1, 2))])
+        mods.append(quotient_rep(P, stable_span(P, _radical_gens(rng, P)))[0])
+    return mods
+
+
+def _steps_match_oracles(M, steps) -> int:
+    """Resolve M and check every step against projective_cover followed by
+    kernel_subrep and by the kernel-product oracle; the number of steps."""
+    res = minimal_resolution(M, steps)
+    covers, current = [], M
+    for K in res.syzygies:
+        P, pi, _ = projective_cover(current)
+        want, _ = kernel_subrep(pi)
+        old, _ = kernel_subrep_by_products(pi)
+        assert (K.dims, K.mats) == (want.dims, want.mats) == (old.dims, old.mats)
+        covers.append(P)
+        current = K
+    assert [(P.dims, P.mats) for P in res.projectives] == [(P.dims, P.mats) for P in covers]
+    assert res.terminated == current.is_zero() and len(res.covers) == len(covers)
+    return len(covers)
+
+
+def test_resolution_step_matches_cover_and_kernel_oracles():
+    """A resolution step assembles neither its cover nor the cover map, and
+    gives the syzygy that projective_cover followed by kernel_subrep gives,
+    and the kernel-product oracle, matrix for matrix; Resolution.projectives
+    are the P of projective_cover.  The inputs are the simples of the six
+    fixtures on both sides, Omega^0..Omega^3 of their regular bimodules,
+    bowtie quotients shaped like the syzygy_q modules, and modules over
+    seeded corpora over GF(3) and GF(5)."""
+    rng = random.Random(2501)
+    steps = 0
+    for name in _FIXTURE_NAMES:
+        A = load(name)
+        for B in (A, A.opposite()):
+            steps += sum(_steps_match_oracles(simple(B, v), 4) for v in range(B.quiver.n_vertices))
+        steps += _steps_match_oracles(regular_bimodule(A), 4)
+    for M in _bowtie_quotients(load("bowtie"), rng, 8):
+        steps += _steps_match_oracles(M, 5)
+    for seed, p in ((2502, 3), (2503, 5)):
+        for A in completed_corpus(seed, 25, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4):
+            for M in _sample_modules(A, rng) + _bowtie_quotients(A, rng, 2):
+                steps += _steps_match_oracles(M, 3)
+    assert steps >= 1100
+
+
+def test_resolution_step_raises_where_the_kernel_oracles_raise():
+    """On random representations of bowtie over Q and GF(3) that break a
+    relation, a resolution step raises ValueError on the same inputs as
+    projective_cover followed by kernel_subrep or by the kernel-product
+    oracle, and otherwise gives the same syzygy."""
+    text = (FIXTURES / "bowtie.alg").read_text(encoding="utf-8")
+    rng = random.Random(2504)
+    raised = []
+    for field in ("rational", "gf 3"):
+        A = complete(parse_algebra(text.replace("field rational", f"field {field}")), 12)
+        f, q = A.field, A.quiver
+        for _ in range(2500):
+            dims = [rng.randint(0, 2) for _ in range(q.n_vertices)]
+            entry = lambda: f.from_int(rng.choice((0, 0, 1, -1, 2)))
+            shapes = [(dims[q.a_tgt[a]], dims[q.a_src[a]]) for a in range(q.n_arrows)]
+            M = Rep(A, dims, [Matrix(f, r, c, [[entry() for _ in range(c)] for _ in range(r)]) for r, c in shapes])
+            if not validate_rep(M):
+                continue
+            outcomes = []
+            for kernel in (None, kernel_subrep, kernel_subrep_by_products):
+                try:
+                    step = minimal_resolution(M, 1).syzygies if kernel is None else kernel(projective_cover(M)[1])
+                    K = step[0]
+                except ValueError as e:
+                    assert "not stable" in str(e)
+                    outcomes.append(None)
+                else:
+                    outcomes.append((K.dims, K.mats))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            raised.append(outcomes[0] is None)
+    assert raised.count(True) >= 10 and raised.count(False) >= 1000
+
+
+def test_pd_bounded_assembles_no_cover(monkeypatch):
+    """pd_bounded, on either side, never assembles a block-diagonal cover on
+    the bowtie simples and on bowtie quotients shaped like the syzygy_q
+    modules; reading Resolution.projectives does."""
+    bowtie = load("bowtie")
+    mods = [simple(bowtie, v) for v in range(bowtie.quiver.n_vertices)]
+    mods += _bowtie_quotients(bowtie, random.Random(2505), 6)
+    want = [str(pd_bounded(M, 5, side)) for M in mods for side in ("projective", "injective")]
+    calls = []
+    block_diagonal = modules._block_diagonal
+    monkeypatch.setattr(modules, "_block_diagonal", lambda A, reps: calls.append(A) or block_diagonal(A, reps))
+    assert [str(pd_bounded(M, 5, side)) for M in mods for side in ("projective", "injective")] == want
+    assert calls == []
+    assert minimal_resolution(mods[0], 2).projectives and calls
 
 
 def test_resolution_tri(tri_dual):
@@ -692,21 +798,22 @@ def test_split_computes_hom_only_at_top_vertices(monkeypatch, name, calls):
     Hom(M, P_v) only at vertices v in the top of the module M being split,
     and only where dim P_v is at most dim M at every vertex: 15 times on
     bowtie and 5 on corner_mono, where the top alone allowed 17 and 6 and
-    trying every vertex took 25 and 12.  Core and stripped list still match
+    trying every vertex took 25 and 12.  Each Hom space is counted where
+    its kernel vectors are computed.  Core and stripped list still match
     the inverse oracle."""
     A = load(name)
     env = A.enveloping()
     mods = [bimodule_syzygy(A, k) for k in range(3)]
     vertex_of = {id(projective(env, v)[0]): v for v in range(env.quiver.n_vertices)}
     tops = []
-    hom = modules.hom_basis
+    hom = modules._hom_vectors
 
     def counted(M, N):
         assert all(a <= b for a, b in zip(N.dims, M.dims))
         tops.append(top_dims(M)[vertex_of[id(N)]])
         return hom(M, N)
 
-    monkeypatch.setattr(modules, "hom_basis", counted)
+    monkeypatch.setattr(modules, "_hom_vectors", counted)
     for M in mods:
         split_projective_summands(M)
     monkeypatch.undo()
@@ -826,8 +933,13 @@ def _dense_combination(maps, coeffs) -> list[list[list]]:
     return out
 
 
-def _combination_matches_oracles(maps, coeffs) -> RepMap:
-    comb = _linear_combination(maps, coeffs)
+def _combination_matches_oracles(M, picks, coeffs) -> RepMap:
+    """The candidate is_isomorphic builds from the End(M) vectors at the
+    indices picks, checked against the same combination of hom_basis maps."""
+    coords, _, vecs = modules._hom_vectors(M, M)
+    maps = [hom_basis(M, M)[i] for i in picks]
+    vec = modules._combination([vecs[i] for i in picks], coeffs, M.algebra.field.p)
+    comb = modules._hom_map(M, M, coords, vec)
     assert [m.data for m in comb.mats] == _dense_combination(maps, coeffs)
     assert comb.mats == linear_combination_by_scale_and_add(maps, coeffs).mats
     return comb
@@ -856,16 +968,17 @@ def test_engine_matrices_store_only_nonzero_field_entries():
             homs = hom_basis(M, M)
             maps += [pi, incl] + homs
             if len(homs) > 1:
-                maps.append(_combination_matches_oracles(homs, [f.from_int(rng.randint(-2, 2)) for _ in homs]))
+                coeffs = [f.from_int(rng.randint(-2, 2)) for _ in homs]
+                maps.append(_combination_matches_oracles(M, range(len(homs)), coeffs))
                 if f.p is None:
                     # h0/2 + h0/2: sums of halves that come out integral
                     half = f.from_fraction(1, 2)
-                    halves = _combination_matches_oracles([homs[0], homs[0]], [half, half])
+                    halves = _combination_matches_oracles(M, [0, 0], [half, half])
                     assert halves.mats == homs[0].mats
                     maps.append(halves)
                 # -h0 + h1 + h0: every entry of h0 cancels, in GF(2) too
                 one = f.one()
-                cancel = _combination_matches_oracles([homs[0], homs[1], homs[0]], [f.neg(one), one, one])
+                cancel = _combination_matches_oracles(M, [0, 1, 0], [f.neg(one), one, one])
                 assert cancel.mats == homs[1].mats
                 maps.append(cancel)
                 fields.add(f.p)
@@ -884,9 +997,9 @@ def test_engine_matrices_store_only_nonzero_field_entries():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_exhaustive_iso_witness_matches_scale_and_add_oracle(monkeypatch, p):
     """Over GF(p), with p^dim Hom small, is_isomorphic tries the combinations
-    of the Hom basis in a fixed order: the one-pass combination finds the
-    same witness, or the same separating answer, as the sum of scaled
-    copies."""
+    of the Hom basis in a fixed order: the one-pass combination of kernel
+    vectors finds the same witness, or the same separating answer, as the
+    sum of scaled copies of the hom_basis maps, read back as a vector."""
     rng = random.Random(2300 + p)
     pairs = []
     for A in completed_corpus(60 + p, 3, FieldSpec(p), bound=8, dim_cap=10, max_vertices=3, max_arrows=4):
@@ -894,16 +1007,22 @@ def test_exhaustive_iso_witness_matches_scale_and_add_oracle(monkeypatch, p):
         pairs += [(M, N) for M in mods for N in mods if M.dims == N.dims and M.total_dim <= 8]
     got = [is_isomorphic(M, N, random.Random(0)) for M, N in pairs]
     oracle_calls = []
+    basis = {}
 
-    def oracle(maps, coeffs):
+    def oracle(vecs, coeffs, q):
+        maps, index = basis["maps"], basis["index"]
+        assert len(vecs) == len(maps) and q == p
         oracle_calls.append(len(maps))
-        return linear_combination_by_scale_and_add(maps, coeffs)
+        comb = linear_combination_by_scale_and_add(maps, coeffs)
+        entries = ((u, i, row) for u, m in enumerate(comb.mats) for i, row in enumerate(m.entries))
+        return {index[(u, i, j)]: x for u, i, row in entries for j, x in row.items()}
 
-    monkeypatch.setattr(modules, "_linear_combination", oracle)
+    monkeypatch.setattr(modules, "_combination", oracle)
     want = []
     searched = 0  # pairs answered by trying combinations
     for M, N in pairs:
         before = len(oracle_calls)
+        basis.update(maps=hom_basis(M, N), index=modules._hom_vectors(M, N)[1])
         want.append(is_isomorphic(M, N, random.Random(0)))
         searched += len(oracle_calls) > before
     for g, w in zip(got, want):
@@ -936,6 +1055,54 @@ def test_self_isomorphism_computes_one_invariant_battery(monkeypatch, bowtie):
         assert (got.kind, got.invariant) == (want.kind, want.invariant) == ("yes", None)
         assert got.witness.mats == want.witness.mats
     assert len(syz) == 9
+
+
+def test_self_isomorphism_builds_one_map_per_candidate(monkeypatch, bowtie):
+    """is_isomorphic(K, K) keeps Hom(K, K) as kernel vectors and builds at
+    most one map per candidate it tests, where hom_basis would build one per
+    basis vector; K runs over the first three syzygies of the bowtie
+    simples."""
+    syz = [K for v in range(bowtie.quiver.n_vertices) for K in minimal_resolution(simple(bowtie, v), 3).syzygies]
+    ends = [len(hom_basis(K, K)) for K in syz]
+    built, tested = [], []
+
+    class Counted(RepMap):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    invertible = modules._invertible
+    monkeypatch.setattr(modules, "RepMap", Counted)
+    monkeypatch.setattr(modules, "_invertible", lambda g: tested.append(g) or invertible(g))
+    for K in syz:
+        built.clear()
+        tested.clear()
+        assert is_isomorphic(K, K, random.Random(3)).kind == "yes"
+        assert 1 <= len(built) <= len(tested)
+    assert len(syz) == 9 and max(ends) > 10
+
+
+def test_split_builds_one_map_per_summand(monkeypatch):
+    """split_projective_summands makes a map only of the Hom vector it
+    splits along: one per stripped summand, on Omega^0..Omega^2 of the
+    regular bimodules and on sums with a projective over the fixtures."""
+    rng = random.Random(2506)
+    mods = []
+    for name in ("dual_numbers", "line2", "tri_dual", "corner_mono", "bowtie"):
+        A = load(name)
+        mods += [bimodule_syzygy(A, k) for k in range(3)] + [_mixed_sum(A, rng) for _ in range(2)]
+    built = []
+    hom_map = modules._hom_map
+    monkeypatch.setattr(modules, "_hom_map", lambda *args: built.append(args) or hom_map(*args))
+    stripped = 0
+    for M in mods:
+        built.clear()
+        _, names = split_projective_summands(M)
+        assert len(built) == len(names)
+        stripped += len(names)
+    assert stripped >= 15
 
 
 def test_is_isomorphic_matches_ends_first_oracle(monkeypatch):

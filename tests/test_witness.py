@@ -107,19 +107,19 @@ def test_bimodule_syzygy_functorial(line2):
 def test_bimodule_syzygy_resolves_once_per_algebra(monkeypatch, name, order):
     """Omega^0..Omega^3 of the regular bimodule, asked for in either order on
     a fresh handle, equal the syzygies of one minimal resolution and take at
-    most one projective cover each; line2, whose Omega^2 is zero, takes two."""
+    most one resolution step each; line2, whose Omega^2 is zero, takes two."""
     ref = load(name)
     reg = regular_bimodule(ref)
     res = minimal_resolution(reg, 3)
     expected = [reg] + res.syzygies + [zero_rep(ref.enveloping())] * (3 - len(res.syzygies))
     covers = []
-    cover = modules.projective_cover
+    step = modules._syzygy
 
     def counted(M):
         covers.append(M)
-        return cover(M)
+        return step(M)
 
-    monkeypatch.setattr(modules, "projective_cover", counted)
+    monkeypatch.setattr(modules, "_syzygy", counted)
     A = load(name)
     got = {n: bimodule_syzygy(A, n) for n in order}
     for n in range(4):
