@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .linalg import FieldSpec, SubspaceReducer
+from .linalg import FieldSpec, SubspaceReducer, stored_row
 
 __all__ = [
     "Quiver",
@@ -242,16 +242,11 @@ class AlgebraHandle:
 
     def normal_form(self, elem: Element) -> Element:
         """The unique irreducible representative of elem modulo the ideal."""
-        f = self.field
-        out: Element = {}
+        acc: Element = {}
         for p, c in elem.items():
             for w, d in self.nf_path(p).items():
-                s = f.add(out.get(w, f.zero()), f.mul(c, d))
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return out
+                acc[w] = acc.get(w, 0) + c * d
+        return stored_row(acc.items(), self.field.p)
 
     def mul_paths(self, p: Path, q: Path) -> Element:
         """Normal form of 'p then q'; zero element on endpoint mismatch."""
@@ -314,7 +309,13 @@ def _index_by_first(rules) -> dict:
 
 
 def _reduce_element(elem: Element, by_first, field: FieldSpec) -> Element:
-    """Fully reduce an element by the rule index; deterministic."""
+    """Fully reduce an element, given by field elements in canonical form, by
+    the rule index; deterministic.
+
+    The word taken from ``work`` is the largest left in it, and a rule
+    rewrites it to smaller words only, so no word is added to ``work`` once
+    it has been taken: the value an irreducible word gets in ``out`` is final.
+    """
     work = dict(elem)
     out: Element = {}
     while work:
@@ -338,22 +339,14 @@ def _reduce_element(elem: Element, by_first, field: FieldSpec) -> Element:
             if hit:
                 break
         if hit is None:
-            s = field.add(out.get(w, field.zero()), c)
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
+            out[w] = c
             continue
         pos, lead, rest = hit
         pre = word[:pos]
         suf = word[pos + len(lead.arrows) :]
         for rw, rc in rest.items():
             nw = Path(w.source, w.target, pre + rw.arrows + suf)
-            s = field.add(work.get(nw, field.zero()), field.mul(c, rc))
-            if s == 0:
-                work.pop(nw, None)
-            else:
-                work[nw] = s
+            work[nw] = field.add(work.get(nw, 0), c * rc)
     return out
 
 
@@ -376,7 +369,7 @@ class _Completion:
 
     def run(self):
         for rel in self.pres.relations:
-            self.pending_elements.append(dict(rel))
+            self.pending_elements.append(stored_row(rel, self.field.p))
         passes = 0
         while self.pending_elements or self.pending_pairs:
             passes += 1
@@ -410,12 +403,8 @@ class _Completion:
             raise DimensionNotResolved(
                 f"rewriting rule of degree {len(lead.arrows)} exceeds bound {self.bound}"
             )
-        c = e[lead]
-        inv = self.field.inv(c)
-        rest = {}
-        for w, d in e.items():
-            if w != lead:
-                rest[w] = self.field.neg(self.field.mul(inv, d))
+        inv = self.field.inv(e[lead])
+        rest = stored_row(((w, -inv * d) for w, d in e.items() if w != lead), self.field.p)
         rid = self.next_rid
         self.next_rid += 1
         if rid > self.MAX_RULES:
@@ -433,10 +422,8 @@ class _Completion:
         for other in retired:
             ol, orest = self.rules.pop(other)
             self.active.remove(other)
-            back = dict(orest)
-            back[ol] = self.field.neg(self.field.one())
             # re-add as lead - rest = 0, i.e. -(lead) + rest
-            self.pending_elements.append(back)
+            self.pending_elements.append(stored_row([*orest.items(), (ol, -1)], self.field.p))
         self.rules[rid] = (lead, rest)
         self.active.append(rid)
         self._rebuild_index()
@@ -449,7 +436,6 @@ class _Completion:
         lead_a, rest_a = self.rules[ra]
         lead_b, rest_b = self.rules[rb]
         ua, ub = lead_a.arrows, lead_b.arrows
-        f = self.field
         max_t = min(len(ua), len(ub)) - 1
         for t in range(1, max_t + 1):
             if ua[len(ua) - t :] != ub[:t]:
@@ -457,26 +443,18 @@ class _Completion:
             word = ua + ub[t:]
             src = lead_a.source
             tgt = lead_b.target
-            amb = Path(src, tgt, word)
-            # route 1: rewrite the lead_a occurrence at position 0
-            e1: Element = {}
+            # route 1 rewrites the lead_a occurrence at position 0, route 2
+            # the lead_b occurrence at the end; diff is route 1 - route 2
+            acc: Element = {}
             suf = word[len(ua) :]
             for rw, rc in rest_a.items():
                 nw = Path(src, tgt, rw.arrows + suf)
-                e1[nw] = f.add(e1.get(nw, f.zero()), rc)
-            # route 2: rewrite the lead_b occurrence at the end
+                acc[nw] = acc.get(nw, 0) + rc
             pre = word[: len(ua) - t]
-            e2: Element = {}
             for rw, rc in rest_b.items():
                 nw = Path(src, tgt, pre + rw.arrows)
-                e2[nw] = f.add(e2.get(nw, f.zero()), rc)
-            diff = dict(e1)
-            for w, c in e2.items():
-                s = f.sub(diff.get(w, f.zero()), c)
-                if s == 0:
-                    diff.pop(w, None)
-                else:
-                    diff[w] = s
+                acc[nw] = acc.get(nw, 0) - rc
+            diff = stored_row(acc.items(), self.field.p)
             if diff:
                 self._add_element(diff)
 

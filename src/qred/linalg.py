@@ -38,9 +38,14 @@ At that Q boundary each entry is converted once: `_primitive_row` takes an
 integral row as it is and clears the denominators of any other, and a
 reduced row is read out with one division per entry, the kernel's negated
 entries included, which builds a Fraction only where the pivot does not
-divide the entry; a row with pivot 1 is read out as it is.  Sums and
-products of canonical values that can come out integral (`Matrix.row_times`
-and `SubspaceReducer.reduce` among them) are put back in canonical form.
+divide the entry; a row with pivot 1 is read out as it is.
+
+A sum of field elements has one rule, here and in the modules that use this
+one: raw values are accumulated, ``acc[k] = acc.get(k, 0) + c * x``, and
+`stored_row` brings the sum to canonical form and drops its zeros once.
+The elimination kernels `_primitive_row`, `_combine`, `_insert_row`,
+`SubspaceReducer.reduce` and `kernel_vectors` are the exception: they
+canonicalize entry by entry, on the integer rows of the Q elimination.
 """
 
 from __future__ import annotations
@@ -377,30 +382,17 @@ class Matrix:
         return not any(self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        p = self.field.p
         out = []
         for ra, rb in zip(self.entries, other.entries):
-            row = dict(ra)
+            acc = dict(ra)
             for k, y in rb.items():
-                x = row.get(k, 0) + y
-                x = _rational(x) if p is None else x % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            out.append(row)
+                acc[k] = acc.get(k, 0) + y
+            out.append(stored_row(acc.items(), self.field.p))
         return Matrix.from_entries(self.field, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         p = self.field.p
-        if p is not None:
-            c %= p
-        if not c:
-            return Matrix(self.field, self.rows, self.cols)
-        if p is None:
-            out = [{k: _rational(c * x) for k, x in row.items()} for row in self.entries]
-        else:
-            out = [{k: c * x % p for k, x in row.items()} for row in self.entries]
+        out = [stored_row(((k, c * x) for k, x in row.items()), p) for row in self.entries]
         return Matrix.from_entries(self.field, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

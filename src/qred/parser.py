@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraHandle, Path, Presentation, Quiver
-from .linalg import FieldSpec, Matrix
+from .linalg import FieldSpec, Matrix, stored_row
 from .modules import Rep, validate_rep
 
 __all__ = ["ParseError", "parse_algebra", "parse_module", "algebra_to_text"]
@@ -126,13 +126,10 @@ def _parse_relation_line(lineno: int, body: str, quiver: Quiver, field: FieldSpe
             coeff = field.neg(coeff)
         parsed.append((Path(src, v, tuple(idxs)), coeff))
     # combine duplicate words
-    combined: dict[Path, object] = {}
+    acc: dict[Path, object] = {}
     for p, c in parsed:
-        s = field.add(combined.get(p, field.zero()), c)
-        if s == 0:
-            combined.pop(p, None)
-        else:
-            combined[p] = s
+        acc[p] = acc.get(p, 0) + c
+    combined = stored_row(acc.items(), field.p)
     if not combined:
         raise ParseError(lineno, 1, "relation cancels to zero")
     return tuple(sorted(combined.items(), key=lambda kv: (len(kv[0].arrows), kv[0].arrows)))

@@ -44,7 +44,6 @@ from .modules import (
     Rep,
     action_rep,
     pd_bounded,
-    regular_bimodule,
     simple,
 )
 from .parser import written_arrow_names
@@ -445,7 +444,10 @@ def triangular_split(A: AlgebraHandle, bound: int) -> ReductionStep | None:
     """Find a one-directional vertex bipartition and discard a block.
 
     The discarded block must have finite projective dimension as a bimodule
-    over itself (within the bound); returns None when no split applies.
+    over itself (within the bound); returns None when no split applies.  By
+    Happel's theorem the n-th term of the minimal bimodule resolution of a
+    bound quiver algebra is nonzero exactly when some simple has an n-th
+    term, so that pd is the global dimension, read off one-sided resolutions.
     """
     q = A.quiver
     n = q.n_vertices
@@ -462,7 +464,7 @@ def triangular_split(A: AlgebraHandle, bound: int) -> ReductionStep | None:
             t_names = [q.vertices[v] for v in T]
             r_names = [q.vertices[v] for v in rest]
             block = corner_presentation(A, t_names, name=f"{A.name}.block[{','.join(t_names)}]")
-            bd = bimodule_pd_bounded(block, regular_bimodule(block), bound)
+            bd = gldim_bounded(block, bound)
             if not bd.exact:
                 continue
             out = corner_presentation(A, r_names, name=f"{A.name}.block[{','.join(r_names)}]")

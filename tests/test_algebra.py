@@ -17,9 +17,10 @@ from qred.algebra import (
     validate,
 )
 from qred.linalg import QQ, FieldSpec
+from qred.parser import parse_algebra
 from qred.reduction import corner_presentation
 
-from conftest import load
+from conftest import FIXTURES, is_field_element, load
 from corpus import completed_corpus, random_presentation
 from oracles import enumerate_basis_by_suffix_scan, tensor_with_opposite_by_completion
 
@@ -264,8 +265,10 @@ def test_tensor_with_opposite_matches_completion_oracle():
     """The rules assembled from the factors are the reduced rules the
     completion finds: on every fixture with itself, on the corner witness of
     tri_dual in both orders, and on 160 seeded pairs A != B over Q, GF(2),
-    GF(3) and GF(5).  rand9303_149 has the one rule a3.a2 -> a1.a4 of two
-    words of one length, whose reversal is not a rule of its opposite."""
+    GF(3) and GF(5).  Every rule tail of a completed factor stores no zero
+    and only field elements in canonical form.  rand9303_149 has the one
+    rule a3.a2 -> a1.a4 of two words of one length, whose reversal is not a
+    rule of its opposite."""
     pairs = [(A, A) for A in map(load, FIXTURE_NAMES)]
     tri_dual = load("tri_dual")
     corner = corner_presentation(tri_dual, ["2"])
@@ -277,6 +280,7 @@ def test_tensor_with_opposite_matches_completion_oracle():
         names |= {A.name: A for A in algs}
     (lead, rest), = names["rand9303_149"].rules
     assert [len(p.arrows) for p in (lead, *rest)] == [2, 2]
+    assert all(c != 0 and is_field_element(A.field, c) for A, _ in pairs for _, rest in A.rules for c in rest.values())
     mismatches = [(A.name, B.name, bad) for A, B in pairs if (bad := _oracle_mismatch(A, B))]
     assert mismatches == []
     assert len(pairs) == 168
@@ -357,32 +361,45 @@ def test_monomial_completion_stays_monomial(corner_mono):
 
 
 def test_normal_form_idempotent_and_linear():
-    import random
+    """Normal forms over Q, GF(3) and GF(5) are idempotent and linear, and
+    each stores no zero and only field elements in canonical form.  The
+    seeded corpus has monomial rules only, so bowtie with al*be - 2*ga*de,
+    whose rule has the tail coefficient 1/2, is checked too."""
+    text = (FIXTURES / "bowtie.alg").read_text(encoding="utf-8").replace("- ga*de", "- 2*ga*de")
+    for field in (QQ, FieldSpec(3), FieldSpec(5)):
+        rng = random.Random(88)
+        bowtie = complete(parse_algebra(text.replace("field rational", f"field {field.name}")), 8)
+        for A in [bowtie, *completed_corpus(880, 5, field, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)]:
+            _check_normal_form_linear(rng, A)
 
-    rng = random.Random(88)
-    for A in completed_corpus(880, 5, QQ, bound=8, dim_cap=10, max_vertices=3, max_arrows=4):
-        q = A.quiver
-        paths = _random_formal_paths(rng, q, 6)
-        f = A.field
-        x = {p: f.from_int(rng.randint(-3, 3)) for p in paths[:3]}
-        y = {p: f.from_int(rng.randint(-3, 3)) for p in paths[3:]}
-        nf = A.normal_form
-        assert nf(nf(x)) == nf(x)
-        a, b = f.from_int(2), f.from_int(-3)
-        combo = {}
-        for p, c in x.items():
-            combo[p] = f.add(combo.get(p, f.zero()), f.mul(a, c))
-        for p, c in y.items():
-            combo[p] = f.add(combo.get(p, f.zero()), f.mul(b, c))
-        lhs = nf(combo)
-        rhs = {}
-        for p, c in nf(x).items():
-            rhs[p] = f.add(rhs.get(p, f.zero()), f.mul(a, c))
-        for p, c in nf(y).items():
-            rhs[p] = f.add(rhs.get(p, f.zero()), f.mul(b, c))
-        rhs = {p: c for p, c in rhs.items() if c != 0}
-        lhs = {p: c for p, c in lhs.items() if c != 0}
-        assert lhs == rhs
+
+def _check_normal_form_linear(rng, A):
+    q = A.quiver
+    paths = _random_formal_paths(rng, q, 6)
+    f = A.field
+    x = {p: f.from_int(rng.randint(-3, 3)) for p in paths[:3]}
+    y = {p: f.from_int(rng.randint(-3, 3)) for p in paths[3:]}
+
+    def nf(elem):
+        out = A.normal_form(elem)
+        assert all(c != 0 and is_field_element(f, c) for c in out.values())
+        return out
+
+    assert nf(nf(x)) == nf(x)
+    a, b = f.from_int(2), f.from_int(-3)
+    for lead, _ in A.rules:
+        nf({lead: a})  # on bowtie a times the tail 1/2 is 1, stored as the int 1
+    combo = {}
+    for p, c in x.items():
+        combo[p] = f.add(combo.get(p, f.zero()), f.mul(a, c))
+    for p, c in y.items():
+        combo[p] = f.add(combo.get(p, f.zero()), f.mul(b, c))
+    rhs = {}
+    for p, c in nf(x).items():
+        rhs[p] = f.add(rhs.get(p, f.zero()), f.mul(a, c))
+    for p, c in nf(y).items():
+        rhs[p] = f.add(rhs.get(p, f.zero()), f.mul(b, c))
+    assert nf(combo) == {p: c for p, c in rhs.items() if c != 0}
 
 
 def _random_formal_paths(rng, q, count):

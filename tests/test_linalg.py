@@ -42,8 +42,9 @@ def test_scalar_parsing():
 
 
 def test_rational_scalars_are_canonical():
-    """Over Q every FieldSpec method returns an integral value as an int and
-    builds a Fraction only for a value whose denominator is greater than 1."""
+    """Over Q every FieldSpec method, and Matrix sums and scalings, return an
+    integral value as an int and build a Fraction only for a value whose
+    denominator is greater than 1."""
     half = QQ.from_fraction(1, 2)
     pairs = [
         (QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(-3), -3), (QQ.from_fraction(4, -2), -2),
@@ -55,6 +56,11 @@ def test_rational_scalars_are_canonical():
     for got, want in pairs:
         assert got == want and is_field_element(QQ, got)
     assert sum(type(got) is int for got, _ in pairs) == 10
+    m = Matrix(QQ, 1, 3, [[half, QQ.from_fraction(1, 3), QQ.neg(half)]])
+    rows = [((m + m).entries[0], {0: 1, 1: Fraction(2, 3), 2: -1}), (m.scale(6).entries[0], {0: 3, 1: 2, 2: -3})]
+    rows += [(m.scale(half).entries[0], {0: Fraction(1, 4), 1: Fraction(1, 6), 2: Fraction(-1, 4)}), ((m + m.scale(-1)).entries[0], {})]
+    for got, want in rows:
+        assert got == want and all(is_field_element(QQ, x) for x in got.values())
 
 
 def test_rref_identity():

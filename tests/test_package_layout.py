@@ -4,8 +4,10 @@ source with ast.
 Every import sits at module level, every imported name is used or
 re-exported, and the intra-package graph of ``from .x import`` edges has no
 cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
-module builds a dense vector of field zeros or a `fractions.Fraction`:
-vectors are stored rows, and `Matrix` has no dense column read-out.  Every
+module builds a dense vector of field zeros or a `fractions.Fraction`, and
+no function sums field elements term by term through `FieldSpec`:
+vectors are stored rows, sums are canonicalized once by `stored_row`, and
+`Matrix` has no dense column read-out.  Every
 dotted name that a docstring quotes in backticks names something that
 exists.
 """
@@ -259,6 +261,45 @@ def test_fraction_is_built_only_in_linalg():
     assert _fraction_calls(trees["linalg"])  # the calls are found at all
     probe = ast.parse("a = Fraction(1, 2)\nb = fractions.Fraction(3)\nc = Fraction\nd = f(Fraction)")
     assert _fraction_calls(probe) == [1, 2]
+
+
+def _field_sums(tree) -> list[tuple[str, int]]:
+    """(function, line) of each call ``.add(`` or ``.sub(`` in tree on a
+    FieldSpec receiver, ``f``, ``field`` or ``self.field``, named by the
+    innermost function around it."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr in ("add", "sub"):
+                if ast.unparse(func.value) in ("f", "field", "self.field"):
+                    found.append((fn, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, None)
+    return found
+
+
+# the sums that keep a per-term FieldSpec call, each with its reason
+_FIELD_SUM_ALLOWED = {
+    # a word's value is final once it is taken from `work`, so each update
+    # keeps the value canonical and a word that cancels reads as 0
+    ("algebra", "_reduce_element"),
+    # the two halves of a row share a coordinate only for a loop, and one
+    # call on that rare overlap is cheaper than a pass over every Hom row
+    ("modules", "_balanced_relations"),
+}
+
+
+def test_field_sums_are_canonicalized_by_stored_row():
+    """Outside `linalg`, a sum of field elements accumulates raw values and
+    is put in canonical form once, by `linalg.stored_row`: no function calls
+    ``.add(`` or ``.sub(`` on a FieldSpec, apart from the allowed ones."""
+    found = {(name, fn) for name, tree in _trees().items() if name != "linalg" for fn, _ in _field_sums(tree)}
+    assert found == _FIELD_SUM_ALLOWED
+    probe = ast.parse("def g(f):\n    f.add(1, 2)\n    def h():\n        return self.field.sub(x, y)\n    seen.add(1)\nfield.add(0, 1)")
+    assert _field_sums(probe) == [("g", 2), ("h", 4), (None, 6)]
 
 
 def test_matrix_has_no_dense_column_readout():

@@ -5,8 +5,8 @@ import pytest
 
 from qred.algebra import ConsistencyError, Path, _loewy_length, complete, corner_basis
 from qred.linalg import FieldSpec, QQ
-from qred.homology import IdealSpec, quotient_algebra
-from qred.modules import pd_bounded, radical_layer_dims, regular_rep, simple, validate_rep
+from qred.homology import IdealSpec, bimodule_pd_bounded, gldim_bounded, quotient_algebra
+from qred.modules import pd_bounded, radical_layer_dims, regular_bimodule, regular_rep, simple, validate_rep
 from qred.parser import parse_algebra
 from qred.reduction import (
     PROPERTIES,
@@ -338,6 +338,32 @@ def test_triangular_split(tri_dual, dual_numbers, bowtie):
 
     assert triangular_split(dual_numbers, 8) is None
     assert triangular_split(bowtie, 8) is None
+
+
+def _one_directional_blocks(A):
+    """The corners of A on the vertex sets T with no path from T to the rest
+    or none from the rest to T, as `triangular_split` tries them."""
+    n = A.quiver.n_vertices
+    reach = {(p.source, p.target) for p in A.normal_basis}
+    for size in range(1, n):
+        for T in itertools.combinations(range(n), size):
+            rest = [v for v in range(n) if v not in T]
+            if any((t, r) in reach for t in T for r in rest) and any((r, t) in reach for t in T for r in rest):
+                continue
+            yield corner_presentation(A, [A.quiver.vertices[v] for v in T])
+
+
+def test_triangular_split_block_pd_is_gldim():
+    """Happel's theorem, as `triangular_split` uses it: the pd of a block as
+    a bimodule over itself equals its global dimension, as a BoundedDim,
+    on every one-directional block of the fixtures and of seeded corpora."""
+    algebras = [load(name) for name in ("dual_numbers", "line2", "line3z", "tri_dual", "bowtie", "corner_mono")]
+    for seed, field in ((31, QQ), (32, FieldSpec(3)), (33, GF5)):
+        algebras += completed_corpus(seed, 10, field)
+    blocks = [B for A in algebras for B in _one_directional_blocks(A)]
+    gl = [gldim_bounded(B, 8) for B in blocks]
+    assert len(blocks) == 166 and {d.exact for d in gl} == {True, False}
+    assert [bimodule_pd_bounded(B, regular_bimodule(B), 8) for B in blocks] == gl
 
 
 def test_property_verdict_tri(tri_dual):
