@@ -8,6 +8,9 @@ balanced tensor products over a middle algebra, and isomorphism testing
 `projective_cover` returns (P, pi, basis), the basis of P listing per vertex
 its (summand, normal path) keys; a resolution step keeps only the summand
 vertices of P and takes the kernel of pi without assembling P or pi.
+`minimal_resolution` and `pd_bounded` walk one step loop; `pd_bounded` also
+stops at a syzygy with a simple summand S_u that is a summand of one of its
+own syzygies, which makes pd infinite, and still reports AtLeast(bound + 1).
 
 Hom and the tensor product share one linear system, the balanced relations
 x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
@@ -595,30 +598,39 @@ def kernel_subrep(f_map: RepMap):
     return S, RepMap(S, M, [Matrix.from_entries(f, len(vs), d, vs).transpose() for vs, d in zip(kernels, M.dims)])
 
 
-def _cover(M: Rep):
-    """`_map_columns` of the minimal cover pi: P -> M: one summand P_u per
-    basis vector e_i of M_u outside the echelon pivots of rad M, its
-    generator sent to e_i."""
+def _cover(M: Rep, reducers: list[SubspaceReducer]):
+    """`_map_columns` of the minimal cover pi: P -> M, given the
+    `radical_reducers` of M: one summand P_u per basis vector e_i of M_u
+    outside the echelon pivots of rad M, its generator sent to e_i."""
     one = M.algebra.field.one()
-    reducers = radical_reducers(M)
     return _map_columns(M, [(u, {i: one}) for u, red in enumerate(reducers) for i in red.complement_indices()])
 
 
 def projective_cover(M: Rep):
     """Minimal projective cover (P, pi, basis) of `_cover`; kernel of pi lies in rad P."""
-    vertices, basis, transposes = _cover(M)
+    vertices, basis, transposes = _cover(M, radical_reducers(M))
     P = _projective_sum(M.algebra, vertices)
     return P, RepMap(P, M, [m.transpose() for m in transposes]), basis
 
 
-def _syzygy(M: Rep):
+def _projective_transposes(A: AlgebraHandle, v: int) -> list[Matrix]:
+    """The transposed arrow matrices of `projective(A, v)`, cached on A beside
+    it.  A is never mutated after completion, nor is a cached projective, so
+    this cache cannot go stale; callers must not mutate it either."""
+    key = ("projective_transposes", v)
+    if key not in A._extra:
+        A._extra[key] = [m.transpose() for m in projective(A, v)[0].mats]
+    return A._extra[key]
+
+
+def _syzygy(M: Rep, reducers: list[SubspaceReducer]):
     """One resolution step: the summand vertices of the minimal cover pi: P
     -> M of `_cover`, and the kernel of pi as `kernel_subrep` gives it.  P is
     never assembled: an arrow acts on a vector of P through the transposed
     matrices of each summand's cached projective, at its offset."""
     A = M.algebra
-    vertices, basis, transposes = _cover(M)
-    parts = {v: [m.transpose() for m in projective(A, v)[0].mats] for v in set(vertices)}
+    vertices, basis, transposes = _cover(M, reducers)
+    parts = {v: _projective_transposes(A, v) for v in set(vertices)}
     offsets, dims = [], [0] * len(M.dims)
     for v in vertices:
         offsets.append(dims)
@@ -676,26 +688,119 @@ class Resolution:
         return BoundedDim.AtLeast(bound + 1, bound)
 
 
+def _resolution_steps(M: Rep, steps: int, dim_cap: int | None):
+    """The first `steps` steps of the minimal resolution of M, up to the
+    first zero syzygy: yields (cover vertices, K, reducers) for K = Omega^1,
+    Omega^2, ..., where the cover is that of the module before K and reducers
+    are the `radical_reducers` of K, built once for the next cover and for
+    the summand test of `pd_bounded`.  They are None when no step follows.
+
+    A module is checked against dim_cap before its reducers are built, and
+    a step is taken only when the caller asks for its syzygy.
+    """
+
+    def reducers(K: Rep):
+        if dim_cap is not None and K.total_dim > dim_cap:
+            raise ResolutionCapExceeded(f"syzygy dimension {K.total_dim} exceeds cap {dim_cap}")
+        return radical_reducers(K)
+
+    if steps < 1 or M.is_zero():
+        return
+    K, red = M, reducers(M)
+    for i in range(1, steps + 1):
+        vertices, K = _syzygy(K, red)
+        red = reducers(K) if i < steps and not K.is_zero() else None
+        yield vertices, K, red
+        if red is None:
+            return
+
+
 def minimal_resolution(M: Rep, steps: int, dim_cap: int | None = None) -> Resolution:
     """Iterated minimal covers (`_syzygy`); stops early when a syzygy vanishes."""
     covers, syz = [], []
-    current = M
-    for _ in range(steps):
-        if current.is_zero():
-            break
-        if dim_cap is not None and current.total_dim > dim_cap:
-            raise ResolutionCapExceeded(f"syzygy dimension {current.total_dim} exceeds cap {dim_cap}")
-        vertices, current = _syzygy(current)
+    for vertices, K, _ in _resolution_steps(M, steps, dim_cap):
         covers.append(vertices)
-        syz.append(current)
-    return Resolution(covers, syz, current.is_zero())
+        syz.append(K)
+    return Resolution(covers, syz, (syz[-1] if syz else M).is_zero())
+
+
+def _simple_summands(K: Rep, reducers: list[SubspaceReducer]):
+    """The vertices u, in order, at which the simple S_u is a direct summand
+    of K, whose `radical_reducers` are given.
+
+    A map f: S_u -> K picks a vector x of the socle of K at u, killed by every
+    arrow out of u, and a map g: K -> S_u is a functional on K_u that vanishes
+    on (rad K)_u.  S_u splits off when some g f is nonzero (End S_u is the
+    field), that is when some socle vector at u lies outside (rad K)_u.
+    """
+    q, f = K.algebra.quiver, K.algebra.field
+    for u, red in enumerate(reducers):
+        if red.rank == K.dims[u]:
+            continue
+        socle, _ = kernel_vectors(f, [row for a in q.arrows_from[u] for row in K.mats[a].entries], K.dims[u])
+        if not all(red.contains(x) for x in socle):
+            yield u
+
+
+def _simple_returns(A: AlgebraHandle, u: int, steps: int, dim_cap: int | None) -> bool:
+    """Whether S_u is a summand of Omega^k(S_u) for some 1 <= k <= steps,
+    which makes pd S_u infinite (see `pd_bounded`).
+
+    (steps searched, found) is cached on A beside the projectives.  A is
+    never mutated after completion, so the answer cannot go stale; a deeper
+    question searches again from the start.  Raises ResolutionCapExceeded as
+    the resolution of S_u does, and then caches nothing.
+    """
+    key = ("simple_returns", u)
+    searched, found = A._extra.get(key, (0, False))
+    if found or searched >= steps:
+        return found
+    S = simple(A, u)
+    for _, K, red in itertools.islice(_resolution_steps(S, steps + 1, dim_cap), steps):
+        if K.is_zero():
+            break
+        if u in _simple_summands(K, red):
+            found = True
+            break
+    A._extra[key] = (steps, found)
+    return found
 
 
 def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None) -> BoundedDim:
-    """Projective (or, via duality, injective) dimension decided up to bound."""
+    """Projective (or, via duality, injective) dimension decided up to bound.
+
+    The minimal resolution runs one step at a time, for at most bound + 1
+    steps.  It stops at the first zero syzygy, or at the first Omega^i with
+    1 <= i <= bound that has a simple summand S_u of infinite pd, since then
+    pd M >= i + pd S_u is infinite too.
+
+    - S_u is a summand of K when a socle vector of K at u lies outside
+      (rad K)_u (`_simple_summands`).
+    - Lemma: if X is a summand of Omega^k(X) for some k >= 1, then pd X is
+      infinite.  Such an X is not projective, and were pd X = n, then
+      n <= max(n - k, 0), so n = 0.
+    - When M is S_u, its own syzygies are the test.  For any other u,
+      `_simple_returns` resolves S_u for the bound - i steps that remain.
+      Omega^j(S_u) is a summand of Omega^(i+j)(M), so a search that finds
+      S_u again costs no more than the steps of M that it replaces.
+
+    An early stop returns AtLeast(bound + 1), the value that the full
+    resolution gives, until an `Infinite` verdict can be reported.
+    """
     if side == "injective":
         M = dual(M)
-    return minimal_resolution(M, bound + 1, dim_cap=dim_cap).dimension(bound)
+    if M.is_zero():
+        return BoundedDim.Exact(0, bound)
+    A = M.algebra
+    own = M.dims.index(1) if M.total_dim == 1 else None  # M is the simple S_own
+    for i, (_, K, red) in enumerate(_resolution_steps(M, bound + 1, dim_cap), 1):
+        if K.is_zero():
+            return BoundedDim.Exact(i - 1, bound)
+        if red is not None and any(
+            u == own or _simple_returns(A, u, bound - i, dim_cap) for u in _simple_summands(K, red)
+        ):
+            break
+    return BoundedDim.AtLeast(bound + 1, bound)
 
 
 def dual(M: Rep) -> Rep:

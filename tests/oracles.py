@@ -39,7 +39,10 @@ A (x) B^op instead of assembling its rules from those of A and B^op, the
 combination oracle sums scaled copies of whole matrices instead of
 accumulating each row in one pass, the ends-first isomorphism oracle
 computes End(M) and End(N) on every call instead of only when Hom(M, N)
-shows no isomorphism, and the
+shows no isomorphism, the bounded-pd oracle resolves all bound + 1 steps
+instead of stopping at a simple summand of infinite projective dimension,
+the simple-summand oracle scans basis pairs of Hom(S_u, K) and Hom(K, S_u)
+instead of testing socle vectors against the radical, and the
 restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
@@ -963,6 +966,27 @@ def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
             ]
             mats.append(Matrix(f, N.dims[u], M.dims[u], data))
         out.append(RepMap(M, N, mats))
+    return out
+
+
+def pd_bounded_by_full_resolution(M: Rep, bound: int, side: str = "projective", dim_cap: int | None = None):
+    """pd_bounded read off a minimal resolution of bound + 1 steps, with no
+    early stop: exact when it terminates, else AtLeast(bound + 1)."""
+    if side == "injective":
+        M = dual(M)
+    return minimal_resolution(M, bound + 1, dim_cap=dim_cap).dimension(bound)
+
+
+def simple_summands_by_hom(K: Rep) -> list[int]:
+    """The vertices u at which S_u is a direct summand of K: some basis pair
+    f of Hom(S_u, K) and g of Hom(K, S_u) has g f nonzero, hence invertible."""
+    A = K.algebra
+    out = []
+    for u in range(A.quiver.n_vertices):
+        S = simple(A, u)
+        into, onto = hom_basis_by_intertwining(S, K), hom_basis_by_intertwining(K, S)
+        if any(not (g.mats[u] @ f.mats[u]).is_zero() for f in into for g in onto):
+            out.append(u)
     return out
 
 

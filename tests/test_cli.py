@@ -1,4 +1,5 @@
 import json
+import signal
 import time
 from pathlib import Path
 
@@ -318,6 +319,51 @@ def test_cli_witness_syzygy_at_bimodule_scale(capsys, tmp_path):
     assert report["algebra"]["dimension"] == 8
     assert (code, report["results"]["level"], report["results"]["verdict"]) == (0, 1, "holds")
     assert elapsed < 30.0, f"witness --syzygy took {elapsed:.1f}s"
+
+
+TWO_LOOPS = (
+    "algebra two_loops\nfield rational\nvertices 1\narrow x : 1 -> 1\narrow y : 1 -> 1\n"
+    "relations\n  x*x\n  x*y\n  y*y*y*y\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("analyze", "bowtie"), 0),
+        (("check", "bowtie", "--property", "all"), 3),
+        (("check", "bowtie", "--property", "all", "--corner", "s,2"), 3),
+        (("analyze", "two_loops"), 0),
+    ],
+    ids=["analyze-bowtie", "check-bowtie", "check-bowtie-corner", "analyze-two-loops"],
+)
+def test_cli_default_bound_stops_at_a_returning_simple(capsys, tmp_path, argv, want):
+    """At the default --bound 20 each pd search here meets a simple that is a
+    summand of its own first syzygy (S_s of bowtie, the one simple of
+    two_loops) and stops, where resolving all 21 steps took seconds to
+    minutes and, on the bowtie corner and two_loops, gigabytes.  A watchdog
+    fails the test instead of letting a regression run on."""
+    path = tmp_path / "two_loops.alg"
+    path.write_text(TWO_LOOPS)
+    argv = [argv[0], str(path) if argv[1] == "two_loops" else fixture(argv[1]), *argv[2:]]
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} did not end within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        t0 = time.monotonic()
+        code, out = run(capsys, *argv)
+        elapsed = time.monotonic() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == want, out.err
+    assert elapsed < 3.0, f"{argv} took {elapsed:.1f}s"
+    results = json.loads(out.out)["results"]
+    if argv[0] == "analyze":
+        assert results["global_dimension"] == {"exact": False, "value": 21, "bound": 20}
 
 
 def test_cli_bound_zero(capsys, tmp_path):

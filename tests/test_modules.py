@@ -487,6 +487,83 @@ def test_pd_values(line2, dual_numbers, tri_dual):
     assert pd_bounded(simple(dual_numbers, 0), 10) == BoundedDim.AtLeast(11, 10)
 
 
+def _pd_oracle_modules():
+    """Per fresh handle, the modules the bounded-pd oracles run on: the
+    simples and the duals of the indecomposable projectives of the fixtures
+    and of seeded corpora over Q, GF(3) and GF(5), then bowtie quotients
+    shaped like the syzygy_q modules."""
+    algebras = [load(name) for name in _FIXTURE_NAMES]
+    for seed, field in ((31, QQ), (32, FieldSpec(3)), (33, FieldSpec(5))):
+        algebras += completed_corpus(seed, 10, field, bound=10, dim_cap=14)
+    for A in algebras:
+        n = A.quiver.n_vertices
+        yield [simple(A, v) for v in range(n)] + [dual(projective(A, v)[0]) for v in range(n)]
+    yield _bowtie_quotients(load("bowtie"), random.Random(2706), 6)
+
+
+@pytest.mark.parametrize("dim_cap", [None, 12])
+def test_pd_bounded_matches_full_resolution(dim_cap):
+    """pd_bounded, which stops at a simple summand of infinite pd, reads as
+    the full resolution of bound + 1 steps on both sides at bounds 0, 1, 3
+    and 8.  Where the full resolution exceeds the cap, pd_bounded may raise
+    too or stop earlier with AtLeast(bound + 1); at cap 12 both happen."""
+    outcomes = set()
+    for mods in _pd_oracle_modules():
+        for M in mods:
+            for side in ("projective", "injective"):
+                for bound in (0, 1, 3, 8):
+                    try:
+                        want = str(oracles.pd_bounded_by_full_resolution(M, bound, side, dim_cap))
+                    except modules.ResolutionCapExceeded:
+                        want = None
+                    try:
+                        got = str(pd_bounded(M, bound, side, dim_cap))
+                    except modules.ResolutionCapExceeded:
+                        got = None
+                    if want is None:
+                        assert got in (None, f"AtLeast({bound + 1})"), (M, side, bound, got)
+                    else:
+                        assert got == want, (M, side, bound, got, want)
+                    outcomes.add((want is None, got is None))
+    want_outcomes = {(False, False)} if dim_cap is None else {(False, False), (True, True), (True, False)}
+    assert outcomes == want_outcomes
+
+
+def test_simple_summands_match_hom_pairs():
+    """The simple summands that a socle vector outside the radical finds are
+    those that a basis pair f: S_u -> K, g: K -> S_u with g f nonzero finds,
+    on every syzygy of the bounded-pd oracle modules up to Omega^9."""
+    found = 0
+    for mods in _pd_oracle_modules():
+        for M in mods:
+            for N in (M, dual(M)):
+                for K in minimal_resolution(N, 9, dim_cap=200).syzygies:
+                    got = list(modules._simple_summands(K, radical_reducers(K)))
+                    assert got == oracles.simple_summands_by_hom(K), (N, K)
+                    found += len(got)
+    assert found
+
+
+def test_simple_returns_is_cached_per_depth(monkeypatch):
+    """S_s of bowtie and the dual-numbers simple are summands of their first
+    syzygies; the simples of line2 have finite pd.  A search answers from the
+    handle's cache unless it must look deeper than before."""
+    bowtie = load("bowtie")
+    s = bowtie.quiver.v_index["s"]
+    assert modules._simple_returns(bowtie, s, 1, None)
+    assert bowtie._extra[("simple_returns", s)] == (1, True)
+    assert modules._simple_returns(load("dual_numbers"), 0, 3, None)
+    A = load("line2")
+    assert not any(modules._simple_returns(A, v, 4, None) for v in range(2))
+    assert A._extra[("simple_returns", 0)] == (4, False)
+    steps = []
+    step = modules._syzygy
+    monkeypatch.setattr(modules, "_syzygy", lambda M, red: steps.append(M) or step(M, red))
+    assert not modules._simple_returns(A, 0, 2, None) and steps == []
+    assert not modules._simple_returns(A, 0, 6, None) and steps
+    assert A._extra[("simple_returns", 0)] == (6, False)
+
+
 def test_syzygy_of_projective_vanishes(tri_dual, bowtie):
     for A in (tri_dual, bowtie):
         for v in range(A.quiver.n_vertices):

@@ -115,9 +115,9 @@ def test_bimodule_syzygy_resolves_once_per_algebra(monkeypatch, name, order):
     covers = []
     step = modules._syzygy
 
-    def counted(M):
+    def counted(M, reducers):
         covers.append(M)
-        return step(M)
+        return step(M, reducers)
 
     monkeypatch.setattr(modules, "_syzygy", counted)
     A = load(name)
