@@ -27,7 +27,7 @@ from .algebra import (
     tensor_with_opposite,
 )
 from .homology import IdealSpec, gldim_bounded, serial_check
-from .modules import dual, minimal_resolution, standard_module
+from .modules import dual, minimal_resolution, projective, standard_module
 from .parser import ParseError, algebra_to_text, parse_algebra, parse_module
 from .reduction import (
     PROPERTIES,
@@ -301,10 +301,13 @@ def cmd_resolve(args, seed):
     # resolution of D(M); the dimension is read off one resolution, of at
     # least one step, and the table shows its first `steps` terms
     bound = max(0, steps - 1)
-    res = minimal_resolution(M if args.side == "projective" else dual(M), bound + 1)
+    N = M if args.side == "projective" else dual(M)
+    res = minimal_resolution(N, bound + 1)
+    # P_i, never assembled, is the sum of the projectives of N's algebra at
+    # the vertices of its cover, a list that is never empty
+    covers = [[sum(d) for d in zip(*(projective(N.algebra, v)[0].dims for v in vs))] for vs in res.covers[:steps]]
     table = [
-        {"i": i, "projective": list(P.dims), "syzygy": list(K.dims)}
-        for i, (P, K) in enumerate(zip(res.projectives[:steps], res.syzygies))
+        {"i": i, "projective": P, "syzygy": list(K.dims)} for i, (P, K) in enumerate(zip(covers, res.syzygies))
     ]
     results = {
         "module": name,

@@ -42,7 +42,6 @@ from .modules import (
     simple,
     stable_span,
     sub_rep,
-    top_dims,
 )
 
 __all__ = [
@@ -84,8 +83,9 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
 
         Tor_i = dim Hom(Omega^i, N) - dim Hom(P_{i-1}, N) + dim Hom(Omega^{i-1}, N),
 
-    where Hom(P_v, N) = e_v N counts the middle term off the top of P_{i-1},
-    which as a minimal cover has the top of the smaller module Omega^{i-1}.
+    where Hom(P_v, N) = e_v N counts the middle term off the summand
+    vertices of P_{i-1} in `Resolution.covers`: a minimal cover has one P_v
+    per basis vector at v of the top of Omega^{i-1}.
     A Hom dimension is the count of the kernel vectors of
     `modules._hom_vectors`; no map is built.  The resolution runs n + 2
     steps, so `terminated` certifies that every Tor_i with i > n vanishes too.
@@ -99,7 +99,7 @@ def tor_bounded(X: Rep, Y: Rep, n: int) -> TorResult:
         if i >= len(hom):
             dims.append(0)
             continue
-        free = sum(t * d for t, d in zip(top_dims(syzygies[i - 1]), N.dims))
+        free = sum(N.dims[v] for v in res.covers[i - 1])
         dims.append(hom[i] - free + hom[i - 1])
     return TorResult(dims, res.terminated)
 

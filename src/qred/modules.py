@@ -22,6 +22,12 @@ counts as kernel vectors along a minimal resolution of Y.
 
 Invariants are read off a module's own matrices: socle layers as the radical
 layers of the transposed matrices on the reversed arrows, projectivity off the top.
+
+A Rep is never changed once built.  It keeps each arrow matrix twice: by
+rows in `mats`, and as its transpose in `transposes`, whose rows are the
+images of the basis vectors, so an arrow acts on a stored row by
+`Matrix.row_times` of its transpose.  Whatever builds a module builds both,
+once, and they always agree.
 """
 
 from __future__ import annotations
@@ -95,14 +101,31 @@ class ResolutionCapExceeded(RuntimeError):
 
 
 class Rep:
-    """A left module over a completed algebra, as a quiver representation."""
+    """A left module over a completed algebra, as a quiver representation.
 
-    __slots__ = ("algebra", "dims", "mats")
+    mats[a] is the matrix of arrow a and transposes[a] its transpose, whose
+    row i is the image of basis vector i at the source.  A Rep is never
+    changed once built, so the two always agree: `Rep` transposes the given
+    matrices, and the engine's builders hand over both through `Rep._of`.
+    """
+
+    __slots__ = ("algebra", "dims", "mats", "transposes")
 
     def __init__(self, algebra: AlgebraHandle, dims, mats):
         self.algebra = algebra
         self.dims = list(dims)
         self.mats = list(mats)
+        self.transposes = [m.transpose() for m in self.mats]
+
+    @classmethod
+    def _of(cls, algebra: AlgebraHandle, dims, transposes, mats=None):
+        """The Rep whose arrow matrices have the given transposes, taken as
+        they are.  mats, when given, must be those arrow matrices; otherwise
+        they are built from the transposes."""
+        rep = cls.__new__(cls)
+        rep.algebra, rep.dims, rep.transposes = algebra, list(dims), list(transposes)
+        rep.mats = [t.transpose() for t in rep.transposes] if mats is None else list(mats)
+        return rep
 
     @property
     def total_dim(self) -> int:
@@ -194,15 +217,12 @@ def action_rep(A: AlgebraHandle, basis, image) -> Rep:
     q = A.quiver
     index = [{key: i for i, key in enumerate(b)} for b in basis]
     dims = [len(b) for b in basis]
-    mats = []
+    transposes = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
-        rows: list[dict] = [{} for _ in range(dims[tgt])]
-        for col, key in enumerate(basis[src]):
-            for w, c in image(a, key).items():
-                rows[index[tgt][w]][col] = c
-        mats.append(Matrix.from_entries(A.field, dims[tgt], dims[src], rows))
-    return Rep(A, dims, mats)
+        cols = [{index[tgt][w]: c for w, c in image(a, key).items()} for key in basis[src]]
+        transposes.append(Matrix.from_entries(A.field, dims[src], dims[tgt], cols))
+    return Rep._of(A, dims, transposes)
 
 
 def arrow_paths(A: AlgebraHandle) -> list[Path]:
@@ -352,7 +372,7 @@ def _hom_vectors(M: Rep, N: Rep):
         raise ValueError("Hom requires modules over the same algebra handle")
     f = A.field
     coords, index, rows = _balanced_relations(
-        A.quiver, f, [m.entries for m in N.mats], N.dims, [m.transpose().entries for m in M.mats], M.dims
+        A.quiver, f, [m.entries for m in N.mats], N.dims, [m.entries for m in M.transposes], M.dims
     )
     return coords, index, kernel_vectors(f, rows, len(coords))[0]
 
@@ -393,12 +413,11 @@ def _map_columns(M: Rep, gens):
     M_a, memoized by (summand, arrows) for this call only.
     """
     A = M.algebra
-    transposes = [m.transpose() for m in M.mats]
     columns = {}
 
     def column(j, arrows):
         if (j, arrows) not in columns:
-            col = gens[j][1] if not arrows else transposes[arrows[-1]].row_times(column(j, arrows[:-1]))
+            col = gens[j][1] if not arrows else M.transposes[arrows[-1]].row_times(column(j, arrows[:-1]))
             columns[j, arrows] = col
         return columns[j, arrows]
 
@@ -419,9 +438,8 @@ def radical_reducers(M: Rep) -> list[SubspaceReducer]:
     q = A.quiver
     red = [SubspaceReducer(A.field, M.dims[u]) for u in range(q.n_vertices)]
     for a in range(q.n_arrows):
-        tgt = q.a_tgt[a]
-        for col in M.mats[a].transpose().entries:
-            red[tgt].insert(col)
+        for col in M.transposes[a].entries:
+            red[q.a_tgt[a]].insert(col)
     return red
 
 
@@ -461,7 +479,7 @@ def _layer_dims(f, dims: list[int], arrows) -> list[tuple[int, ...]]:
 def radical_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     """Dimension vectors of rad^i M / rad^{i+1} M, i = 0, 1, ..."""
     q = M.algebra.quiver
-    arrows = [(q.a_src[a], q.a_tgt[a], m.transpose()) for a, m in enumerate(M.mats)]
+    arrows = [(q.a_src[a], q.a_tgt[a], m) for a, m in enumerate(M.transposes)]
     return _layer_dims(M.algebra.field, M.dims, arrows)
 
 
@@ -475,18 +493,18 @@ def socle_layer_dims(M: Rep) -> list[tuple[int, ...]]:
     return _layer_dims(M.algebra.field, M.dims, arrows)
 
 
-def _span_images(M: Rep, transposes, reducers, rows) -> list[list[dict]]:
+def _span_images(M: Rep, reducers, rows) -> list[list[dict]]:
     """Per arrow a, the images under M_a of the span's basis rows at its source.
 
-    rows[u] is the basis of the span reducers[u] as stored rows, and
-    transposes[a] the transpose of M_a, so an image is `Matrix.row_times` of
-    a row.  Raises ValueError when an image leaves the span at the target,
-    that is when the span is not stable under the arrow actions.
+    rows[u] is the basis of the span reducers[u] as stored rows, so an image
+    is `Matrix.row_times` of a row by the transpose of M_a.  Raises
+    ValueError when an image leaves the span at the target, that is when the
+    span is not stable under the arrow actions.
     """
     q = M.algebra.quiver
     images = []
     for a in range(q.n_arrows):
-        image = [transposes[a].row_times(row) for row in rows[q.a_src[a]]]
+        image = [M.transposes[a].row_times(row) for row in rows[q.a_src[a]]]
         if not all(reducers[q.a_tgt[a]].contains(col) for col in image):
             raise ValueError("span is not stable under the arrow actions")
         images.append(image)
@@ -509,21 +527,15 @@ def sub_rep(M: Rep, vectors_per_vertex):
     reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
     echelon = [red.echelon_rows() for red in reducers]
     dims = [len(rows) for rows in echelon]
-    transposes = [m.transpose() for m in M.mats]
-    mats = []
-    for a, image in enumerate(_span_images(M, transposes, reducers, echelon)):
-        src, tgt = q.a_src[a], q.a_tgt[a]
-        pos = {j: i for i, j in enumerate(sorted(reducers[tgt].rows))}
-        rows: list[dict] = [{} for _ in range(dims[tgt])]
-        for c, col in enumerate(image):
-            for j, x in col.items():
-                if j in pos:
-                    rows[pos[j]][c] = x
-        mats.append(Matrix.from_entries(f, dims[tgt], dims[src], rows))
+    pos = [{j: i for i, j in enumerate(sorted(red.rows))} for red in reducers]
+    transposes = []
+    for a, image in enumerate(_span_images(M, reducers, echelon)):
+        at = pos[q.a_tgt[a]]
+        cols = [{at[j]: x for j, x in col.items() if j in at} for col in image]
+        transposes.append(Matrix.from_entries(f, dims[q.a_src[a]], dims[q.a_tgt[a]], cols))
     bases = [Matrix.from_entries(f, dims[u], M.dims[u], rows).transpose() for u, rows in enumerate(echelon)]
-    S = Rep(A, dims, mats)
-    incl = RepMap(S, M, bases)
-    return S, incl
+    S = Rep._of(A, dims, transposes)
+    return S, RepMap(S, M, bases)
 
 
 def quotient_rep(M: Rep, vectors_per_vertex):
@@ -539,14 +551,13 @@ def quotient_rep(M: Rep, vectors_per_vertex):
     f = A.field
     q = A.quiver
     reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
-    transposes = [m.transpose() for m in M.mats]
-    _span_images(M, transposes, reducers, [red.echelon_rows() for red in reducers])
+    _span_images(M, reducers, [red.echelon_rows() for red in reducers])
     # the quotient at u has the basis of the complement coordinates comps[u]
     comps = [r.complement_indices() for r in reducers]
 
     def image(a, j):
         # column j of M_a is row j of its transpose
-        return reducers[q.a_tgt[a]].reduce(transposes[a].entries[j])
+        return reducers[q.a_tgt[a]].reduce(M.transposes[a].entries[j])
 
     Q = action_rep(A, comps, image)
     one = f.one()
@@ -570,20 +581,16 @@ def _kernel_rep(A: AlgebraHandle, transposes: list[Matrix], act):
     q, f = A.quiver, A.field
     kernels = [kernel_vectors(f, m.transpose().entries, m.rows) for m in transposes]
     dims = [len(free) for _, free in kernels]
-    mats = []
+    arrows = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
         images = [act(a, vec) for vec in kernels[src][0]]
         if not (Matrix.from_entries(f, dims[src], transposes[tgt].rows, images) @ transposes[tgt]).is_zero():
             raise ValueError("span is not stable under the arrow actions")
         pos = {k: r for r, k in enumerate(kernels[tgt][1])}
-        rows: list[dict] = [{} for _ in range(dims[tgt])]
-        for c, image in enumerate(images):
-            for k, x in image.items():
-                if k in pos:
-                    rows[pos[k]][c] = x
-        mats.append(Matrix.from_entries(f, dims[tgt], dims[src], rows))
-    return Rep(A, dims, mats), [vecs for vecs, _ in kernels]
+        cols = [{pos[k]: x for k, x in image.items() if k in pos} for image in images]
+        arrows.append(Matrix.from_entries(f, dims[src], dims[tgt], cols))
+    return Rep._of(A, dims, arrows), [vecs for vecs, _ in kernels]
 
 
 def kernel_subrep(f_map: RepMap):
@@ -593,7 +600,7 @@ def kernel_subrep(f_map: RepMap):
     `_kernel_rep`, which raises ValueError when the kernel is not stable.
     """
     M, f = f_map.source, f_map.source.algebra.field
-    actions = [m.transpose().row_times for m in M.mats]
+    actions = [m.row_times for m in M.transposes]
     S, kernels = _kernel_rep(M.algebra, [m.transpose() for m in f_map.mats], lambda a, vec: actions[a](vec))
     return S, RepMap(S, M, [Matrix.from_entries(f, len(vs), d, vs).transpose() for vs, d in zip(kernels, M.dims)])
 
@@ -613,16 +620,6 @@ def projective_cover(M: Rep):
     return P, RepMap(P, M, [m.transpose() for m in transposes]), basis
 
 
-def _projective_transposes(A: AlgebraHandle, v: int) -> list[Matrix]:
-    """The transposed arrow matrices of `projective(A, v)`, cached on A beside
-    it.  A is never mutated after completion, nor is a cached projective, so
-    this cache cannot go stale; callers must not mutate it either."""
-    key = ("projective_transposes", v)
-    if key not in A._extra:
-        A._extra[key] = [m.transpose() for m in projective(A, v)[0].mats]
-    return A._extra[key]
-
-
 def _syzygy(M: Rep, reducers: list[SubspaceReducer]):
     """One resolution step: the summand vertices of the minimal cover pi: P
     -> M of `_cover`, and the kernel of pi as `kernel_subrep` gives it.  P is
@@ -630,7 +627,7 @@ def _syzygy(M: Rep, reducers: list[SubspaceReducer]):
     matrices of each summand's cached projective, at its offset."""
     A = M.algebra
     vertices, basis, transposes = _cover(M, reducers)
-    parts = {v: _projective_transposes(A, v) for v in set(vertices)}
+    parts = {v: projective(A, v)[0].transposes for v in set(vertices)}
     offsets, dims = [], [0] * len(M.dims)
     for v in vertices:
         offsets.append(dims)
@@ -804,9 +801,9 @@ def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None
 
 
 def dual(M: Rep) -> Rep:
-    """Standard duality: transposed matrices over the opposite algebra."""
-    op = M.algebra.opposite()
-    return Rep(op, list(M.dims), [m.transpose() for m in M.mats])
+    """Standard duality: transposed matrices over the opposite algebra, so
+    the arrow matrices and their transposes trade places."""
+    return Rep._of(M.algebra.opposite(), M.dims, M.mats, M.transposes)
 
 
 def restrict_along(Mq: Rep, vertex_map, arrow_map, A: AlgebraHandle) -> Rep:
@@ -814,14 +811,12 @@ def restrict_along(Mq: Rep, vertex_map, arrow_map, A: AlgebraHandle) -> Rep:
     f = A.field
     q = A.quiver
     dims = [Mq.dims[vertex_map[u]] if vertex_map[u] is not None else 0 for u in range(q.n_vertices)]
-    mats = []
+    mats, transposes = [], []
     for a in range(q.n_arrows):
-        qa = arrow_map[a]
-        if qa is None:
-            mats.append(Matrix.zero(f, dims[q.a_tgt[a]], dims[q.a_src[a]]))
-        else:
-            mats.append(Mq.mats[qa])
-    return Rep(A, dims, mats)
+        qa, shape = arrow_map[a], (dims[q.a_tgt[a]], dims[q.a_src[a]])
+        mats.append(Matrix.zero(f, *shape) if qa is None else Mq.mats[qa])
+        transposes.append(Matrix.zero(f, *shape[::-1]) if qa is None else Mq.transposes[qa])
+    return Rep._of(A, dims, transposes, mats)
 
 
 # -- isomorphism testing ----------------------------------------------------
@@ -964,6 +959,14 @@ class Restriction(Rep):
         self.entries = entries
         self.pos = pos
 
+    @classmethod
+    def _wrap(cls, rep: Rep, outer, entries) -> "Restriction":
+        """The Restriction with the arrow matrices and transposes of rep."""
+        r = cls._of(rep.algebra, rep.dims, rep.transposes, rep.mats)
+        r.outer, r.entries = outer, entries
+        r.pos = [{e: i for i, e in enumerate(es)} for es in entries]
+        return r
+
 
 def _factor_image(M: Rep, side: str, a: int, key) -> dict:
     """The image of the coordinate key = (product vertex, index) of M over
@@ -982,7 +985,8 @@ def _factor_image(M: Rep, side: str, a: int, key) -> dict:
     else:
         # arrow a of R^op is arrow a of R reversed, acting on the right
         pa, tgt_pair = prod.right_arrow[(u, a)], prod.pair_index[(u, prod.right.quiver.a_src[a])]
-    return {(tgt_pair, r): row[i] for r, row in enumerate(M.mats[pa].entries) if i in row}
+    # column i of the product arrow's matrix is row i of its transpose
+    return {(tgt_pair, r): x for r, x in M.transposes[pa].entries[i].items()}
 
 
 def restrict(M: Rep, side: str) -> Restriction:
@@ -998,9 +1002,7 @@ def restrict(M: Rep, side: str) -> Restriction:
         raise ValueError("side must be 'left' or 'right'")
     prod = M.algebra.product
     if prod is None:
-        entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
-        pos = [{e: i for i, e in enumerate(es)} for es in entries]
-        return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
+        return Restriction._wrap(M, None, [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)])
     if side == "left":
         target, outer, own = prod.left, prod.right, 0
     else:
@@ -1008,9 +1010,7 @@ def restrict(M: Rep, side: str) -> Restriction:
     entries = [[] for _ in range(target.quiver.n_vertices)]
     for pi, pair in enumerate(prod.vertex_pairs):
         entries[pair[own]].extend((pi, i) for i in range(M.dims[pi]))
-    pos = [{e: i for i, e in enumerate(es)} for es in entries]
-    rep = action_rep(target, entries, lambda a, key: _factor_image(M, side, a, key))
-    return Restriction(target, rep.dims, rep.mats, outer, entries, pos)
+    return Restriction._wrap(action_rep(target, entries, lambda a, key: _factor_image(M, side, a, key)), outer, entries)
 
 
 @dataclass
@@ -1049,9 +1049,9 @@ class TensorFunctor:
         coords, index, rows = _balanced_relations(
             self.middle.quiver,
             self.f,
-            [m.transpose().entries for m in self.x.mats],
+            [m.entries for m in self.x.transposes],
             self.x.dims,
-            [m.transpose().entries for m in y.mats],
+            [m.entries for m in y.transposes],
             y.dims,
         )
         reducer = SubspaceReducer(self.f, len(coords), rows)
@@ -1178,14 +1178,13 @@ def stable_span(M: Rep, vectors_per_vertex) -> list[list[dict]]:
     q = A.quiver
     f = A.field
     reducers = [SubspaceReducer(f, M.dims[u], vectors_per_vertex[u]) for u in range(q.n_vertices)]
-    transposes = [m.transpose() for m in M.mats]
     queue = []
     for u in range(q.n_vertices):
         queue.extend((u, row) for row in reducers[u].echelon_rows())
     while queue:
         u, vec = queue.pop()
         for a in q.arrows_from[u]:
-            img = transposes[a].row_times(vec)
+            img = M.transposes[a].row_times(vec)
             if reducers[q.a_tgt[a]].insert(img):
                 queue.append((q.a_tgt[a], img))
     return [r.echelon_rows() for r in reducers]

@@ -21,7 +21,7 @@ from qred.parser import parse_algebra
 from qred.reduction import corner_presentation
 
 from conftest import FIXTURES, is_field_element, load
-from corpus import completed_corpus, random_presentation
+from corpus import binomial_presentation, completed_corpus, random_presentation
 from oracles import enumerate_basis_by_suffix_scan, tensor_with_opposite_by_completion
 
 
@@ -360,16 +360,34 @@ def test_monomial_completion_stays_monomial(corner_mono):
     assert all(not rest for _, rest in corner_mono.rules)
 
 
+def _tailed_corpus(seed, count, field):
+    """Seeded algebras whose rules have tails: `random_presentation` almost
+    never yields one, `binomial_presentation` nearly always does."""
+    return completed_corpus(seed, count, field, bound=8, dim_cap=12, draw=binomial_presentation)
+
+
+def test_binomial_draw_yields_tailed_rules():
+    """Every algebra of the binomial draw over Q, GF(3) and GF(5) has a rule
+    with a tail, while the default draw of the same seed has almost none."""
+    for field in (QQ, FieldSpec(3), FieldSpec(5)):
+        tailed = list(_tailed_corpus(881, 10, field))
+        assert len(tailed) == 10 and all(not A.is_monomial for A in tailed)
+        plain = completed_corpus(881, 10, field, bound=8, dim_cap=12)
+        assert sum(not A.is_monomial for A in plain) <= 2
+
+
 def test_normal_form_idempotent_and_linear():
     """Normal forms over Q, GF(3) and GF(5) are idempotent and linear, and
     each stores no zero and only field elements in canonical form.  The
     seeded corpus has monomial rules only, so bowtie with al*be - 2*ga*de,
-    whose rule has the tail coefficient 1/2, is checked too."""
+    whose rule has the tail coefficient 1/2, and the binomial draw, whose
+    rules have tails, are checked too."""
     text = (FIXTURES / "bowtie.alg").read_text(encoding="utf-8").replace("- ga*de", "- 2*ga*de")
     for field in (QQ, FieldSpec(3), FieldSpec(5)):
         rng = random.Random(88)
         bowtie = complete(parse_algebra(text.replace("field rational", f"field {field.name}")), 8)
-        for A in [bowtie, *completed_corpus(880, 5, field, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)]:
+        corpus = completed_corpus(880, 5, field, bound=8, dim_cap=10, max_vertices=3, max_arrows=4)
+        for A in [bowtie, *corpus, *_tailed_corpus(880, 5, field)]:
             _check_normal_form_linear(rng, A)
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from qred import modules
 from qred.algebra import Path, Presentation, Quiver, complete
-from qred.homology import tor_bounded
+from qred.homology import IdealSpec, quotient_algebra, tor_bounded
 from qred.linalg import FieldSpec, Matrix, QQ, SubspaceReducer
-from qred.parser import parse_algebra
+from qred.parser import parse_algebra, parse_module, rep_to_text
 from qred.modules import (
     BoundedDim,
     Rep,
@@ -47,7 +47,7 @@ from qred.witness import bimodule_syzygy, idempotent_candidate, identity_pair, s
 import oracles
 
 from conftest import FIXTURES, is_field_element, load
-from corpus import completed_corpus
+from corpus import binomial_presentation, completed_corpus
 from oracles import (
     DenseMatrix,
     brute_tensor_dim,
@@ -1236,3 +1236,51 @@ def test_is_isomorphic_matches_ends_first_oracle(monkeypatch):
         ("no", "one-dimensional Hom space has no invertible element"), ("no", "exhausted Hom space"),
     }
     assert calls["got"] < calls["want"]
+
+
+def _built_reps(A, rng):
+    """The Reps the engine builds over A, its opposite and its enveloping
+    algebra: projectives, the regular module and simples, their syzygies on
+    both sides and their duals, sub_rep, quotient_rep and kernel_subrep
+    outputs on a stable_span, restrictions on both sides and along a
+    quotient, a tensor_over bimodule, a parsed module, and the regular
+    bimodule with its first syzygy."""
+    n = A.quiver.n_vertices
+    mods = [regular_rep(A)]
+    for B in (A, A.opposite()):
+        for v in range(n):
+            S = simple(B, v)
+            mods += [S, projective(B, v)[0], dual(S)]
+            mods += minimal_resolution(S, 3).syzygies + minimal_resolution(dual(S), 3).syzygies
+    P, _ = rep_direct_sum([projective(A, rng.randrange(n))[0] for _ in range(2)])
+    span = stable_span(P, _radical_gens(rng, P))
+    Q, pi = quotient_rep(P, span)
+    mods += [sub_rep(P, span)[0], Q, kernel_subrep(pi)[0], kernel_subrep(projective_cover(Q)[1])[0]]
+    reg = regular_bimodule(A)
+    mods += [reg, restrict(reg, "left"), restrict(reg, "right"), restrict(Q, "left"), bimodule_syzygy(A, 1)]
+    mods += [tensor_bimodules(reg, reg), parse_module(rep_to_text(reg, "reg"), reg.algebra)[1]]
+    mods.append(parse_module(rep_to_text(Q, "Q"), A)[1])
+    if n > 1:
+        qd = quotient_algebra(A, IdealSpec.from_vertices([A.quiver.vertices[rng.randrange(n)]]))
+        mods.append(restrict_along(regular_rep(qd.handle), qd.vertex_map, qd.arrow_map, A))
+    return mods
+
+
+def test_every_built_rep_keeps_its_arrow_transposes():
+    """A Rep keeps the transpose of each arrow matrix beside it, and the two
+    agree on every Rep the engine builds over the six fixtures, seeded
+    corpora over Q, GF(3) and GF(5), and the binomial draw, whose rules have
+    tails."""
+    rng = random.Random(2801)
+    algebras = [load(name) for name in _FIXTURE_NAMES]
+    for seed, field in ((2802, QQ), (2803, FieldSpec(3)), (2804, FieldSpec(5))):
+        algebras += completed_corpus(seed, 4, field, bound=8, dim_cap=8, max_vertices=3, max_arrows=4)
+        algebras += completed_corpus(seed, 4, field, bound=8, dim_cap=10, draw=binomial_presentation)
+    kinds, nonzero = set(), 0
+    for A in algebras:
+        for M in _built_reps(A, rng):
+            assert len(M.transposes) == len(M.mats) == M.algebra.quiver.n_arrows
+            assert M.transposes == [m.transpose() for m in M.mats]
+            kinds.add(type(M).__name__)
+            nonzero += not all(m.is_zero() for m in M.mats)
+    assert kinds == {"Rep", "Restriction"} and nonzero >= 500

@@ -7,7 +7,8 @@ cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
 module builds a dense vector of field zeros or a `fractions.Fraction`, and
 no function sums field elements term by term through `FieldSpec`:
 vectors are stored rows, sums are canonicalized once by `stored_row`, and
-`Matrix` has no dense column read-out.  Every
+`Matrix` has no dense column read-out.  A module's arrow matrices are
+transposed only where the module is built.  Every
 dotted name that a docstring quotes in backticks names something that
 exists.
 """
@@ -300,6 +301,71 @@ def test_field_sums_are_canonicalized_by_stored_row():
     assert found == _FIELD_SUM_ALLOWED
     probe = ast.parse("def g(f):\n    f.add(1, 2)\n    def h():\n        return self.field.sub(x, y)\n    seen.add(1)\nfield.add(0, 1)")
     assert _field_sums(probe) == [("g", 2), ("h", 4), (None, 6)]
+
+
+def _reads_mats(node) -> bool:
+    """Whether the expression node reads an attribute ``.mats``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "mats" for n in ast.walk(node))
+
+
+def _arrow_transposes(tree) -> list[tuple[str, int]]:
+    """(function, line) of each ``.transpose()`` call on arrow matrices: on
+    ``X.mats[...]``, or on a name that a comprehension or a for loop binds
+    from an iterable that reads ``X.mats``.  The function is the innermost
+    one around the call, as ``Class.method`` for a method."""
+    found = []
+
+    def visit(node, fn, bound):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            gens = node.generators
+        elif isinstance(node, ast.For):
+            gens = [node]
+        else:
+            gens = []
+        for g in gens:
+            if _reads_mats(g.iter):
+                bound = bound | {n.id for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and func.attr == "transpose" and not node.args:
+            recv = func.value
+            if (isinstance(recv, ast.Subscript) and _reads_mats(recv.value)) or getattr(recv, "id", None) in bound:
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, set())
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{fn}.{child.name}" if isinstance(node, ast.ClassDef) else child.name, set())
+            else:
+                visit(child, fn, bound)
+
+    visit(tree, None, set())
+    return found
+
+
+# the transposes of arrow matrices that stay, each with its reason
+_ARROW_TRANSPOSES_ALLOWED = {
+    # the one place that computes a Rep's transposes from matrices given by rows
+    ("modules", "Rep.__init__"),
+    # the kernel is read off the rows of each map of the RepMap, which keeps
+    # no transposes: a RepMap is not a module
+    ("modules", "kernel_subrep"),
+}
+
+
+def test_arrow_matrices_are_transposed_only_where_a_rep_is_built():
+    """A Rep keeps the transposes of its arrow matrices, so no function of
+    the package transposes ``X.mats`` again, apart from the allowed ones;
+    `Rep._of` builds the matrices from given transposes, and `dual` swaps
+    the two."""
+    found = {(name, fn) for name, tree in _trees().items() for fn, _ in _arrow_transposes(tree)}
+    assert found == _ARROW_TRANSPOSES_ALLOWED
+    probe = ast.parse(
+        "def g(M):\n    return [m.transpose() for m in M.mats]\n"
+        "class R:\n    def h(self):\n        return self.mats[0].transpose()\n"
+        "def k(M, a):\n    for i, m in enumerate(M.mats):\n        m.transpose()\n"
+        "    return [t.transpose() for t in M.transposes], M.transposes[a].transpose()"
+    )
+    assert _arrow_transposes(probe) == [("g", 2), ("R.h", 5), ("k", 8)]
 
 
 def test_matrix_has_no_dense_column_readout():
