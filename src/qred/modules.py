@@ -782,8 +782,11 @@ def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None
       S_u again costs no more than the steps of M that it replaces.
 
     An early stop returns AtLeast(bound + 1), the value that the full
-    resolution gives, until an `Infinite` verdict can be reported.
+    resolution gives, until an `Infinite` verdict can be reported.  side is
+    "projective" or "injective"; any other value raises ValueError.
     """
+    if side not in ("projective", "injective"):
+        raise ValueError("side must be 'projective' or 'injective'")
     if side == "injective":
         M = dual(M)
     if M.is_zero():

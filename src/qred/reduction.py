@@ -22,7 +22,6 @@ from .algebra import (
     Presentation,
     Quiver,
     _complete,
-    _loewy_length,
     compose,
     corner_basis,
     word_key,
@@ -124,20 +123,27 @@ class ReductionStep:
 def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> AlgebraHandle:
     """Present the corner algebra eAe on the given vertex set.
 
-    Arrows are length-lex least normal paths spanning e rad e modulo its
-    square; relations are the kernel of the evaluation onto eAe, computed
-    degree by degree up to the corner's Loewy length and thinned against
-    consequences of the relations already found.
+    Arrows are length-lex least normal paths spanning R = e rad A e modulo
+    R^2.  They generate R modulo R^2, so R^d is spanned by the evaluations
+    of the corner words of length at least d, and the Loewy length is the
+    first length at which every word evaluates to zero; the words are
+    enumerated one length at a time up to it.
+
+    Relations are the kernel of the evaluation onto eAe, one kernel per
+    vertex pair over its words of length 2 and more, taken by degree and
+    thinned against consequences of the relations already found.  The
+    kernel vector of a free column is supported on the columns up to it,
+    and whether a column is free depends only on those, so the words of
+    degree at most d have exactly the kernel vectors whose free column has
+    degree at most d.
 
     The presented algebra maps onto eAe, and the dimension check makes that
     map an isomorphism.  Its arrow ideal then lies in the nilpotent ideal
     e rad A e, so its completion skips the nilpotency certificate and takes
-    the Loewy length counted on the corner basis.
+    the Loewy length read off the words.
     """
     q = A.quiver
     S = sorted(q.v_index[v] for v in vertex_names)
-    if not S:
-        raise ValueError("vertex set must be nonempty")
     f = A.field
     C = corner_basis(A, [q.vertices[v] for v in S])
     C_index = {p: i for i, p in enumerate(C)}
@@ -155,8 +161,6 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
         if square.insert({C_index[c]: f.one()}):
             realizations.append(c)
 
-    loewy = _loewy_length(A, C, C_pos)
-
     # quiver of the corner
     s_pos = {v: i for i, v in enumerate(S)}
     arrow_names = []
@@ -173,41 +177,44 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
     ]
     new_quiver = Quiver(new_vertices, new_arrows)
 
-    # enumerate corner-quiver paths up to the Loewy length, with evaluations
+    # enumerate corner-quiver paths with their evaluations, up to the first
+    # length at which every word evaluates to zero: the Loewy length
     arr_src = [s_pos[c.source] for c in realizations]
     arr_tgt = [s_pos[c.target] for c in realizations]
     paths_by_deg = [[(v, v, ()) for v in range(len(S))]]
-    ev: dict[tuple, dict] = {}
-    for i, c in enumerate(realizations):
-        ev[(i,)] = {c: f.one()}
-    for d in range(1, loewy + 1):
+    ev = {(i,): {c: f.one()} for i, c in enumerate(realizations)}
+    while True:
         level = []
-        for (src, tgt, word) in paths_by_deg[d - 1]:
-            for i in range(len(realizations)):
+        for (src, tgt, word) in paths_by_deg[-1]:
+            for i, r in enumerate(realizations):
                 if arr_src[i] != tgt:
                     continue
                 nw = word + (i,)
                 level.append((src, arr_tgt[i], nw))
-                if d >= 2:
-                    # every term of ev[word] ends where realizations[i] starts
-                    r = realizations[i]
+                if word:
+                    # every term of ev[word] ends where r starts
                     ev[nw] = A.normal_form({compose(p, r): cp for p, cp in ev[word].items()})
         paths_by_deg.append(level)
+        if not any(ev[word] for _, _, word in level):
+            break
+    loewy = len(paths_by_deg) - 1
 
-    formal = [
-        (src, tgt, word)
-        for d in range(2, loewy + 1)
-        for (src, tgt, word) in paths_by_deg[d]
-    ]
-    formal_index = {word: i for i, (_, _, word) in enumerate(formal)}
+    # the formal words of length >= 2, indexed in order of length and grouped
+    # by vertex pair in that order
+    formal_index: dict[tuple, int] = {}
+    groups: dict[tuple, list] = {}
+    for level in paths_by_deg[2:]:
+        for (src, tgt, word) in level:
+            formal_index[word] = len(formal_index)
+            groups.setdefault((src, tgt), []).append(word)
     by_src = {}
     by_tgt = {}
-    for d in range(0, loewy + 1):
-        for (src, tgt, word) in paths_by_deg[d]:
+    for level in paths_by_deg:
+        for (src, tgt, word) in level:
             by_src.setdefault(src, []).append((tgt, word))
             by_tgt.setdefault(tgt, []).append((src, word))
 
-    cons = SubspaceReducer(f, len(formal))
+    cons = SubspaceReducer(f, len(formal_index))
     relations = []
 
     def add_consequences(rel_terms, r_src, r_tgt):
@@ -221,27 +228,25 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
                 # the words of r are distinct, so each word u * w * v occurs once
                 cons.insert({formal_index[uword + w + vword]: c for w, c in rel_terms})
 
-    for d in range(2, loewy + 1):
-        for su in range(len(S)):
-            for tu in range(len(S)):
-                cols = [
-                    (src, tgt, word)
-                    for (src, tgt, word) in formal
-                    if src == su and tgt == tu and len(word) <= d
-                ]
-                if not cols:
-                    continue
-                # the evaluation: one row per corner basis path, one column per word
-                rows: dict[int, dict] = {}
-                for i, (_, _, word) in enumerate(cols):
-                    for p, c in ev[word].items():
-                        rows.setdefault(C_index[p], {})[i] = c
-                for vec in kernel_vectors(f, rows.values(), len(cols))[0]:
-                    terms = [(cols[i][2], c) for i, c in sorted(vec.items())]
-                    if not cons.insert({formal_index[word]: c for word, c in terms}):
-                        continue
-                    add_consequences(terms, su, tu)
-                    relations.append(tuple((Path(su, tu, word), c) for word, c in terms))
+    candidates = []
+    for (su, tu), words in sorted(groups.items()):
+        # the evaluation: one row per corner basis path, one column per word
+        rows: dict[int, dict] = {}
+        for i, word in enumerate(words):
+            for p, c in ev[word].items():
+                rows.setdefault(C_index[p], {})[i] = c
+        for vec, j in zip(*kernel_vectors(f, rows.values(), len(words))):
+            terms = [(words[i], c) for i, c in sorted(vec.items())]
+            candidates.append((len(words[j]), su, tu, terms))
+    # offered by degree of the free column, then vertex pair, then free
+    # column (the sort is stable): the order in which a kernel per degree
+    # window first meets each vector, and a vector met again lies in cons
+    candidates.sort(key=lambda cand: cand[:3])
+    for _, su, tu, terms in candidates:
+        if not cons.insert({formal_index[word]: c for word, c in terms}):
+            continue
+        add_consequences(terms, su, tu)
+        relations.append(tuple((Path(su, tu, word), c) for word, c in terms))
 
     pres = Presentation(
         f,
@@ -262,24 +267,16 @@ def corner_presentation(A: AlgebraHandle, vertex_names, name: str = "") -> Algeb
 
 def corner_module_eA(B: AlgebraHandle) -> Rep:
     """eA as a left module over the presented corner eAe."""
-    key = "corner_eA"
-    if key in B._extra:
-        return B._extra[key]
     cs = B.corner
     if cs is None:
         raise ValueError("algebra is not a presented corner")
     A = cs.parent
     basis = [A.paths_to(cs.kept[v]) for v in range(B.quiver.n_vertices)]
-    rep = action_rep(B, basis, lambda i, p: A.mul_paths(p, cs.realizations[i]))
-    B._extra[key] = rep
-    return rep
+    return action_rep(B, basis, lambda i, p: A.mul_paths(p, cs.realizations[i]))
 
 
 def corner_module_Ae(B: AlgebraHandle) -> Rep:
     """Ae as a right module over the corner, i.e. a Rep over its opposite."""
-    key = "corner_Ae"
-    if key in B._extra:
-        return B._extra[key]
     cs = B.corner
     if cs is None:
         raise ValueError("algebra is not a presented corner")
@@ -287,9 +284,7 @@ def corner_module_Ae(B: AlgebraHandle) -> Rep:
     # arrow i of B^op reverses corner arrow i and acts by precomposition
     # with its realization
     basis = [A.paths_from(cs.kept[v]) for v in range(B.quiver.n_vertices)]
-    rep = action_rep(B.opposite(), basis, lambda i, p: A.mul_paths(cs.realizations[i], p))
-    B._extra[key] = rep
-    return rep
+    return action_rep(B.opposite(), basis, lambda i, p: A.mul_paths(cs.realizations[i], p))
 
 
 # -- vertex removal ---------------------------------------------------------

@@ -61,13 +61,14 @@ class WitnessPair:
 
 
 def one_sided_projectivity(pair: WitnessPair) -> tuple[bool, bool, bool, bool]:
-    """(M left, M right, N left, N right) projectivity of the restrictions."""
-    return (
-        is_projective(restrict(pair.M, "left")),
-        is_projective(restrict(pair.M, "right")),
-        is_projective(restrict(pair.N, "left")),
-        is_projective(restrict(pair.N, "right")),
-    )
+    """(M left, M right, N left, N right) projectivity of the restrictions;
+    a pair (M, M) restricts M once."""
+
+    def sides(X):
+        return is_projective(restrict(X, "left")), is_projective(restrict(X, "right"))
+
+    m = sides(pair.M)
+    return m + (m if pair.N is pair.M else sides(pair.N))
 
 
 def bimodule_syzygy(A: AlgebraHandle, n: int) -> Rep:
@@ -191,14 +192,15 @@ def search_level(M: Rep, N: Rep, n_max: int, seed: int = 0):
 
 
 def identity_pair(A: AlgebraHandle) -> WitnessPair:
-    """(A, A) as bimodules over A (x) A^op; verifies at level 0."""
-    reg = regular_bimodule(A)
+    """(A, A) as bimodules over A (x) A^op; verifies at level 0.  A is
+    Omega^0 of `bimodule_syzygy`, which a level check reads again."""
+    reg = bimodule_syzygy(A, 0)
     return WitnessPair(reg, reg, 0)
 
 
 def syzygy_pair(A: AlgebraHandle) -> WitnessPair:
     """(Omega^1 of the regular bimodule, A), a level-1 witness pair."""
-    return WitnessPair(bimodule_syzygy(A, 1), regular_bimodule(A), 1)
+    return WitnessPair(bimodule_syzygy(A, 1), bimodule_syzygy(A, 0), 1)
 
 
 def idempotent_candidate(A: AlgebraHandle, corner: AlgebraHandle):

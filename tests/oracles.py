@@ -42,7 +42,10 @@ computes End(M) and End(N) on every call instead of only when Hom(M, N)
 shows no isomorphism, the bounded-pd oracle resolves all bound + 1 steps
 instead of stopping at a simple summand of infinite projective dimension,
 the simple-summand oracle scans basis pairs of Hom(S_u, K) and Hom(K, S_u)
-instead of testing socle vectors against the radical, and the
+instead of testing socle vectors against the radical, the corner oracle
+computes the Loewy length of eAe apart and eliminates the evaluation of each
+vertex pair anew at every degree instead of reading both off one enumeration
+of the corner words and one kernel per vertex pair, and the
 restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
@@ -64,17 +67,21 @@ from math import gcd, lcm
 
 from qred.algebra import (
     ConsistencyError,
+    CornerStructure,
     DimensionNotResolved,
     Path,
     Presentation,
+    Quiver,
     _complete,
+    _loewy_length,
     complete,
     compose,
+    corner_basis,
     tensor_with_opposite,
     trivial_path,
     word_key,
 )
-from qred.linalg import Matrix, SubspaceReducer
+from qred.linalg import Matrix, SubspaceReducer, kernel_vectors
 from qred.modules import (
     IsoResult,
     Rep,
@@ -111,6 +118,7 @@ from qred.modules import (
     top_dims,
     validate_rep,
 )
+from qred.parser import written_arrow_names
 
 
 def brute_tensor_dim(X: Rep, middle, Y: Rep) -> int:
@@ -1360,3 +1368,134 @@ def tor_by_tensoring(X: Rep, Y: Rep, n: int) -> tuple[list[int], bool]:
         else:
             dims.append(spaces[i].dim - (ranks[i - 1] if i else 0) - ranks[i])
     return dims, current.is_zero()
+
+
+def corner_presentation_by_degree(A, vertex_names, name: str = ""):
+    """`reduction.corner_presentation` as it was computed degree by degree:
+    the Loewy length from `algebra._loewy_length` on the corner basis, and
+    for each degree d and vertex pair the kernel of the evaluation of the
+    words of length 2 to d, eliminated anew at every degree."""
+    q = A.quiver
+    S = sorted(q.v_index[v] for v in vertex_names)
+    if not S:
+        raise ValueError("vertex set must be nonempty")
+    f = A.field
+    C = corner_basis(A, [q.vertices[v] for v in S])
+    C_index = {p: i for i, p in enumerate(C)}
+    C_pos = [p for p in C if len(p.arrows) >= 1]
+
+    # (e rad e)^2
+    square = SubspaceReducer(f, len(C))
+    for a in C_pos:
+        for b in C_pos:
+            prod = A.mul_paths(a, b)
+            if prod:
+                square.insert({C_index[p]: c for p, c in prod.items()})
+    realizations = []
+    for c in sorted(C_pos, key=word_key):
+        if square.insert({C_index[c]: f.one()}):
+            realizations.append(c)
+
+    loewy = _loewy_length(A, C, C_pos)
+
+    # quiver of the corner
+    s_pos = {v: i for i, v in enumerate(S)}
+    arrow_names = []
+    used = {}
+    for c in realizations:
+        base = "t_" + "_".join(written_arrow_names(A, c))
+        k = used.get(base, 0)
+        used[base] = k + 1
+        arrow_names.append(base if k == 0 else f"{base}_{k + 1}")
+    new_vertices = [q.vertices[v] for v in S]
+    new_arrows = [
+        (arrow_names[i], q.vertices[c.source], q.vertices[c.target])
+        for i, c in enumerate(realizations)
+    ]
+    new_quiver = Quiver(new_vertices, new_arrows)
+
+    # enumerate corner-quiver paths up to the Loewy length, with evaluations
+    arr_src = [s_pos[c.source] for c in realizations]
+    arr_tgt = [s_pos[c.target] for c in realizations]
+    paths_by_deg = [[(v, v, ()) for v in range(len(S))]]
+    ev: dict[tuple, dict] = {}
+    for i, c in enumerate(realizations):
+        ev[(i,)] = {c: f.one()}
+    for d in range(1, loewy + 1):
+        level = []
+        for (src, tgt, word) in paths_by_deg[d - 1]:
+            for i in range(len(realizations)):
+                if arr_src[i] != tgt:
+                    continue
+                nw = word + (i,)
+                level.append((src, arr_tgt[i], nw))
+                if d >= 2:
+                    # every term of ev[word] ends where realizations[i] starts
+                    r = realizations[i]
+                    ev[nw] = A.normal_form({compose(p, r): cp for p, cp in ev[word].items()})
+        paths_by_deg.append(level)
+
+    formal = [
+        (src, tgt, word)
+        for d in range(2, loewy + 1)
+        for (src, tgt, word) in paths_by_deg[d]
+    ]
+    formal_index = {word: i for i, (_, _, word) in enumerate(formal)}
+    by_src = {}
+    by_tgt = {}
+    for d in range(0, loewy + 1):
+        for (src, tgt, word) in paths_by_deg[d]:
+            by_src.setdefault(src, []).append((tgt, word))
+            by_tgt.setdefault(tgt, []).append((src, word))
+
+    cons = SubspaceReducer(f, len(formal))
+    relations = []
+
+    def add_consequences(rel_terms, r_src, r_tgt):
+        # formal products u * r * v inside the degree window
+        maxdeg = max(len(w) for w, _ in rel_terms)
+        for (usrc, uword) in by_tgt.get(r_src, ()):
+            for (vtgt, vword) in by_src.get(r_tgt, ()):
+                extra = len(uword) + len(vword)
+                if extra == 0 or extra + maxdeg > loewy:
+                    continue
+                # the words of r are distinct, so each word u * w * v occurs once
+                cons.insert({formal_index[uword + w + vword]: c for w, c in rel_terms})
+
+    for d in range(2, loewy + 1):
+        for su in range(len(S)):
+            for tu in range(len(S)):
+                cols = [
+                    (src, tgt, word)
+                    for (src, tgt, word) in formal
+                    if src == su and tgt == tu and len(word) <= d
+                ]
+                if not cols:
+                    continue
+                # the evaluation: one row per corner basis path, one column per word
+                rows: dict[int, dict] = {}
+                for i, (_, _, word) in enumerate(cols):
+                    for p, c in ev[word].items():
+                        rows.setdefault(C_index[p], {})[i] = c
+                for vec in kernel_vectors(f, rows.values(), len(cols))[0]:
+                    terms = [(cols[i][2], c) for i, c in sorted(vec.items())]
+                    if not cons.insert({formal_index[word]: c for word, c in terms}):
+                        continue
+                    add_consequences(terms, su, tu)
+                    relations.append(tuple((Path(su, tu, word), c) for word, c in terms))
+
+    pres = Presentation(
+        f,
+        new_quiver,
+        relations,
+        A.presentation.convention,
+        name or f"{A.name}.corner[{','.join(q.vertices[v] for v in S)}]",
+    )
+    handle = _complete(pres, max(loewy + 1, 2))
+    if handle.dim != len(C):
+        raise ConsistencyError(
+            f"corner presented dimension {handle.dim} != corner basis size {len(C)}"
+        )
+    handle.loewy_length = loewy
+    handle.corner = CornerStructure(A, S, realizations)
+    return handle

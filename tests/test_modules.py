@@ -487,6 +487,17 @@ def test_pd_values(line2, dual_numbers, tri_dual):
     assert pd_bounded(simple(dual_numbers, 0), 10) == BoundedDim.AtLeast(11, 10)
 
 
+def test_pd_bounded_rejects_an_unknown_side(line2):
+    """Only "projective" and "injective" name a side: a misspelt side, such
+    as "Injective" for the simple S_1 of line2 (pd 0, id 1), raises instead
+    of giving the projective dimension."""
+    S = simple(line2, 1)
+    assert (pd_bounded(S, 5), pd_bounded(S, 5, "injective")) == (BoundedDim.Exact(0, 5), BoundedDim.Exact(1, 5))
+    for side in ("Injective", "left", ""):
+        with pytest.raises(ValueError, match="side must be 'projective' or 'injective'"):
+            pd_bounded(S, 5, side)
+
+
 def _pd_oracle_modules():
     """Per fresh handle, the modules the bounded-pd oracles run on: the
     simples and the duals of the indecomposable projectives of the fixtures

@@ -8,7 +8,8 @@ module builds a dense vector of field zeros or a `fractions.Fraction`, and
 no function sums field elements term by term through `FieldSpec`:
 vectors are stored rows, sums are canonicalized once by `stored_row`, and
 `Matrix` has no dense column read-out.  A module's arrow matrices are
-transposed only where the module is built.  Every
+transposed only where the module is built.  Only the allowed functions
+write a cache on an algebra handle.  Every
 dotted name that a docstring quotes in backticks names something that
 exists.
 """
@@ -366,6 +367,73 @@ def test_arrow_matrices_are_transposed_only_where_a_rep_is_built():
         "    return [t.transpose() for t in M.transposes], M.transposes[a].transpose()"
     )
     assert _arrow_transposes(probe) == [("g", 2), ("R.h", 5), ("k", 8)]
+
+
+def _is_extra(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_extra"
+
+
+def _handle_cache_writes(tree) -> list[tuple[str, int]]:
+    """(function, line) of each write into a handle cache: an assignment to
+    ``X._extra[...]``, or a call ``X._extra.setdefault(...)`` or
+    ``X._extra.update(...)``.  The function is the innermost one around the
+    write, as ``Class.method`` for a method."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            flat = [t for tt in targets for t in (tt.elts if isinstance(tt, ast.Tuple) else [tt])]
+            if any(isinstance(t, ast.Subscript) and _is_extra(t.value) for t in flat):
+                found.append((fn, node.lineno))
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and func.attr in ("setdefault", "update") and _is_extra(func.value):
+            found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{fn}.{child.name}" if isinstance(node, ast.ClassDef) else child.name)
+            else:
+                visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+# the functions that cache on a handle, each with the route that reads the
+# cache back; AlgebraHandle is never mutated after completion, so no entry
+# goes stale
+_HANDLE_CACHES_ALLOWED = {
+    # every cover, Hom search and resolution step asks for the same
+    # indecomposable projectives of one algebra again
+    ("modules", "projective"),
+    # pd_bounded asks, for each simple summand met at step i, whether S_u
+    # returns within bound - i steps: the modules of one algebra, and the
+    # pd and id checks of every vertex, meet the same simples again
+    ("modules", "_simple_returns"),
+    # bongartz reads the minimal relations once per vertex, and
+    # eligible_vertices asks bongartz for every vertex
+    ("homology", "minimal_relations"),
+    # each level of verify_level and search_level, and the witness pairs,
+    # read the syzygies of the regular bimodule resolved so far
+    ("witness", "bimodule_syzygy"),
+}
+
+
+def test_handle_caches_are_read_back():
+    """A cache on an algebra handle earns its place only when some route
+    reads it back: no function of the package writes ``X._extra`` apart
+    from the allowed ones.  A presented corner is new per call that builds
+    it, so the corner modules eA and Ae keep no cache."""
+    found = {(name, fn) for name, tree in _trees().items() for fn, _ in _handle_cache_writes(tree)}
+    assert found == _HANDLE_CACHES_ALLOWED
+    probe = ast.parse(
+        "def g(A):\n    A._extra[k] = 1\n"
+        "class R:\n    def h(self):\n        self.B._extra[0], x = 1, 2\n"
+        "def k(A):\n    A._extra.setdefault(k, [])\n    y = A._extra[k]\n    A.extra[k] = 3\n"
+    )
+    assert _handle_cache_writes(probe) == [("g", 2), ("R.h", 5), ("k", 7)]
 
 
 def test_matrix_has_no_dense_column_readout():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -7,7 +8,8 @@ from qred.algebra import ConsistencyError, Path, _loewy_length, complete, corner
 from qred.linalg import FieldSpec, QQ
 from qred.homology import IdealSpec, bimodule_pd_bounded, gldim_bounded, quotient_algebra
 from qred.modules import pd_bounded, radical_layer_dims, regular_bimodule, regular_rep, simple, validate_rep
-from qred.parser import parse_algebra
+from qred import reduction
+from qred.parser import algebra_to_text, parse_algebra
 from qred.reduction import (
     PROPERTIES,
     corner_conditions,
@@ -24,7 +26,8 @@ from qred.reduction import (
 )
 
 from conftest import load
-from corpus import completed_corpus
+from corpus import binomial_presentation, completed_corpus
+from oracles import corner_presentation_by_degree
 
 GF5 = FieldSpec(5)
 
@@ -161,6 +164,89 @@ def test_corner_modules_satisfy_the_corner_relations():
                 checked += 1
                 with_relations += bool(B.presentation.relations)
     assert (checked, with_relations) == (96, 52)
+
+
+def _corner_test_algebras():
+    """The six fixtures, completed_corpus seeds 31-33 over Q, GF(3) and
+    GF(5), and binomial_presentation draws, seeds 881-883 over the same."""
+    names = ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie")
+    algebras = [load(name) for name in names]
+    fields = (QQ, FieldSpec(3), GF5)
+    for seed, field in zip((31, 32, 33), fields):
+        algebras += completed_corpus(seed, 40, field)
+    for seed, field in zip((881, 882, 883), fields):
+        algebras += completed_corpus(seed, 20, field, draw=binomial_presentation)
+    return algebras
+
+
+def _vertex_subsets(A):
+    vertices = A.quiver.vertices
+    for k in range(1, len(vertices) + 1):
+        yield from itertools.combinations(vertices, k)
+
+
+def test_corner_presentation_matches_the_by_degree_oracle():
+    """On every nonempty vertex subset, the corner read off one enumeration
+    of its words and one kernel per vertex pair prints, by algebra_to_text,
+    as the corner computed degree by degree with the Loewy length taken
+    apart, and has its Loewy length and realizations."""
+    checked = 0
+    for A in _corner_test_algebras():
+        for subset in _vertex_subsets(A):
+            B = corner_presentation(A, subset)
+            ref = corner_presentation_by_degree(A, subset)
+            assert algebra_to_text(B) == algebra_to_text(ref), (A.name, subset)
+            assert B.loewy_length == ref.loewy_length, (A.name, subset)
+            assert B.corner.realizations == ref.corner.realizations, (A.name, subset)
+            checked += 1
+    assert checked == 1776
+
+
+def _pairs_with_long_words(B):
+    """The vertex pairs of B joined by a word of length 2 to its Loewy length."""
+    q = B.quiver
+    pairs, walks = set(), {(v, v) for v in range(q.n_vertices)}
+    for d in range(1, B.loewy_length + 1):
+        walks = {(s, q.a_tgt[a]) for s, t in walks for a in q.arrows_from[t]}
+        if d >= 2:
+            pairs |= walks
+    return pairs
+
+
+def test_corner_presentation_eliminates_once_per_vertex_pair(monkeypatch):
+    """corner_presentation calls kernel_vectors once per vertex pair that has
+    words of length 2 and more, where a kernel per degree makes L - 1 calls
+    for the pairs joined in degree 2, and never calls _loewy_length."""
+    calls = []
+    kernel_vectors = reduction.kernel_vectors
+
+    def counted(field, rows, ncols):
+        calls.append(ncols)
+        return kernel_vectors(field, rows, ncols)
+
+    monkeypatch.setattr(reduction, "kernel_vectors", counted)
+    loewy_calls = []
+    code = _loewy_length.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            loewy_calls.append(code.co_name)
+
+    corners = deep = 0
+    for A in _corner_test_algebras():
+        for subset in _vertex_subsets(A):
+            calls.clear()
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                B = corner_presentation(A, subset)
+            finally:
+                sys.setprofile(previous)
+            assert len(calls) == len(_pairs_with_long_words(B)), (A.name, subset)
+            corners += 1
+            deep += B.loewy_length >= 3 and bool(calls)
+    assert loewy_calls == []
+    assert (corners, deep) == (1776, 408)
 
 
 def _radical_layer_count(X):

@@ -1,11 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import random
 from pathlib import Path as FsPath
 
 import pytest
 
-from qred import modules, witness
+from qred import cli, modules, witness
 from qred.algebra import tensor_with_opposite
 from qred.linalg import QQ
 from qred.parser import parse_algebra
@@ -406,3 +408,38 @@ def test_search_level_rechecked_with_an_independent_seed(dual_numbers, line2, tr
                 rep.iso_right,
             ), (M.algebra.name, k)
     assert found == [0, 1, 0, 1, 0, 1, None]
+
+
+def test_witness_commands_build_the_regular_bimodule_once(monkeypatch):
+    """witness --identity and --syzygy take Omega^0 from bimodule_syzygy,
+    so each command builds the regular bimodule once, and restrict M once
+    for the identity pair (M, M): over the six fixtures, 12 regular
+    bimodules and 36 restrictions, where building A again and restricting
+    N as well make 24 and 48.  The reports match the ones built from a
+    fresh regular bimodule."""
+    calls = {"regular_bimodule": 0, "restrict": 0}
+    for fname in calls:
+        wrapped = getattr(witness, fname)
+
+        def counted(*args, _f=wrapped, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(witness, fname, counted)
+    per_command = []
+    for name in ("dual_numbers", "line2", "line3z", "tri_dual", "corner_mono", "bowtie"):
+        path = str(FsPath(__file__).parent / "fixtures" / f"{name}.alg")
+        for flag in ("--identity", "--syzygy"):
+            before = dict(calls)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["witness", path, flag, "--seed", "1"]) == 0
+            per_command.append(tuple(calls[k] - before[k] for k in calls))
+    assert per_command == [(1, 2), (1, 4)] * 6
+    assert calls == {"regular_bimodule": 12, "restrict": 36}
+    for name in ("line2", "bowtie"):
+        A, B = load(name), load(name)
+        reg = modules.regular_bimodule(B)
+        fresh = [WitnessPair(reg, reg, 0), WitnessPair(bimodule_syzygy(B, 1), reg, 1)]
+        for got, want in zip((identity_pair(A), syzygy_pair(A)), fresh):
+            assert one_sided_projectivity(got) == one_sided_projectivity(want)
+            assert (got.M.mats, got.N.mats) == (want.M.mats, want.N.mats)
