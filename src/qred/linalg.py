@@ -14,13 +14,14 @@ value it returns is in canonical form.
 A vector is a stored row: a {column: value} dict that stores no zero, each
 value a field element in that form, since the vectors and matrices of
 covers, kernels, resolutions, spans and Hom spaces are mostly zero.
-`Matrix` keeps one stored row per row; sums, products (`Matrix.row_times`
-is one stored row times a matrix), transposes and combinations iterate the
-stored entries only, and `SubspaceReducer` reduces and reads out stored
-rows.  Dense lists are read-outs only: ``Matrix.data`` and
-`SubspaceReducer.basis_rows`, built anew on each read for printing and for
-checks outside the engine.  Dense lists are still accepted as input where a
-matrix or span is built from parsed or given rows.
+`Matrix` keeps one stored row per row; products (`Matrix.row_times` is
+one stored row times a matrix) and transposes iterate the stored entries
+only, and `SubspaceReducer` reduces and reads out stored rows.  Dense lists
+are read-outs only: ``Matrix.data`` and `SubspaceReducer.basis_rows`, built
+anew on each read for checks outside the package.  No module of the package
+calls them, nor `Matrix.rref` or `Matrix.solve`; the four stay for the
+benchmark, which reads or traces them.  Dense lists are still accepted as
+input where a matrix or span is built from parsed or given rows.
 
 All elimination is one Gauss-Jordan step, `_insert_row`: a fresh row is
 reduced by the reduced rows kept so far, keyed by pivot column, and if it
@@ -292,8 +293,7 @@ def kernel_vectors(field: FieldSpec, rows, ncols: int) -> tuple[list[dict], list
     The rows are dense lists or {column: value} dicts with ``ncols`` columns.
     The basis vector of the free column j is a {column: value} dict with a 1
     at j and the negated reduced coefficients of column j at the pivots; the
-    vectors are ordered by free column.  `Matrix.kernel_basis` is these
-    vectors as dense columns.
+    vectors are ordered by free column.
     """
     p = field.p
     red = _eliminate(rows, p)
@@ -381,20 +381,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        out = []
-        for ra, rb in zip(self.entries, other.entries):
-            acc = dict(ra)
-            for k, y in rb.items():
-                acc[k] = acc.get(k, 0) + y
-            out.append(stored_row(acc.items(), self.field.p))
-        return Matrix.from_entries(self.field, self.rows, self.cols, out)
-
-    def scale(self, c) -> "Matrix":
-        p = self.field.p
-        out = [stored_row(((k, c * x) for k, x in row.items()), p) for row in self.entries]
-        return Matrix.from_entries(self.field, self.rows, self.cols, out)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -432,24 +418,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_eliminate(self.entries, self.field.p))
-
-    def kernel_basis(self) -> "Matrix":
-        """Columns spanning the right null space, in echelon-canonical form.
-
-        The column for free variable j has a 1 in position j and the negated
-        reduced coefficients in the pivot positions; columns are ordered by
-        free column index.  Its rows at the free positions form the identity.
-        """
-        return self.kernel_with_free()[0]
-
-    def kernel_with_free(self) -> tuple["Matrix", list[int]]:
-        """`kernel_basis` and its free column indices, from one elimination."""
-        vecs, free = kernel_vectors(self.field, self.entries, self.cols)
-        out: list[dict] = [{} for _ in range(self.cols)]
-        for k, vec in enumerate(vecs):
-            for i, x in vec.items():
-                out[i][k] = x
-        return Matrix.from_entries(self.field, self.cols, len(free), out), free
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Some x with self @ x = rhs, or None; free variables are set to zero."""

@@ -27,7 +27,9 @@ A Rep is never changed once built.  It keeps each arrow matrix twice: by
 rows in `mats`, and as its transpose in `transposes`, whose rows are the
 images of the basis vectors, so an arrow acts on a stored row by
 `Matrix.row_times` of its transpose.  Whatever builds a module builds both,
-once, and they always agree.
+once, and they always agree.  `validate_rep` checks the relations that way
+too, pushing basis vectors along each path, and a sum of projectives, where
+one is assembled, is the `rep_direct_sum` of the cached indecomposables.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "action_rep",
     "path_bimodule",
     "rep_direct_sum",
-    "path_action",
     "validate_rep",
     "hom_basis",
     "projective_cover",
@@ -231,13 +232,6 @@ def arrow_paths(A: AlgebraHandle) -> list[Path]:
     return [Path(q.a_src[a], q.a_tgt[a], (a,)) for a in range(q.n_arrows)]
 
 
-def _projective_sum(A: AlgebraHandle, vertices: list[int]) -> Rep:
-    """P_{v_0} (+) P_{v_1} (+) ..., assembled block-diagonally from the
-    cached indecomposable projectives, in the basis of `_map_columns`."""
-    dims, mats, _ = _block_diagonal(A, [projective(A, v)[0] for v in vertices])
-    return Rep(A, dims, mats)
-
-
 def projective(A: AlgebraHandle, v: int):
     """The indecomposable projective Ae_v and its basis, listing (0, p) at u
     for the normal paths p from v to u; cached on A, callers must not mutate
@@ -288,18 +282,18 @@ def regular_rep(A: AlgebraHandle) -> Rep:
     return action_rep(A, basis, lambda a, p: A.mul_paths(p, arrows[a]))
 
 
-def path_action(M: Rep, p: Path) -> Matrix:
-    f = M.algebra.field
-    out = Matrix.identity(f, M.dims[p.source])
-    for a in p.arrows:
-        out = M.mats[a] @ out
-    return out
-
-
 def validate_rep(M: Rep) -> list[str]:
+    """The problems of M as a module over its algebra: each arrow matrix of
+    the wrong shape, else each relation that does not vanish on M.
+
+    A relation sum c p vanishes when it sends every basis vector e_i at its
+    source to zero: e_i is pushed along each path p through the transposes
+    of its arrows, and the raw values c x are summed and canonicalized once.
+    """
     problems = []
     A = M.algebra
     q = A.quiver
+    one = A.field.one()
     for a in range(q.n_arrows):
         m = M.mats[a]
         if (m.rows, m.cols) != (M.dims[q.a_tgt[a]], M.dims[q.a_src[a]]):
@@ -307,12 +301,17 @@ def validate_rep(M: Rep) -> list[str]:
     if problems:
         return problems
     for ri, rel in enumerate(A.presentation.relations):
-        src, tgt = rel[0][0].source, rel[0][0].target
-        acc = Matrix.zero(A.field, M.dims[tgt], M.dims[src])
-        for p, c in rel:
-            acc = acc + path_action(M, p).scale(c)
-        if not acc.is_zero():
-            problems.append(f"relation {ri} does not vanish on the representation")
+        for i in range(M.dims[rel[0][0].source]):
+            acc: dict = {}
+            for p, c in rel:
+                row = {i: one}
+                for a in p.arrows:
+                    row = M.transposes[a].row_times(row)
+                for k, x in row.items():
+                    acc[k] = acc.get(k, 0) + c * x
+            if stored_row(acc.items(), A.field.p):
+                problems.append(f"relation {ri} does not vanish on the representation")
+                break
     return problems
 
 
@@ -596,7 +595,7 @@ def _kernel_rep(A: AlgebraHandle, transposes: list[Matrix], act):
 def kernel_subrep(f_map: RepMap):
     """Kernel of a map as a subrepresentation of its source; (rep, inclusion).
 
-    The basis at u is the columns of ``f_map.mats[u].kernel_basis()``; see
+    The basis at u is the `kernel_vectors` of ``f_map.mats[u]``; see
     `_kernel_rep`, which raises ValueError when the kernel is not stable.
     """
     M, f = f_map.source, f_map.source.algebra.field
@@ -616,7 +615,8 @@ def _cover(M: Rep, reducers: list[SubspaceReducer]):
 def projective_cover(M: Rep):
     """Minimal projective cover (P, pi, basis) of `_cover`; kernel of pi lies in rad P."""
     vertices, basis, transposes = _cover(M, radical_reducers(M))
-    P = _projective_sum(M.algebra, vertices)
+    A = M.algebra
+    P = rep_direct_sum([projective(A, v)[0] for v in vertices])[0] if vertices else zero_rep(A)
     return P, RepMap(P, M, [m.transpose() for m in transposes]), basis
 
 
@@ -675,7 +675,8 @@ class Resolution:
 
     @property
     def projectives(self) -> list[Rep]:
-        return [_projective_sum(K.algebra, vs) for vs, K in zip(self.covers, self.syzygies)]
+        sums = ([projective(K.algebra, v)[0] for v in vs] for vs, K in zip(self.covers, self.syzygies))
+        return [rep_direct_sum(reps)[0] for reps in sums]
 
     def dimension(self, bound: int) -> BoundedDim:
         """The projective dimension of the module, read off a resolution of
@@ -952,15 +953,10 @@ class Restriction(Rep):
     entries[v] names the coordinate of the original Rep behind each basis
     vector at vertex v, as (vertex, index); pos[v] inverts entries[v].  outer
     is the factor whose action was forgotten, None for a one-sided Rep.
+    `Restriction._wrap` is its one constructor.
     """
 
     __slots__ = ("outer", "entries", "pos")
-
-    def __init__(self, algebra, dims, mats, outer, entries, pos):
-        super().__init__(algebra, dims, mats)
-        self.outer = outer
-        self.entries = entries
-        self.pos = pos
 
     @classmethod
     def _wrap(cls, rep: Rep, outer, entries) -> "Restriction":

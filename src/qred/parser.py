@@ -235,7 +235,8 @@ def parse_module(text: str, A: AlgebraHandle):
     """Parse a module (or bimodule) file against a completed algebra.
 
     Returns (name, Rep); the representation is validated against the
-    algebra's relations and the violating relation is reported.
+    algebra's relations, and the first violated relation is reported at the
+    line of the module header.
     """
     q = A.quiver
     f = A.field
@@ -243,12 +244,12 @@ def parse_module(text: str, A: AlgebraHandle):
     dims = [0] * q.n_vertices
     dim_seen: set[int] = set()
     mat_lines: dict[int, tuple[int, str]] = {}
-    header_seen = False
+    header_line = 0
     for lineno, body in _Lines(text).logical():
         tokens = body.split()
         head = tokens[0]
         if head in ("module", "bimodule"):
-            if header_seen:
+            if header_line:
                 raise ParseError(lineno, 1, "repeated module header")
             if len(tokens) < 4 or tokens[2] != "over":
                 raise ParseError(lineno, 1, f"expected: {head} <name> over <algebra>")
@@ -266,7 +267,7 @@ def parse_module(text: str, A: AlgebraHandle):
                     1,
                     f"header names {' '.join(declared)!r} do not match {' '.join(expected)!r}",
                 )
-            header_seen = True
+            header_line = lineno
         elif head == "dim":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected: dim <vertex> = <int>")
@@ -293,7 +294,7 @@ def parse_module(text: str, A: AlgebraHandle):
             mat_lines[q.a_index[tokens[1]]] = (lineno, body.split("=", 1)[1])
         else:
             raise ParseError(lineno, 1, f"unknown directive {head!r}")
-    if not header_seen:
+    if not header_line:
         raise ParseError(1, 1, "missing module header")
     mats = []
     for a in range(q.n_arrows):
@@ -306,7 +307,7 @@ def parse_module(text: str, A: AlgebraHandle):
     rep = Rep(A, dims, mats)
     problems = validate_rep(rep)
     if problems:
-        raise ParseError(0, 0, problems[0])
+        raise ParseError(header_line, 1, problems[0])
     return name, rep
 
 
@@ -364,7 +365,7 @@ def rep_to_text(rep: Rep, name: str) -> str:
         if m.is_zero():
             continue
         rows = ",".join(
-            "[" + ",".join(f.format_scalar(x) for x in row) + "]" for row in m.data
+            "[" + ",".join(f.format_scalar(row.get(j, 0)) for j in range(m.cols)) + "]" for row in m.entries
         )
         lines.append(f"map {q.arrow_name(a)} = [{rows}]")
     return "\n".join(lines) + "\n"

@@ -45,7 +45,9 @@ the simple-summand oracle scans basis pairs of Hom(S_u, K) and Hom(K, S_u)
 instead of testing socle vectors against the radical, the corner oracle
 computes the Loewy length of eAe apart and eliminates the evaluation of each
 vertex pair anew at every degree instead of reading both off one enumeration
-of the corner words and one kernel per vertex pair, and the
+of the corner words and one kernel per vertex pair, the validation oracle
+sums the scaled matrices of the paths of each relation instead of pushing
+basis vectors through the arrow transposes, and the
 restriction,
 tensor, quotient and bimodule oracles fill their arrow matrices with their
 own loops and closures instead of through one action builder and one reader
@@ -55,7 +57,11 @@ of product coordinates.
 routines that the engine no longer calls; they live on here, where the
 summand and Tor oracles use them and their tests keep checking them.  So
 does `matrix_from_columns`, the dense column constructor that `Matrix` no
-longer has; the column read-outs are `m.transpose().data`.
+longer has; the column read-outs are `m.transpose().data`.  So do
+`matrix_add`, `matrix_scale`, `matrix_kernel_with_free` and
+`matrix_kernel_basis`, the sum, scaling and kernel columns that `Matrix`
+no longer has, and `path_action`, the product of the arrow matrices along
+a path, which the validation and cover oracles use.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from qred.algebra import (
     trivial_path,
     word_key,
 )
-from qred.linalg import Matrix, SubspaceReducer, kernel_vectors
+from qred.linalg import Matrix, SubspaceReducer, kernel_vectors, stored_row
 from qred.modules import (
     IsoResult,
     Rep,
@@ -104,7 +110,6 @@ from qred.modules import (
     is_isomorphic,
     kernel_subrep,
     minimal_resolution,
-    path_action,
     pd_bounded,
     projective,
     projective_cover,
@@ -164,7 +169,7 @@ def socle_reducers(M: Rep) -> list[SubspaceReducer]:
         for a in q.arrows_from[u]:
             rows.extend(M.mats[a].data)
         if rows:
-            ker = Matrix.from_rows(f, rows).kernel_basis()
+            ker = matrix_kernel_basis(Matrix.from_rows(f, rows))
             vecs = ker.transpose().data
         else:
             vecs = [
@@ -225,7 +230,7 @@ def injective_envelope(M: Rep):
                 Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, M.dims[u])
             )
             emb = incls[k].mats[u] @ block
-            mats[u] = mats[u] + emb
+            mats[u] = matrix_add(mats[u], emb)
     phi = RepMap(M, E, mats)
     return E, phi
 
@@ -661,6 +666,75 @@ def matrix_from_columns(field, cols: list[list], nrows: int | None = None) -> Ma
     return Matrix(field, len(cols[0]), len(cols), list(zip(*cols)))
 
 
+def matrix_add(a: Matrix, b: Matrix) -> Matrix:
+    """a + b, row by row: the sum that `Matrix` no longer has."""
+    out = []
+    for ra, rb in zip(a.entries, b.entries):
+        acc = dict(ra)
+        for k, y in rb.items():
+            acc[k] = acc.get(k, 0) + y
+        out.append(stored_row(acc.items(), a.field.p))
+    return Matrix.from_entries(a.field, a.rows, a.cols, out)
+
+
+def matrix_scale(m: Matrix, c) -> Matrix:
+    """c m: the scaling that `Matrix` no longer has."""
+    p = m.field.p
+    out = [stored_row(((k, c * x) for k, x in row.items()), p) for row in m.entries]
+    return Matrix.from_entries(m.field, m.rows, m.cols, out)
+
+
+def matrix_kernel_with_free(m: Matrix) -> tuple[Matrix, list[int]]:
+    """The columns spanning the right null space of m, and their free
+    column indices, from one elimination.
+
+    The column for free variable j has a 1 in position j and the negated
+    reduced coefficients in the pivot positions; columns are ordered by free
+    column index, so the rows at the free positions form the identity.
+    """
+    vecs, free = kernel_vectors(m.field, m.entries, m.cols)
+    out: list[dict] = [{} for _ in range(m.cols)]
+    for k, vec in enumerate(vecs):
+        for i, x in vec.items():
+            out[i][k] = x
+    return Matrix.from_entries(m.field, m.cols, len(free), out), free
+
+
+def matrix_kernel_basis(m: Matrix) -> Matrix:
+    """The kernel columns of `matrix_kernel_with_free`."""
+    return matrix_kernel_with_free(m)[0]
+
+
+def path_action(M: Rep, p: Path) -> Matrix:
+    """The matrix M_p: M_source -> M_target, a product of arrow matrices."""
+    out = Matrix.identity(M.algebra.field, M.dims[p.source])
+    for a in p.arrows:
+        out = M.mats[a] @ out
+    return out
+
+
+def validate_rep_by_path_action(M: Rep) -> list[str]:
+    """The problems of `validate_rep`, each relation sum c p summed as the
+    matrices c M_p, with one `matrix_scale` and one `matrix_add` per term."""
+    problems = []
+    A = M.algebra
+    q = A.quiver
+    for a in range(q.n_arrows):
+        m = M.mats[a]
+        if (m.rows, m.cols) != (M.dims[q.a_tgt[a]], M.dims[q.a_src[a]]):
+            problems.append(f"arrow {q.arrow_name(a)}: matrix shape mismatch")
+    if problems:
+        return problems
+    for ri, rel in enumerate(A.presentation.relations):
+        src, tgt = rel[0][0].source, rel[0][0].target
+        acc = Matrix.zero(A.field, M.dims[tgt], M.dims[src])
+        for p, c in rel:
+            acc = matrix_add(acc, matrix_scale(path_action(M, p), c))
+        if not acc.is_zero():
+            problems.append(f"relation {ri} does not vanish on the representation")
+    return problems
+
+
 def _columns_by_path_action(M: Rep, basis, images) -> list[Matrix]:
     """Per vertex, the matrix whose column for the basis path (j, p) is
     path_action(M, p) applied to images[j]."""
@@ -719,7 +793,7 @@ def projective_sum_by_products(A, vertices: list[int]) -> list[Matrix]:
 
 
 def linear_combination_by_scale_and_add(maps: list[RepMap], coeffs) -> RepMap:
-    """The map sum c g as one `Matrix.scale` and one `Matrix.__add__` per
+    """The map sum c g as one `matrix_scale` and one `matrix_add` per
     nonzero term, each copying the accumulator."""
     base = maps[0]
     f = base.source.algebra.field
@@ -728,7 +802,7 @@ def linear_combination_by_scale_and_add(maps: list[RepMap], coeffs) -> RepMap:
         acc = Matrix.zero(f, m.rows, m.cols)
         for g, c in zip(maps, coeffs):
             if c:
-                acc = acc + g.mats[u].scale(c)
+                acc = matrix_add(acc, matrix_scale(g.mats[u], c))
         out.append(acc)
     return RepMap(base.source, base.target, out)
 
@@ -833,12 +907,12 @@ def sub_rep_by_solve(M: Rep, vectors_per_vertex):
 
 
 def kernel_subrep_by_products(f_map: RepMap):
-    """(rep, inclusion) of the kernel of f_map in the basis of kernel_basis,
+    """(rep, inclusion) of the kernel of f_map in the basis of matrix_kernel_basis,
     each arrow read off the free rows of the product M_a K_u of matrices;
     raises ValueError when f_w M_a K_u is not zero."""
     M = f_map.source
     q = M.algebra.quiver
-    bases, free = zip(*(m.kernel_with_free() for m in f_map.mats))
+    bases, free = zip(*(matrix_kernel_with_free(m) for m in f_map.mats))
     mats = []
     for a in range(q.n_arrows):
         src, tgt = q.a_src[a], q.a_tgt[a]
@@ -852,10 +926,10 @@ def kernel_subrep_by_products(f_map: RepMap):
 
 
 def kernel_subrep_by_reducer(f_map: RepMap):
-    """(rep, inclusion) of the kernel of f_map as the span of its kernel_basis
+    """(rep, inclusion) of the kernel of f_map as the span of its matrix_kernel_basis
     columns, in the reduced echelon basis of sub_rep; raises ValueError when
     the kernel is not stable."""
-    return sub_rep(f_map.source, [m.kernel_basis().transpose().data for m in f_map.mats])
+    return sub_rep(f_map.source, [matrix_kernel_basis(m).transpose().data for m in f_map.mats])
 
 
 def split_projective_summands_by_inverse(M: Rep):
@@ -962,7 +1036,7 @@ def hom_basis_by_intertwining(M: Rep, N: Rep) -> list[RepMap]:
     if not rows:
         sol = Matrix.identity(f, total)
     else:
-        sol = Matrix.from_rows(f, rows).kernel_basis()
+        sol = matrix_kernel_basis(Matrix.from_rows(f, rows))
     out = []
     sol_data = sol.data
     for jcol in range(sol.cols):
@@ -1090,9 +1164,7 @@ def restrict_by_loops(M: Rep, side: str) -> Restriction:
         raise ValueError("side must be 'left' or 'right'")
     prod = M.algebra.product
     if prod is None:
-        entries = [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)]
-        pos = [{e: i for i, e in enumerate(es)} for es in entries]
-        return Restriction(M.algebra, M.dims, M.mats, None, entries, pos)
+        return Restriction._wrap(M, None, [[(v, i) for i in range(d)] for v, d in enumerate(M.dims)])
     if side == "left":
         target, outer, own = prod.left, prod.right, 0
     else:
@@ -1121,7 +1193,7 @@ def restrict_by_loops(M: Rep, side: str) -> Restriction:
                 if c:
                     data[pos[tgt][(tgt_pair, r)]][col] = c
         mats.append(Matrix(M.algebra.field, dims[tgt], dims[src], data))
-    return Restriction(target, dims, mats, outer, entries, pos)
+    return Restriction._wrap(Rep(target, dims, mats), outer, entries)
 
 
 def _tensor_space_by_loops(x: Restriction, middle, Y: Rep) -> TensorSpace:

@@ -129,6 +129,19 @@ def test_module_file_relation_violation(dual_numbers):
     with pytest.raises(ParseError) as ei:
         parse_module(bad, dual_numbers)
     assert "relation" in ei.value.message
+    assert (ei.value.line, ei.value.col) == (1, 1)
+
+
+def test_cli_module_relation_violation_names_the_header_line(capsys, tmp_path):
+    """A module that breaks a relation is reported at the line of its
+    header, column 1, wherever the header sits, and exits 2."""
+    bad = "module M over dual_numbers\ndim 1 = 1\nmap x = [[1]]\n"
+    message = "relation 0 does not vanish on the representation"
+    for lead, line in (("", 1), ("# x*x = 0 fails\n\n", 3)):
+        path = tmp_path / "bad.mod"
+        path.write_text(lead + bad)
+        code, out = run(capsys, "resolve", fixture("dual_numbers"), "--module", str(path))
+        assert (code, out.out, out.err) == (2, "", f"qred: {path}:{line}:1: {message}\n")
 
 
 def test_module_file_shape_mismatch(line2):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,6 @@ from qred.modules import (
     is_projective,
     kernel_subrep,
     minimal_resolution,
-    path_action,
     pd_bounded,
     projective,
     projective_cover,
@@ -61,6 +61,7 @@ from oracles import (
     kernel_subrep_by_products,
     kernel_subrep_by_reducer,
     linear_combination_by_scale_and_add,
+    matrix_kernel_basis,
     projective_cover_by_path_action,
     projective_sum_by_products,
     quotient_rep_by_loops,
@@ -72,6 +73,7 @@ from oracles import (
     stable_isomorphic,
     sub_rep_by_solve,
     tensor_over_by_loops,
+    validate_rep_by_path_action,
 )
 
 
@@ -123,6 +125,79 @@ def test_cover_of_projective_is_iso(tri_dual):
     assert all(m.rank() == m.rows == m.cols for m in pi.mats)
 
 
+def _validation_modules(A):
+    """The projectives, simples, first two syzygies of the simples, duals
+    of the projectives and the regular bimodule of A, and the corner
+    modules eA and Ae of every nonempty vertex subset."""
+    n = A.quiver.n_vertices
+    mods = [regular_bimodule(A)]
+    for v in range(n):
+        P = projective(A, v)[0]
+        mods += [P, simple(A, v), dual(P)] + minimal_resolution(simple(A, v), 2).syzygies
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(A.quiver.vertices, k):
+            B = corner_presentation(A, subset)
+            mods += [corner_module_eA(B), corner_module_Ae(B)]
+    return [M for M in mods if not M.is_zero()]
+
+
+def _changed_copy(M, rng):
+    """A copy of M, built with Rep, with one entry of one arrow matrix
+    raised by 1, or None when every arrow matrix is empty."""
+    f = M.algebra.field
+    arrows = [a for a, m in enumerate(M.mats) if m.rows and m.cols]
+    if not arrows:
+        return None
+    a = rng.choice(arrows)
+    m = M.mats[a]
+    data = m.data
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    data[i][j] += 1  # Matrix brings the entry to the field's form
+    mats = list(M.mats)
+    mats[a] = Matrix(f, m.rows, m.cols, data)
+    return Rep(M.algebra, M.dims, mats)
+
+
+def test_validate_rep_matches_the_path_action_oracle():
+    """validate_rep, which pushes basis vectors through the arrow
+    transposes, gives the problems of the matrix-product oracle, in the
+    same order: on the modules of `_validation_modules` over the fixtures
+    and seeded corpora over Q, GF(3) and GF(5), on a copy of each with one
+    arrow entry changed, and on a copy with one arrow matrix of the wrong
+    shape.  The modules all pass.  A changed entry breaks a relation only
+    when some relation reads it, so a floor is stated on the changed
+    copies flagged, and on those that break two relations or more."""
+    algebras = [load(name) for name in _FIXTURE_NAMES]
+    for seed, field in ((31, QQ), (32, FieldSpec(3)), (33, FieldSpec(5))):
+        algebras += completed_corpus(seed, 20, field, bound=10, dim_cap=12)
+    rng = random.Random(3030)
+    checked = changed = flagged = several = shapes = 0
+    for A in algebras:
+        for M in _validation_modules(A):
+            assert validate_rep(M) == validate_rep_by_path_action(M) == []
+            checked += 1
+            N = _changed_copy(M, rng)
+            if N is not None:
+                problems = validate_rep(N)
+                assert problems == validate_rep_by_path_action(N)
+                assert all(p.endswith("does not vanish on the representation") for p in problems)
+                changed += 1
+                flagged += bool(problems)
+                several += len(problems) > 1
+            if M.mats:
+                a = rng.randrange(len(M.mats))
+                m = M.mats[a]
+                mats = list(M.mats)
+                mats[a] = Matrix.zero(M.algebra.field, m.rows + 1, m.cols)
+                R = Rep(M.algebra, M.dims, mats)
+                problems = validate_rep(R)
+                assert problems == validate_rep_by_path_action(R)
+                assert problems == [f"arrow {M.algebra.quiver.arrow_name(a)}: matrix shape mismatch"]
+                shapes += 1
+    assert (checked, changed, shapes) == (1784, 1095, 1408)
+    assert flagged >= 500 and several >= 150  # 553 and 166 when written
+
+
 def test_cover_of_simples(line2, tri_dual):
     P, _, _ = projective_cover(simple(line2, 0))
     assert P.dims == [1, 1]
@@ -136,7 +211,7 @@ def test_cover_kernel_in_radical(tri_dual, bowtie):
         P, pi, _ = projective_cover(M)
         red = radical_reducers(P)
         for u in range(len(P.dims)):
-            ker = pi.mats[u].kernel_basis()
+            ker = matrix_kernel_basis(pi.mats[u])
             for col in ker.transpose().entries:
                 assert red[u].contains(col)
 
@@ -207,7 +282,7 @@ def test_cover_columns_and_sub_rep_match_oracles(dual_numbers, line2, tri_dual, 
                 got = [h.mats for h in hom_from_projective(A, v, M)]
                 assert got == hom_from_projective_by_path_action(A, v, M)
 
-            kernel = [pi.mats[u].kernel_basis().transpose().data for u in range(n)]
+            kernel = [matrix_kernel_basis(pi.mats[u]).transpose().data for u in range(n)]
             spans = [(P, kernel), (M, stable_span(M, _random_gens(rng, M))), (M, _random_gens(rng, M))]
             for target, vecs in spans:
                 try:

@@ -7,9 +7,11 @@ cycle, so no module needs a lazy import to break one.  Outside `linalg`, no
 module builds a dense vector of field zeros or a `fractions.Fraction`, and
 no function sums field elements term by term through `FieldSpec`:
 vectors are stored rows, sums are canonicalized once by `stored_row`, and
-`Matrix` has no dense column read-out.  A module's arrow matrices are
-transposed only where the module is built.  Only the allowed functions
-write a cache on an algebra handle.  Every
+`Matrix` has no dense column read-out.  No module reads a dense read-out
+or a method kept only for the benchmark, and the Matrix operations and
+module routines that no route called are defined nowhere.  A module's
+arrow matrices are transposed only where the module is built.  Only the
+allowed functions write a cache on an algebra handle.  Every
 dotted name that a docstring quotes in backticks names something that
 exists.
 """
@@ -446,6 +448,116 @@ def test_matrix_has_no_dense_column_readout():
     methods = {node.name for node in matrix.body if isinstance(node, ast.FunctionDef)}
     assert "transpose" in methods
     assert methods.isdisjoint({"column", "columns", "from_columns"})
+
+
+def _attribute_reads(tree, names) -> list[tuple[str, int]]:
+    """(attribute, line) of each ``<expr>.name`` in tree, read or called,
+    for a name in names, in line order."""
+    found = [(node.lineno, node.attr) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in names]
+    return [(attr, line) for line, attr in sorted(found)]
+
+
+def _definitions(tree) -> list[str]:
+    """The functions and methods that tree defines, at any depth, each
+    named by the classes and functions around it: ``Class.method``,
+    ``outer.inner``."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not isinstance(child, ast.ClassDef):
+                    found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def _named(tree) -> set[str]:
+    """Every attribute, name and string constant of tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+# the definitions of linalg that no module of the package reads, each with
+# the file of bench/ that reads, wraps or names it; they go with the next
+# change to the benchmark
+_KEPT_FOR_THE_BENCHMARK = {
+    # check_end flattens the Hom basis maps and ranks them
+    "Matrix.data": "workloads.py",
+    "Matrix.from_rows": "workloads.py",
+    # wrapped by name, its _rref slot read for the cache-hit count
+    "Matrix.rref": "tracing.py",
+    # wrapped by name
+    "Matrix.solve": "tracing.py",
+    # the rows of the radical span
+    "SubspaceReducer.basis_rows": "workloads.py",
+}
+
+# the Matrix operations and module routines that left the package: no
+# route called them
+_REMOVED = {
+    "Matrix.__add__",
+    "Matrix.scale",
+    "Matrix.kernel_basis",
+    "Matrix.kernel_with_free",
+    "path_action",
+    "_projective_sum",
+    "Restriction.__init__",
+}
+
+
+def _removed(definitions) -> list[str]:
+    """The definitions that bring back a removed name: a method by its
+    class, a function at any depth."""
+    return [d for d in definitions if d in _REMOVED or d.rsplit(".", 1)[-1] in _REMOVED]
+
+
+def test_no_module_reads_a_dense_readout_or_an_operation_kept_for_the_benchmark():
+    """No module of the package reads ``.data``, ``.basis_rows``, ``.rref``,
+    ``.solve`` or ``.from_rows``, which stay only because the benchmark
+    reads them, nor ``.scale``, ``.kernel_basis`` or ``.kernel_with_free``,
+    which are gone.  Each definition kept for the benchmark is still in
+    `linalg` and named in the file of ``bench/`` that reads it."""
+    trees = _trees()
+    kept = {qual.split(".")[1] for qual in _KEPT_FOR_THE_BENCHMARK}
+    names = kept | {"scale", "kernel_basis", "kernel_with_free"}
+    found = [f"{name}.py:{line} reads .{attr}" for name, tree in trees.items() for attr, line in _attribute_reads(tree, names)]
+    assert found == []
+    bench = SRC.parent.parent / "bench"
+    defined = _definitions(trees["linalg"])
+    for qual, path in _KEPT_FOR_THE_BENCHMARK.items():
+        assert qual in defined, qual
+        assert qual.split(".")[1] in _named(ast.parse((bench / path).read_text(encoding="utf-8"))), (qual, path)
+    probe = ast.parse("def g(m, r):\n    m.data[0]\n    r.basis_rows()\n    x = m.rref\n    return m.scale(2), m.cols")
+    assert _attribute_reads(probe, names) == [("data", 2), ("basis_rows", 3), ("rref", 4), ("scale", 5)]
+
+
+def test_removed_operations_are_defined_nowhere():
+    """No module of the package defines a removed Matrix operation or module
+    routine again: `tests/oracles.py` keeps their copies."""
+    found = [f"{name}.py: {d}" for name, tree in _trees().items() for d in _removed(_definitions(tree))]
+    assert found == []
+    probe = ast.parse(
+        "class Matrix:\n    def scale(self):\n        pass\n    def __matmul__(self, o):\n        pass\n"
+        "class Restriction:\n    def __init__(self):\n        pass\n"
+        "class Other:\n    def scale(self):\n        pass\n"
+        "def outer():\n    def path_action():\n        pass\n"
+    )
+    assert _definitions(probe) == [
+        "Matrix.scale", "Matrix.__matmul__", "Restriction.__init__", "Other.scale", "outer", "outer.path_action"
+    ]
+    assert _removed(_definitions(probe)) == ["Matrix.scale", "Restriction.__init__", "outer.path_action"]
 
 
 _DOTTED = re.compile(r"`{1,2}([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`{1,2}")
