@@ -9,8 +9,9 @@ balanced tensor products over a middle algebra, and isomorphism testing
 its (summand, normal path) keys; a resolution step keeps only the summand
 vertices of P and takes the kernel of pi without assembling P or pi.
 `minimal_resolution` and `pd_bounded` walk one step loop; `pd_bounded` also
-stops at a syzygy with a simple summand S_u that is a summand of one of its
-own syzygies, which makes pd infinite, and still reports AtLeast(bound + 1).
+stops at a syzygy that makes pd infinite, and still reports AtLeast(bound +
+1): one with a simple summand S_u that is a summand of one of its own
+syzygies, or one isomorphic to M or to an earlier syzygy.
 
 Hom and the tensor product share one linear system, the balanced relations
 x.c (x) y - x (x) c.y: X (x) Y is the quotient of the coordinate space by
@@ -769,18 +770,27 @@ def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None
 
     The minimal resolution runs one step at a time, for at most bound + 1
     steps.  It stops at the first zero syzygy, or at the first Omega^i with
-    1 <= i <= bound that has a simple summand S_u of infinite pd, since then
-    pd M >= i + pd S_u is infinite too.
+    1 <= i <= bound that proves pd M infinite, in one of two ways:
 
-    - S_u is a summand of K when a socle vector of K at u lies outside
-      (rad K)_u (`_simple_summands`).
+    - Omega^i has a simple summand S_u of infinite pd, since then pd M >=
+      i + pd S_u.  S_u is a summand of K when a socle vector of K at u lies
+      outside (rad K)_u (`_simple_summands`).
+    - Omega^i is isomorphic to an earlier module of the walk, Omega^h with
+      0 <= h < i, where Omega^0 = M: M itself is a candidate too.
     - Lemma: if X is a summand of Omega^k(X) for some k >= 1, then pd X is
       infinite.  Such an X is not projective, and were pd X = n, then
-      n <= max(n - k, 0), so n = 0.
+      n <= max(n - k, 0), so n = 0.  In the second case X = Omega^h is
+      Omega^(i-h)(X) up to isomorphism and nonzero, and a finite pd of M
+      would make pd X finite: pd M is infinite.
     - When M is S_u, its own syzygies are the test.  For any other u,
       `_simple_returns` resolves S_u for the bound - i steps that remain.
       Omega^j(S_u) is a summand of Omega^(i+j)(M), so a search that finds
       S_u again costs no more than the steps of M that it replaces.
+    - Only earlier modules with the dimension vector and the top of Omega^i
+      are compared, the tops read off the cover vertices and the radical
+      reducers of the walk, and `_bounded_iso` searches at a fixed cost.
+      An isomorphism it misses costs only the steps that follow, never the
+      answer.
 
     An early stop returns AtLeast(bound + 1), the value that the full
     resolution gives, until an `Infinite` verdict can be reported.  side is
@@ -793,13 +803,20 @@ def pd_bounded(M: Rep, bound: int, side: str = "projective", dim_cap: int | None
     if M.is_zero():
         return BoundedDim.Exact(0, bound)
     A = M.algebra
+    n = A.quiver.n_vertices
     own = M.dims.index(1) if M.total_dim == 1 else None  # M is the simple S_own
-    for i, (_, K, red) in enumerate(_resolution_steps(M, bound + 1, dim_cap), 1):
+    walk, X = [], M  # (Omega^h, its top) for h < i; X is Omega^(i-1)
+    for i, (vertices, K, red) in enumerate(_resolution_steps(M, bound + 1, dim_cap), 1):
         if K.is_zero():
             return BoundedDim.Exact(i - 1, bound)
-        if red is not None and any(
-            u == own or _simple_returns(A, u, bound - i, dim_cap) for u in _simple_summands(K, red)
-        ):
+        walk.append((X, [vertices.count(u) for u in range(n)]))  # the cover of X has its top
+        X = K
+        if red is None:
+            break
+        if any(u == own or _simple_returns(A, u, bound - i, dim_cap) for u in _simple_summands(K, red)):
+            break
+        top = [d - r.rank for d, r in zip(K.dims, red)]
+        if any(Y.dims == K.dims and t == top and _bounded_iso(Y, K) for Y, t in walk):
             break
     return BoundedDim.AtLeast(bound + 1, bound)
 
@@ -858,7 +875,11 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
     negative answer names the separating invariant; otherwise the randomized
     search gives up (Inconclusive) and says nothing.  Hom(M, N) is kept as
     kernel vectors: each candidate is one combination of them made a map,
-    and End(M) and End(N) are only counted.
+    and End(M) and End(N) are only counted.  Over GF(p) a Hom space of at
+    most 2^20 elements is searched in full, so its "no" is a proof;
+    otherwise the randomized search is `_random_iso`, which `pd_bounded`
+    shares through `_bounded_iso` with a fixed seed and no exhaustive
+    branch.
     """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebra handles")
@@ -895,18 +916,50 @@ def is_isomorphic(M: Rep, N: Rep, rng: random.Random | None = None) -> IsoResult
                 return IsoResult("yes", witness=cand)
         # the search space was exhausted: no combination is invertible
         return IsoResult("no", invariant="exhausted Hom space")
+    cand = _random_iso(M, N, coords, homs, rng)
+    return IsoResult("inconclusive") if cand is None else IsoResult("yes", witness=cand)
+
+
+def _random_iso(M: Rep, N: Rep, coords, homs: list[dict], rng: random.Random) -> RepMap | None:
+    """The first invertible map among _ISO_TRIES random combinations of the
+    Hom(M, N) vectors homs (coordinates coords of `_hom_vectors`), or None.
+    Over GF(p) the coefficients are uniform; over Q they are integers whose
+    range [-B, B] grows by one every four tries.  A zero combination is
+    skipped and counts as a try."""
+    f = M.algebra.field
+    p = f.p
     for attempt in range(_ISO_TRIES):
         if p is None:
             B = 1 + attempt // 4
-            coeffs = [f.from_int(rng.randint(-B, B)) for _ in range(d)]
+            coeffs = [f.from_int(rng.randint(-B, B)) for _ in homs]
         else:
-            coeffs = [f.from_int(rng.randrange(p)) for _ in range(d)]
+            coeffs = [f.from_int(rng.randrange(p)) for _ in homs]
         if all(c == 0 for c in coeffs):
             continue
         cand = _hom_map(M, N, coords, _combination(homs, coeffs, p))
         if _invertible(cand):
-            return IsoResult("yes", witness=cand)
-    return IsoResult("inconclusive")
+            return cand
+    return None
+
+
+def _bounded_iso(M: Rep, N: Rep) -> RepMap | None:
+    """An isomorphism M -> N found at a fixed cost, or None.
+
+    M and N must have the same dimension vector.  The invariant battery of
+    `is_isomorphic` is compared first; then each vector of Hom(M, N) is
+    made a map, and then `_random_iso` tries combinations from a fixed
+    seed.  At most d + _ISO_TRIES maps are built, d = dim Hom(M, N): the
+    exhaustive GF(p) search of `is_isomorphic` never runs, so None proves
+    nothing.
+    """
+    if any(a != b for (_, a), (_, b) in zip(_invariant_battery(M), _invariant_battery(N))):
+        return None
+    coords, _, homs = _hom_vectors(M, N)
+    for vec in homs:
+        if _invertible(cand := _hom_map(M, N, coords, vec)):
+            return cand
+    # with one vector, every combination is a multiple of the map just tried
+    return _random_iso(M, N, coords, homs, random.Random(0)) if len(homs) > 1 else None
 
 
 def split_projective_summands(M: Rep):

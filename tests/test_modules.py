@@ -585,14 +585,52 @@ def _pd_oracle_modules():
         n = A.quiver.n_vertices
         yield [simple(A, v) for v in range(n)] + [dual(projective(A, v)[0]) for v in range(n)]
     yield _bowtie_quotients(load("bowtie"), random.Random(2706), 6)
+    yield _recurring_syzygy_simples()
+
+
+# simples whose syzygies recur up to isomorphism, with no simple summand of
+# infinite pd that the first test of pd_bounded sees: (corpus seed, field,
+# algebra, vertex)
+_RECURRING_SYZYGY_SIMPLES = (
+    (31, QQ, "rand31_47", "2"),
+    (31, QQ, "rand31_58", "3"),
+    (32, FieldSpec(3), "rand32_88", "1"),
+    (33, FieldSpec(5), "rand33_24", "1"),
+)
+
+
+def _recurring_syzygy_simples():
+    """The simples of _RECURRING_SYZYGY_SIMPLES, each over a fresh handle."""
+    mods = []
+    for seed, field, name, vertex in _RECURRING_SYZYGY_SIMPLES:
+        A = next(A for A in completed_corpus(seed, 40, field, bound=10, dim_cap=14) if A.name == name)
+        mods.append(simple(A, A.quiver.v_index[vertex]))
+    return mods
+
+
+def _is_isomorphism(fmap: RepMap) -> bool:
+    """Whether fmap intertwines every arrow and has a square component of
+    full rank at every vertex, checked on dense rows by the elimination
+    oracles."""
+    M, N = fmap.source, fmap.target
+    q, p = M.algebra.quiver, M.algebra.field.p
+    for a in range(q.n_arrows):
+        if N.mats[a] @ fmap.mats[q.a_src[a]] != fmap.mats[q.a_tgt[a]] @ M.mats[a]:
+            return False
+    for m in fmap.mats:
+        rank = oracles.rref_by_fractions(m.data)[1] if p is None else oracles.rref_mod_p(m.data, p)[0]
+        if not m.rows == m.cols == rank:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("dim_cap", [None, 12])
 def test_pd_bounded_matches_full_resolution(dim_cap):
-    """pd_bounded, which stops at a simple summand of infinite pd, reads as
-    the full resolution of bound + 1 steps on both sides at bounds 0, 1, 3
-    and 8.  Where the full resolution exceeds the cap, pd_bounded may raise
-    too or stop earlier with AtLeast(bound + 1); at cap 12 both happen."""
+    """pd_bounded, which stops at a simple summand of infinite pd or at a
+    syzygy isomorphic to an earlier module of its walk, reads as the full
+    resolution of bound + 1 steps on both sides at bounds 0, 1, 3 and 8.
+    Where the full resolution exceeds the cap, pd_bounded may raise too or
+    stop earlier with AtLeast(bound + 1); at cap 12 both happen."""
     outcomes = set()
     for mods in _pd_oracle_modules():
         for M in mods:
@@ -648,6 +686,58 @@ def test_simple_returns_is_cached_per_depth(monkeypatch):
     assert not modules._simple_returns(A, 0, 2, None) and steps == []
     assert not modules._simple_returns(A, 0, 6, None) and steps
     assert A._extra[("simple_returns", 0)] == (6, False)
+
+
+def test_pd_bounded_stops_at_a_recurring_syzygy(monkeypatch):
+    """Each simple of _RECURRING_SYZYGY_SIMPLES reads AtLeast(21) at bound 20
+    after at most 5 resolution steps, its own and those of `_simple_returns`
+    together: the walk stops at a syzygy isomorphic to an earlier one."""
+    steps, found = [], []
+    step, search = modules._syzygy, modules._bounded_iso
+    monkeypatch.setattr(modules, "_syzygy", lambda M, red: steps.append(M) or step(M, red))
+    monkeypatch.setattr(modules, "_bounded_iso", lambda M, N: found.append(search(M, N)) or found[-1])
+    for S in _recurring_syzygy_simples():
+        steps.clear()
+        found.clear()
+        assert pd_bounded(S, 20) == BoundedDim.AtLeast(21, 20)
+        assert len(steps) <= 5, (S.algebra.name, len(steps))
+        assert found[-1] is not None
+
+
+def test_recurrence_search_has_a_fixed_cost(monkeypatch):
+    """`_bounded_iso` builds at most d + _ISO_TRIES maps, d = dim Hom(M, N),
+    and never searches a GF(p) Hom space in full: on GF(5) pairs that share
+    the invariant battery and that is_isomorphic separates by "dim End" or
+    "exhausted Hom space" (which builds 624 maps), it finds no isomorphism.
+    The pairs are sums of the Kronecker modules k --1--> k and k --lam--> k.
+    Every isomorphism it finds inside pd_bounded, on the bounded-pd oracle
+    modules on both sides at bound 8, is one."""
+    f = FieldSpec(5)
+    K = complete(Presentation(f, Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], name="kronecker"), 4)
+    b0, b1, b2 = (Rep(K, [1, 1], [Matrix(f, 1, 1, [[1]]), Matrix(f, 1, 1, [[lam]])]) for lam in (0, 1, 2))
+    sums = [((b0, b1), (b0, b0)), ((b0, b0, b1), (b0, b0, b2)), ((b1, b1, b0), (b1, b1, b2))]
+    pairs = [(rep_direct_sum(list(x))[0], rep_direct_sum(list(y))[0]) for x, y in sums]
+    built = []
+    hom_map = modules._hom_map
+    monkeypatch.setattr(modules, "_hom_map", lambda M, N, coords, vec: built.append(vec) or hom_map(M, N, coords, vec))
+    separated = []
+    for M, N in pairs:
+        separated.append(is_isomorphic(M, N, random.Random(0)).invariant)
+        d = len(modules._hom_vectors(M, N)[2])
+        built.clear()
+        assert modules._bounded_iso(M, N) is None
+        assert len(built) <= d + modules._ISO_TRIES
+    assert separated == ["dim End", "exhausted Hom space", "exhausted Hom space"]
+    monkeypatch.setattr(modules, "_hom_map", hom_map)
+    found = []
+    search = modules._bounded_iso
+    monkeypatch.setattr(modules, "_bounded_iso", lambda M, N: found.append(search(M, N)) or found[-1])
+    for mods in _pd_oracle_modules():
+        for M in mods:
+            for side in ("projective", "injective"):
+                pd_bounded(M, 8, side)
+    witnesses = [w for w in found if w is not None]
+    assert len(witnesses) >= 10 and all(_is_isomorphism(w) for w in witnesses)
 
 
 def test_syzygy_of_projective_vanishes(tri_dual, bowtie):
